@@ -29,8 +29,7 @@ from .cms import (CmsFormula, ModelChecker, RelationalSignature, Structure,
 from .transduction import (EncodingTables, NodeClassification, PredicateLibrary,
                            ReprStructure, TransductionSchema, build_repr,
                            build_repr0, check_kappa_lemma, classify_nodes,
-                           compute_encoding, encode_graph, eval_set_predicate,
-                           ms_predicate_library, transduction_schema,
+                           compute_encoding, encode_graph, transduction_schema,
                            verify_isomorphism)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

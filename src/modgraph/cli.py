@@ -202,6 +202,9 @@ def main(argv=None) -> int:
     except (ModgraphError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

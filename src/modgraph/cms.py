@@ -20,8 +20,7 @@ from .errors import (ArityMismatch, BudgetExceeded, FormulaSyntaxError,
                      UnboundVariable, UnknownPredicate)
 from .graphs import LabeledGraph
 from .mdec import MDecNode, MDecTree, NodeKind
-from .signature import Signature, SignatureOp, cp_equations, select_distinguished
-from .errors import NotWeaklyRigid
+from .signature import Signature, SignatureOp
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -500,31 +499,15 @@ class ModelChecker:
     def work(self) -> int:
         return self._meter.work
 
-    @work.setter
-    def work(self, value: int):
-        self._meter.work = value
-
     @property
     def budget(self) -> int:
         return self._meter.budget
-
-    @budget.setter
-    def budget(self, value: int):
-        self._meter.budget = value
-
-    def reset_budget(self, budget: Optional[int] = None):
-        self.work = 0
-        if budget is not None:
-            self.budget = budget
 
     def to_mask(self, value: Iterable) -> int:
         mask = 0
         for e in value:
             mask |= 1 << self.index[e]
         return mask
-
-    def from_mask(self, mask: int) -> frozenset:
-        return frozenset(self.domain[i] for i in range(self.n) if mask >> i & 1)
 
     def check(self, formula: CmsFormula, env: Optional[Mapping] = None) -> bool:
         code = self._compile(formula)
@@ -727,17 +710,35 @@ def graph_structure(g: LabeledGraph, alphabet: Optional[Sequence[str]] = None) -
     return Structure(sig, tuple(g.sorted_vertices()), rels)
 
 
-def _admissible_enumerations(node: MDecNode) -> list[tuple[MDecNode, ...]]:
-    """All argument orders under which a prime node is a composition by its op."""
-    perms = cp_equations(node.op, max_vertices=max(8, node.op.graph.n))
-    seen = {node.children}
-    out = [node.children]
-    for sigma in perms:
-        tup = tuple(node.children[sigma(i) - 1] for i in range(1, len(node.children) + 1))
-        if tup not in seen:
-            seen.add(tup)
-            out.append(tup)
-    return out
+def tree_prime_ops(t: MDecTree, sig: Optional[Signature] = None) -> list[SignatureOp]:
+    """The prime operations a tree's predicates cover: the signature's when
+    one is given, else the operations labelling the tree, by name.  A tree
+    operation outside the signature raises UnknownPredicate."""
+    seen: dict[str, SignatureOp] = {}
+    for n in t.nodes():
+        if n.kind is NodeKind.PRIME:
+            seen.setdefault(n.op.name, n.op)
+    if sig is None:
+        return [seen[k] for k in sorted(seen)]
+    missing = set(seen) - {op.name for op in sig.prime_ops}
+    if missing:
+        raise UnknownPredicate(
+            f"tree uses operations {sorted(missing)} not in the signature")
+    return list(sig.prime_ops)
+
+
+def tree_predicates(symbols: Iterable[str], prime_ops: Iterable[SignatureOp],
+                    ) -> list[tuple[str, int]]:
+    """Predicates of a decomposition tree; transitive operations have no
+    distinguished children and so no dist-child predicate."""
+    preds = [("child", 2), ("first-child", 2), ("label_par", 1),
+             ("label_clique", 1), ("label_seq", 1)]
+    preds += [(label_pred(s), 1) for s in symbols]
+    for op in prime_ops:
+        preds += [(f"label_{op.name}", 1), (f"children_{op.name}", op.graph.n + 1)]
+        if op.symmetry.distinguished is not None:
+            preds.append((f"dist-child_{op.name}", 2))
+    return preds
 
 
 def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
@@ -749,41 +750,10 @@ def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
     operations when one is given, else the operations appearing in the tree.
     """
     nodes = t.nodes()
-    symbols: list[str] = sorted({n.symbol for n in nodes
-                                 if n.is_leaf and n.symbol is not None})
-    if sig is not None:
-        symbols = list(sig.alphabet.symbols)
-        prime_ops: list[SignatureOp] = list(sig.prime_ops)
-        tree_ops = {n.op.name for n in nodes if n.kind is NodeKind.PRIME}
-        missing = tree_ops - {op.name for op in prime_ops}
-        if missing:
-            raise UnknownPredicate(
-                f"tree uses operations {sorted(missing)} not in the signature")
-    else:
-        seen: dict[str, SignatureOp] = {}
-        for n in nodes:
-            if n.kind is NodeKind.PRIME:
-                seen.setdefault(n.op.name, n.op)
-        prime_ops = [seen[k] for k in sorted(seen)]
-
-    preds: list[tuple[str, int]] = [("child", 2), ("first-child", 2),
-                                    ("label_par", 1), ("label_clique", 1),
-                                    ("label_seq", 1)]
-    preds += [(label_pred(s), 1) for s in symbols]
+    symbols = sig.alphabet.symbols if sig is not None else sorted(
+        {n.symbol for n in nodes if n.is_leaf and n.symbol is not None})
+    preds = tree_predicates(symbols, tree_prime_ops(t, sig))
     rels: dict[str, set[tuple]] = {name: set() for name, _ in preds}
-
-    dist_ops: dict[str, frozenset[int]] = {}
-    for op in prime_ops:
-        n = op.graph.n
-        preds += [(f"label_{op.name}", 1), (f"children_{op.name}", n + 1)]
-        rels[f"label_{op.name}"] = set()
-        rels[f"children_{op.name}"] = set()
-        try:
-            dist_ops[op.name] = select_distinguished(op).vertices
-            preds.append((f"dist-child_{op.name}", 2))
-            rels[f"dist-child_{op.name}"] = set()
-        except NotWeaklyRigid:
-            pass  # no distinguished children for transitive operations
 
     kind_label = {NodeKind.PAR: "label_par", NodeKind.CLIQUE: "label_clique",
                   NodeKind.SEQ: "label_seq"}
@@ -800,14 +770,12 @@ def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
         elif node.kind in kind_label:
             rels[kind_label[node.kind]].add((node,))
         else:
-            rels[f"label_{node.op.name}"].add((node,))
-            for enum in _admissible_enumerations(node):
-                rels[f"children_{node.op.name}"].add((node,) + enum)
-            dist = dist_ops.get(node.op.name)
-            if dist is not None:
-                for i in dist:
-                    rels[f"dist-child_{node.op.name}"].add(
-                        (node, node.children[i - 1]))
+            name, sym = node.op.name, node.op.symmetry
+            rels[f"label_{name}"].add((node,))
+            for enum in sym.enumerations(node.children):
+                rels[f"children_{name}"].add((node,) + enum)
+            for i in sym.distinguished or ():
+                rels[f"dist-child_{name}"].add((node, node.children[i - 1]))
     return RelationalSignature(tuple(preds)), rels, nodes
 
 

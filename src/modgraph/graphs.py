@@ -365,13 +365,16 @@ def _iso_search(g: LabeledGraph, h: LabeledGraph, respect_labels: bool,
 
 
 def find_isomorphism(g: LabeledGraph, h: LabeledGraph, respect_labels: bool = True,
-                     max_vertices: int = DEFAULT_SEARCH_BOUND) -> Optional[Permutation]:
+                     max_vertices: Optional[int] = DEFAULT_SEARCH_BOUND,
+                     ) -> Optional[Permutation]:
     """Vertex bijection carrying g exactly onto h, or None.
 
     The returned permutation acts positionally: the k-th smallest vertex of
-    g maps to the sigma(k)-th smallest vertex of h.
+    g maps to the sigma(k)-th smallest vertex of h.  The search refuses
+    graphs beyond max_vertices; None searches without a bound, as done for
+    operation graphs and the quotients matched against them.
     """
-    if g.n > max_vertices or h.n > max_vertices:
+    if max_vertices is not None and max(g.n, h.n) > max_vertices:
         raise SizeLimitExceeded(
             f"isomorphism search limited to {max_vertices} vertices")
     found = _iso_search(g, h, respect_labels, find_all=False)
@@ -391,21 +394,19 @@ class AutomorphismGroup:
     elements: frozenset[Permutation]
     orbits: tuple[frozenset[int], ...]
 
-    def orbit_of(self, v: int) -> frozenset[int]:
-        for orb in self.orbits:
-            if v in orb:
-                return orb
-        raise VertexNotInGraph(f"vertex {v} not in graph")
-
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
 def automorphism_group(h: LabeledGraph, respect_labels: bool = False,
-                       max_vertices: int = DEFAULT_SEARCH_BOUND) -> AutomorphismGroup:
-    """All edge-preserving vertex bijections of h, plus the orbit partition."""
-    if h.n > max_vertices:
+                       max_vertices: Optional[int] = DEFAULT_SEARCH_BOUND,
+                       ) -> AutomorphismGroup:
+    """All edge-preserving vertex bijections of h, plus the orbit partition.
+
+    Bounded like :func:`find_isomorphism`; None searches without a bound.
+    """
+    if max_vertices is not None and h.n > max_vertices:
         raise SizeLimitExceeded(
             f"automorphism search limited to {max_vertices} vertices")
     hv = h.sorted_vertices()

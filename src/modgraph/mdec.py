@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import NotAModule, NotInSignature, TooSmall, UnknownOp
 from .graphs import LabeledGraph, Permutation, co_components, is_module, undirected_components
-from .signature import Signature, SignatureOp, Term, cp_equations, prime_op
+from .signature import Signature, SignatureOp, Term, match_op, prime_op
 
 
 class DecompositionCase(Enum):
@@ -153,7 +153,7 @@ def _match_quotient(quotient: LabeledGraph, blocks: list[frozenset[int]],
                     sig: Optional[Signature]) -> tuple[SignatureOp, list[frozenset[int]]]:
     """Resolve a prime quotient to an operation and an admissible block order."""
     if sig is not None:
-        matched = sig.match_prime(quotient)
+        matched = match_op(sig.prime_ops, quotient)
         if matched is None:
             raise NotInSignature(
                 f"prime quotient on {quotient.n} vertices matches no operation "
@@ -229,18 +229,12 @@ class MDecTree:
             stack.extend(reversed(node.children))
         return out
 
-    def inner_nodes(self) -> list[MDecNode]:
-        return [n for n in self.nodes() if not n.is_leaf]
-
     def parents(self) -> dict[MDecNode, MDecNode]:
         par: dict[MDecNode, MDecNode] = {}
         for node in self.nodes():
             for c in node.children:
                 par[c] = node
         return par
-
-    def by_module(self) -> dict[frozenset[int], MDecNode]:
-        return {n.module: n for n in self.nodes()}
 
 
 @dataclass(eq=False)
@@ -441,9 +435,9 @@ def shuffle_admissible(t: MDecTree, rng: Random) -> MDecTree:
         if node.kind in (NodeKind.PAR, NodeKind.CLIQUE):
             rng.shuffle(kids)
         elif node.kind is NodeKind.PRIME:
-            auts = cp_equations(node.op, max_vertices=max(8, node.op.graph.n))
+            auts = node.op.symmetry.automorphisms
             if auts:
-                sigma = rng.choice(auts + [Permutation.identity(node.op.graph.n)])
+                sigma = rng.choice(auts + (Permutation.identity(node.op.graph.n),))
                 kids = [kids[sigma(i) - 1] for i in range(1, len(kids) + 1)]
         return MDecNode(node.module, node.kind, tuple(kids), node.symbol, node.op)
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .errors import NotInSignature, UnvalidatedAlgebra
 from .graphs import LabeledGraph
 from .mdec import MDecNode, MDecTree, NodeKind, decompose
-from .signature import OpKind, Signature, cp_equations
+from .signature import OpKind, Signature
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def validate_algebra(alg: FiniteAlgebra) -> AlgebraReport:
                             f"{a}{b} = {table[(a, b)]} but {b}{a} = {table[(b, a)]}"))
         else:
             n = op.arity
-            for sigma in cp_equations(op, max_vertices=max(8, n)):
+            for sigma in op.symmetry.automorphisms:
                 for args in itertools.product(qs, repeat=n):
                     permuted = tuple(args[sigma(i) - 1] for i in range(1, n + 1))
                     if table[args] != table[permuted]:

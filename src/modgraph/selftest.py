@@ -18,7 +18,7 @@ from .graphs import (LabeledGraph, apply_isomorphism, automorphism_group,
 from .mdec import (MDecNode, NodeKind, binarize, brute_force_prime_modules,
                    decompose, reconstruct, shuffle_admissible,
                    tree_prime_modules)
-from .signature import OpKind, Term, compose, compose_graph, cp_equations, eval_term
+from .signature import OpKind, Term, compose, compose_graph, eval_term
 from .transduction import (PredicateLibrary, build_repr, check_kappa_lemma,
                            encode_graph, min_vertex_rule, verify_isomorphism)
 
@@ -179,7 +179,7 @@ def _p_cp(cfg, rng):
                 {ren[v]: g.labels[v] for v in g.vertices}))
             base += g.n
         ref = compose(op, shifted, relabel=False)
-        for sigma in cp_equations(op):
+        for sigma in op.symmetry.automorphisms:
             permuted = [shifted[sigma(k) - 1] for k in range(1, n + 1)]
             if compose(op, permuted, relabel=False) != ref:
                 return False, f"{op.name} not invariant under {sigma}"
@@ -196,14 +196,11 @@ def _p_compositionality(cfg, rng):
         parts = [rng.randint(1, 2) for _ in range(k.n)]
         total = sum(parts)
         ls = []
-        offset = 0
         for p in parts:
             ls.append(LabeledGraph.on_range(p, [(a, b) for a in range(1, p + 1)
                                                 for b in range(1, p + 1)
                                                 if a != b and rng.random() < 0.4]))
-            offset += p
         h = compose_graph(k, ls, relabel=True)
-        operands = [LabeledGraph.single_vertex("a", 1) for _ in range(total)]
         shifted = [LabeledGraph.single_vertex("a", j + 1) for j in range(total)]
         direct = compose_graph(h, shifted, relabel=False)
         # nested composition: group the operands by the part of h they sit in
@@ -300,7 +297,7 @@ def _p_aut_stability(cfg, rng):
                 continue
             mods = [c.module for c in node.children]
             es = g.edges
-            for sigma in cp_equations(node.op):
+            for sigma in node.op.symmetry.automorphisms:
                 perm = [mods[sigma(k) - 1] for k in range(1, len(mods) + 1)]
                 for (a, b) in itertools.product(range(len(perm)), repeat=2):
                     if a == b:

@@ -10,15 +10,17 @@ graphs with >= 3 vertices give everything else.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, TypeVar
 
 from .errors import (ArityMismatch, NotWeaklyRigid, OverlappingOperands,
-                     SizeLimitExceeded, TooSmall, UnknownOp, UnknownSymbol)
-from .graphs import (DEFAULT_SEARCH_BOUND, Alphabet, LabeledGraph,
-                     Permutation, automorphism_group, find_isomorphism,
-                     is_module, is_vertex_transitive)
+                     TooSmall, UnknownOp, UnknownSymbol)
+from .graphs import (Alphabet, LabeledGraph, Permutation, automorphism_group,
+                     find_isomorphism, is_module)
+
+T = TypeVar("T")
 
 
 class OpKind(Enum):
@@ -36,18 +38,56 @@ H_SEQ = LabeledGraph.on_range(2, [(1, 2)])
 H_CLIQUE = LabeledGraph.on_range(2, [(1, 2), (2, 1)])
 
 
-def is_prime(h: LabeledGraph, max_vertices: int = 12) -> bool:
+def is_prime(h: LabeledGraph) -> bool:
     """True iff every module of h is a singleton or the full vertex set."""
     if h.n < 2:
         raise TooSmall("primality needs at least 2 vertices")
-    if h.n > max_vertices:
-        raise SizeLimitExceeded(f"primality check limited to {max_vertices} vertices")
     verts = h.sorted_vertices()
     for size in range(2, h.n):
         for x in itertools.combinations(verts, size):
             if is_module(h, x):
                 return False
     return True
+
+
+@dataclass(frozen=True)
+class OpSymmetry:
+    """The automorphism group of an operation graph, in the forms used.
+
+    ``automorphisms`` lists the non-identity automorphisms sorted by image;
+    each is one argument-permutation equation of the operation.  ``orbits``
+    partitions 1..n, sorted by smallest vertex.  ``distinguished`` is the
+    orbit of vertex 1, or None when the group is transitive, that is when
+    the operation is not weakly rigid.
+    """
+
+    automorphisms: tuple[Permutation, ...]
+    orbits: tuple[frozenset[int], ...]
+    distinguished: Optional[frozenset[int]]
+
+    def enumerations(self, args: Sequence[T]) -> list[tuple[T, ...]]:
+        """The distinct admissible argument orders of args: args itself,
+        then its images under the automorphisms, in their order."""
+        orders = [tuple(args)] + [tuple(args[i - 1] for i in sigma.image)
+                                  for sigma in self.automorphisms]
+        return list(dict.fromkeys(orders))
+
+
+# Keyed on the graph by value and held weakly: one search per live graph,
+# and an entry goes when the last equal graph does.
+_symmetries: "weakref.WeakKeyDictionary[LabeledGraph, OpSymmetry]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _symmetry_of(h: LabeledGraph) -> OpSymmetry:
+    sym = _symmetries.get(h)
+    if sym is None:
+        aut = automorphism_group(h, max_vertices=None)
+        auts = sorted((p for p in aut.elements if not p.is_identity()),
+                      key=lambda p: p.image)
+        dist = aut.orbits[0] if len(aut.orbits) > 1 else None
+        sym = _symmetries[h] = OpSymmetry(tuple(auts), aut.orbits, dist)
+    return sym
 
 
 @dataclass(frozen=True)
@@ -90,6 +130,11 @@ class SignatureOp:
             return H_CLIQUE
         return self.graph
 
+    @property
+    def symmetry(self) -> OpSymmetry:
+        """Automorphisms of the operation graph, searched on first use."""
+        return _symmetry_of(self.op_graph())
+
     def __str__(self):
         return self.name
 
@@ -100,7 +145,7 @@ CLIQUE_OP = SignatureOp("clique", OpKind.CLIQUE)
 
 
 def prime_op(name: str, graph: LabeledGraph, check_prime: bool = True) -> SignatureOp:
-    if check_prime and not is_prime(graph, max_vertices=max(12, graph.n)):
+    if check_prime and not is_prime(graph):
         raise ValueError(f"graph of operation {name!r} is not prime")
     return SignatureOp(name, OpKind.PRIME, graph)
 
@@ -120,14 +165,13 @@ class Signature:
         names = [op.name for op in self.ops]
         if len(set(names)) != len(names):
             raise ValueError("operation names must be distinct")
-        primes = [op for op in self.ops if op.kind is OpKind.PRIME]
-        for a, b in itertools.combinations(primes, 2):
-            if a.graph.n == b.graph.n and find_isomorphism(
-                    a.graph, b.graph, respect_labels=False,
-                    max_vertices=max(DEFAULT_SEARCH_BOUND, a.graph.n)) is not None:
+        primes = self.prime_ops
+        for k, b in enumerate(primes):
+            twin = match_op(primes[:k], b.graph)
+            if twin is not None:
                 raise ValueError(
-                    f"prime operations {a.name!r} and {b.name!r} are isomorphic; "
-                    "keep one representative per isomorphism class")
+                    f"prime operations {twin[0].name!r} and {b.name!r} are "
+                    "isomorphic; keep one representative per isomorphism class")
 
     def op(self, name: str) -> SignatureOp:
         for op in self.ops:
@@ -148,20 +192,21 @@ class Signature:
                 return op
         return None
 
-    def match_prime(self, quotient: LabeledGraph) -> Optional[tuple[SignatureOp, Permutation]]:
-        """Signature op isomorphic to the quotient, with the witnessing map.
 
-        The permutation maps vertices of the op graph onto vertices of the
-        quotient (edge pattern carried exactly).
-        """
-        for op in self.prime_ops:
-            if op.graph.n != quotient.n:
-                continue
+def match_op(ops: Iterable[SignatureOp], quotient: LabeledGraph,
+             ) -> Optional[tuple[SignatureOp, Permutation]]:
+    """The first prime op isomorphic to the quotient, with the witnessing map.
+
+    The permutation maps vertices of the op graph onto vertices of the
+    quotient (edge pattern carried exactly).
+    """
+    for op in ops:
+        if op.graph.n == quotient.n:
             sigma = find_isomorphism(op.graph, quotient, respect_labels=False,
-                                     max_vertices=max(DEFAULT_SEARCH_BOUND, quotient.n))
+                                     max_vertices=None)
             if sigma is not None:
                 return op, sigma
-        return None
+    return None
 
 
 @dataclass(frozen=True)
@@ -284,16 +329,12 @@ def eval_term(sig: Signature, t: Term) -> LabeledGraph:
     return compose(op, [eval_term(sig, c) for c in t.children], relabel=True)
 
 
-def is_weakly_rigid_op(op: SignatureOp,
-                       max_vertices: int = DEFAULT_SEARCH_BOUND) -> bool:
+def is_weakly_rigid_op(op: SignatureOp) -> bool:
     """seq is weakly rigid; a prime op is iff its automorphisms are not transitive."""
-    if op.kind is OpKind.SEQUENTIAL:
-        return True
-    if op.kind is not OpKind.PRIME:
+    if op.kind in (OpKind.PARALLEL, OpKind.CLIQUE):
         raise ValueError("weak rigidity applies to seq and prime operations; "
                          "par and clique are handled at signature level")
-    return not is_vertex_transitive(op.graph,
-                                    max_vertices=max(max_vertices, op.graph.n))
+    return op.symmetry.distinguished is not None
 
 
 @dataclass(frozen=True)
@@ -333,12 +374,11 @@ def validate_weakly_rigid_signature(sig: Signature) -> WeakRigidityReport:
         violations.append(RigidityViolation(
             "par,clique", "signature contains both commutative products"))
     for op in sig.prime_ops:
-        aut = automorphism_group(op.graph,
-                                 max_vertices=max(DEFAULT_SEARCH_BOUND, op.graph.n))
-        if len(aut.orbits) == 1:
+        sym = op.symmetry
+        if sym.distinguished is None:
             violations.append(RigidityViolation(
                 op.name, "automorphisms act transitively on the vertices",
-                aut.orbits[0]))
+                sym.orbits[0]))
     return WeakRigidityReport(sig, tuple(violations))
 
 
@@ -350,32 +390,25 @@ class DistinguishedSet:
     vertices: frozenset[int]
 
 
-def select_distinguished(op: SignatureOp,
-                         max_vertices: int = DEFAULT_SEARCH_BOUND) -> DistinguishedSet:
-    """Deterministic choice: {1} for seq, else the orbit of the smallest vertex.
+def select_distinguished(op: SignatureOp) -> DistinguishedSet:
+    """Deterministic choice: the orbit of vertex 1, which is {1} for seq.
 
     Any automorphism-invariant proper non-empty subset would do; a single
     rule keeps recognizers and transductions reproducible.
     """
-    if op.kind is OpKind.SEQUENTIAL:
-        return DistinguishedSet(op, frozenset([1]))
-    if op.kind is not OpKind.PRIME:
+    if op.kind in (OpKind.PARALLEL, OpKind.CLIQUE):
         raise NotWeaklyRigid(f"{op.name} has no distinguished vertices")
-    aut = automorphism_group(op.graph, max_vertices=max(max_vertices, op.graph.n))
-    if len(aut.orbits) == 1:
+    dist = op.symmetry.distinguished
+    if dist is None:
         raise NotWeaklyRigid(f"operation {op.name} is not weakly rigid")
-    return DistinguishedSet(op, aut.orbit_of(min(op.graph.vertices)))
+    return DistinguishedSet(op, dist)
 
 
-def cp_equations(op: SignatureOp,
-                 max_vertices: int = DEFAULT_SEARCH_BOUND) -> list[Permutation]:
+def cp_equations(op: SignatureOp) -> list[Permutation]:
     """Argument permutations under which composition by op is invariant.
 
     One permutation per non-identity automorphism of the operation graph:
     composing op with operands G_1..G_n equals composing it with
     G_{sigma(1)}..G_{sigma(n)}.
     """
-    g = op.op_graph()
-    aut = automorphism_group(g, max_vertices=max(max_vertices, g.n))
-    return sorted((p for p in aut.elements if not p.is_identity()),
-                  key=lambda p: p.image)
+    return list(op.symmetry.automorphisms)

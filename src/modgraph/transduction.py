@@ -16,18 +16,19 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .cms import (And, CmsFormula, Eq, Exists, ExistsSet, Forall, ForallSet,
-                  Implies, In, Not, Or, Pred, RelationalSignature, Structure,
-                  conj, disj, graph_signature, label_pred, tree_relations)
+                  Implies, In, Not, Or, Pred, RelationalSignature, conj, disj,
+                  graph_signature, label_pred, tree_predicates, tree_prime_ops,
+                  tree_relations)
 from .errors import (NotWeaklyRigid, NotWeaklyRigidSignature, UnknownOp,
                      UnknownPredicate)
-from .graphs import (LabeledGraph, find_isomorphism, is_clique_set, is_discrete,
+from .graphs import (LabeledGraph, is_clique_set, is_discrete,
                      is_internally_co_disconnected, is_internally_disconnected,
                      is_module)
 from .mdec import (MDecNode, MDecPrimeTree, NodeKind, binarize,
                    brute_force_modules, brute_force_prime_modules,
-                   chain_prefixes, decompose, reconstruct)
-from .signature import (OpKind, Signature, SignatureOp, cp_equations,
-                        select_distinguished, validate_weakly_rigid_signature)
+                   chain_prefixes, decompose, quotient_graph, reconstruct)
+from .signature import (OpKind, Signature, SignatureOp, match_op,
+                        validate_weakly_rigid_signature)
 
 PAIR = tuple[int, int]
 
@@ -82,8 +83,7 @@ def classify_nodes(t: MDecPrimeTree, sig: Signature) -> NodeClassification:
 def _distinguished_children(node: MDecNode) -> frozenset[MDecNode]:
     if node.kind is NodeKind.SEQ:
         return frozenset([node.children[0]])
-    dist = select_distinguished(node.op).vertices
-    return frozenset(node.children[i - 1] for i in dist)
+    return frozenset(node.children[i - 1] for i in node.op.symmetry.distinguished)
 
 
 @dataclass
@@ -103,9 +103,6 @@ class EncodingTables:
     @property
     def tree(self) -> MDecPrimeTree:
         return self.classification.tree
-
-    def domain_pairs(self) -> list[PAIR]:
-        return [(v, i) for i in range(4) for v in sorted(self.kappa[i])]
 
     def format_tables(self) -> str:
         lines = []
@@ -270,16 +267,7 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
                 if is_sequential_set(g, z):
                     node_family.add(z)
 
-    if sig is not None:
-        prime_ops = list(sig.prime_ops)
-    else:
-        seen: dict[str, SignatureOp] = {}
-        for n in t.nodes():
-            if n.kind is NodeKind.PRIME:
-                seen.setdefault(n.op.name, n.op)
-        prime_ops = [seen[k] for k in sorted(seen)]
-
-    from .mdec import quotient_graph  # local import to avoid cycles at top
+    prime_ops = tree_prime_ops(t, sig)
 
     def children_of(p: frozenset[int]) -> list[frozenset[int]]:
         inside = [m for m in node_family if m < p]
@@ -290,17 +278,12 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
         kids = children_of(p)
         if is_sequential_set(g, p):
             return {y for y in kids if _initial_of(g, p, y)}
-        quotient = quotient_graph(g.induced(p), kids)
-        for op in prime_ops:
-            if op.graph.n != quotient.n:
-                continue
-            sigma = find_isomorphism(op.graph, quotient, respect_labels=False,
-                                     max_vertices=max(8, quotient.n))
-            if sigma is not None:
-                dist = select_distinguished(op).vertices
-                return {kids[sigma(i) - 1] for i in dist}
-        raise NotWeaklyRigid(
-            f"connected node on {sorted(p)} matches no signature operation")
+        matched = match_op(prime_ops, quotient_graph(g.induced(p), kids))
+        if matched is None:
+            raise NotWeaklyRigid(
+                f"connected node on {sorted(p)} matches no signature operation")
+        op, sigma = matched
+        return {kids[sigma(i) - 1] for i in op.symmetry.distinguished}
 
     dist_cache: dict[frozenset[int], set[frozenset[int]]] = {}
 
@@ -362,10 +345,6 @@ class ReprStructure:
 
     def equivalent(self, a: PAIR, b: PAIR) -> bool:
         return a[1] == b[1] and self.node_of[a] == self.node_of[b]
-
-    def to_structure(self) -> Structure:
-        return Structure(self.signature, self.domain,
-                         {k: frozenset(v) for k, v in self.relations.items()})
 
 
 def _lift_relations(t: MDecPrimeTree, enc: EncodingTables,
@@ -595,9 +574,6 @@ class PredicateLibrary:
     def _f_connected(self, X):
         return Not(self._inst("disconnected", X))
 
-    def _f_co_connected(self, X):
-        return Not(self._inst("co-disconnected", X))
-
     def _f_discrete(self, X):
         p, q = self._fresh.elem(), self._fresh.elem()
         return Forall(p, Implies(In(p, X), Forall(q, Implies(In(q, X),
@@ -666,7 +642,6 @@ class PredicateLibrary:
 
     def _f_children(self, op_name, X, *blocks):
         op = self.sig.op(op_name)
-        n = op.graph.n
         # flat form: prime-module blocks + a partition chain + the edge pattern
         parts = [self._inst("pmoduleV", X)]
         parts += [self._inst("pmodule", b) for b in blocks]
@@ -756,7 +731,7 @@ class PredicateLibrary:
     def _f_dist_child(self, X, Y):
         branches = [conj(self._inst("label_seq", X), self._inst("initial", X, Y))]
         for op in self.sig.prime_ops:
-            dist = select_distinguished(op).vertices
+            dist = op.symmetry.distinguished
 
             def pick(blocks, dist=dist):
                 return disj(*(self._inst("seteq", Y, blocks[i - 1])
@@ -857,7 +832,7 @@ class PredicateLibrary:
                 if kind_gate[node.kind]:
                     f_nodes.add(m)
                 continue
-            matched = self.sig.match_prime(node.op.graph)
+            matched = match_op(self.sig.prime_ops, node.op.graph)
             if matched is None:
                 continue
             op, sigma = matched
@@ -865,14 +840,10 @@ class PredicateLibrary:
             labels[f"label_{op.name}"].add(m)
             enum = tuple(node.children[sigma(i) - 1].module
                          for i in range(1, op.graph.n + 1))
-            perms = cp_equations(op, max_vertices=max(8, op.graph.n))
-            tuples = {(m,) + enum}
-            for tau in perms:
-                tuples.add((m,) + tuple(enum[tau(i) - 1]
-                                        for i in range(1, len(enum) + 1)))
-            children_tuples[op.name] |= tuples
-            dist = select_distinguished(op).vertices
-            dist_by_node[m] = {enum[i - 1] for i in dist}
+            sym = op.symmetry
+            children_tuples[op.name].update(
+                (m,) + order for order in sym.enumerations(enum))
+            dist_by_node[m] = {enum[i - 1] for i in sym.distinguished}
 
         # child pairs over the signature-labeled nodes only (containment)
         child_pairs: set[tuple] = set()
@@ -972,17 +943,6 @@ class PredicateLibrary:
         return TransductionSchema(self)
 
 
-def ms_predicate_library(sig: Signature) -> PredicateLibrary:
-    """All second-order predicates of the construction, as formulas."""
-    return PredicateLibrary(sig)
-
-
-def eval_set_predicate(name: str, g: LabeledGraph, bindings: Mapping,
-                       sig: Signature) -> bool:
-    """Algorithmic evaluation of a library predicate on vertex-set bindings."""
-    return PredicateLibrary(sig).holds(name, g, bindings)
-
-
 class _ThetaMap(Mapping):
     """Lazy map (tree predicate, index vector) -> formula."""
 
@@ -1026,7 +986,6 @@ class TransductionSchema:
         self.mode = library.mode
         self.graph_signature = library.graph_signature
         self.tree_signature = self._tree_signature()
-        lib = library
         self._disc = ("co-disconnected" if self.mode is NodeKind.CLIQUE
                       else "disconnected")
         self._degenerate = ("cliqueset" if self.mode is NodeKind.CLIQUE
@@ -1037,14 +996,9 @@ class TransductionSchema:
         self.theta_family = _ThetaMap(self)
 
     def _tree_signature(self) -> RelationalSignature:
-        preds = [("child", 2), ("first-child", 2), ("label_par", 1),
-                 ("label_clique", 1), ("label_seq", 1)]
-        preds += [(label_pred(s), 1) for s in self.signature.alphabet]
-        for op in self.signature.prime_ops:
-            preds += [(f"label_{op.name}", 1),
-                      (f"children_{op.name}", op.graph.n + 1),
-                      (f"dist-child_{op.name}", 2)]
-        return RelationalSignature(tuple(preds))
+        sig = self.signature
+        return RelationalSignature(tuple(
+            tree_predicates(sig.alphabet.symbols, sig.prime_ops)))
 
     def _build_kappa(self, i: int, x: str = "x", M: str = "M") -> CmsFormula:
         """Formula stating M = kappa_i(x), over the graph signature."""
@@ -1155,7 +1109,6 @@ class TransductionSchema:
                 ExistsSet(N, conj(self._kappa_at(ivec[1], xs[1], N), rel))))
         if name.startswith("children_"):
             op_name = name[len("children_"):]
-            op = self.signature.op(op_name)
             sets = [lib._fresh.set() for _ in range(arity)]
             body = lib._inst("children", op_name, *sets)
             out = conj(*(self._kappa_at(ivec[k], xs[k], sets[k])
@@ -1171,4 +1124,4 @@ class TransductionSchema:
 
 def transduction_schema(sig: Signature) -> TransductionSchema:
     """Assemble phi, psi_0..psi_3 and the theta family for a signature."""
-    return ms_predicate_library(sig).schema()
+    return PredicateLibrary(sig).schema()

@@ -127,6 +127,14 @@ class TestVerbs:
         code, _, err = run(capsys, "eval-term", files["sig"], "(seq a")
         assert code == 2
 
+    def test_eval_term_deep_term_exit_2(self, capsys, files):
+        term = "a"
+        for k in range(2000):
+            term = f"({'seq' if k % 2 else 'par'} {term} b)"
+        code, _, err = run(capsys, "eval-term", files["sig"], term)
+        assert code == 2
+        assert err.strip() == "error: input nests too deeply"
+
 
 class TestSelftestVerb:
     def test_passes_and_deterministic(self, capsys):

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modgraph.errors import FormatError, FormulaSyntaxError
+from modgraph.cms import graph_signature, parse_formula
+from modgraph.errors import FormatError, FormulaSyntaxError, ModgraphError
 from modgraph.formats import (algebra_to_text, graph_to_text, parse_algebra,
                               parse_graph, parse_signature, parse_term,
                               signature_to_text, term_to_text)
@@ -158,3 +160,41 @@ class TestAlgebraFormat:
                          if not l.startswith("op seq : q1 q1")) + "\n"
         with pytest.raises(FormatError):
             parse_algebra(text, seq_signature())
+
+
+# Token soups per format: the format's own keywords and punctuation, names
+# and numbers in and out of range, comment marks and line breaks.
+SOUP_SIG = spw5_signature()
+TOKENS = {
+    "graph": ("graph", "alphabet", "vertex", "edge", "a", "b", "1", "2", "3",
+              "0", "-1", "x", "#", "\n"),
+    "signature": ("signature", "alphabet", "op", "prime", "par", "seq",
+                  "clique", "W5", ":", "1->2", "2->3", "3->1", "2->1", "1->1",
+                  "9->1", "2", "3", "5", "0", "a", "b", "#", "\n"),
+    "term": ("(", ")", "seq", "par", "clique", "prime", "W5", "P3", "a", "b",
+             "z"),
+    "algebra": ("algebra", "carrier", "letter", "op", "accept", "->", ":",
+                "q0", "q1", "seq", "par", "W5", "a", "b", "#", "\n"),
+    "formula": ("(", ")", "exists", "forall", "existsset", "forallset",
+                "existsmod", "and", "or", "not", "implies", "in", "=", "edge",
+                "label_a", "x", "y", "X", "0", "1", "2", "#", "\n"),
+}
+PARSERS = {
+    "graph": parse_graph,
+    "signature": parse_signature,
+    "term": lambda text: parse_term(text, SOUP_SIG),
+    "algebra": lambda text: parse_algebra(text, SOUP_SIG),
+    "formula": lambda text: parse_formula(text, graph_signature(("a", "b"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_only_package_errors_escape_parsers(kind, data):
+    soup = st.lists(st.sampled_from(TOKENS[kind]), max_size=40).map(" ".join)
+    text = data.draw(st.one_of(soup, st.text(max_size=40)))
+    try:
+        PARSERS[kind](text)
+    except ModgraphError:
+        pass

@@ -1,9 +1,16 @@
+import weakref
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modgraph import graphs, signature
+from modgraph.cms import tree_structure
 from modgraph.errors import ArityMismatch, NotWeaklyRigid, UnknownOp, UnknownSymbol
+from modgraph.generators import random_digraph
 from modgraph.graphs import Alphabet, LabeledGraph
-from modgraph.samples import (W5_GRAPH, cycle_graph, sp_signature,
+from modgraph.mdec import NodeKind, binarize, decompose
+from modgraph.samples import (W5_GRAPH, cycle_graph, p3_op, sp_signature,
                               spw5_signature, w5_op)
 from modgraph.signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature,
                                 Term, compose, cp_equations, eval_term,
@@ -192,3 +199,54 @@ class TestSignatureInvariants:
     def test_non_prime_payload_rejected(self):
         with pytest.raises(ValueError):
             prime_op("D3", D3)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts isomorphism searches, automorphism searches apart, starting
+    from an empty symmetry table."""
+    counts = {"aut": 0, "iso": 0}
+    search = graphs._iso_search
+
+    def counting(g, h, respect_labels, find_all):
+        counts["aut" if find_all else "iso"] += 1
+        return search(g, h, respect_labels, find_all)
+
+    monkeypatch.setattr(graphs, "_iso_search", counting)
+    monkeypatch.setattr(signature, "_symmetries", weakref.WeakKeyDictionary())
+    return counts
+
+
+class TestSymmetryRecord:
+    def test_one_automorphism_search_per_prime_graph(self, searches):
+        sig = Signature(Alphabet(("a", "b")), (SEQ_OP, PAR_OP, w5_op(), p3_op()))
+        t = node("W5", leaf("a"), node("P3", leaf("a"), leaf("b"), leaf("a")),
+                 node("seq", leaf("a"), leaf("b")), leaf("b"),
+                 node("par", leaf("a"), leaf("b")))
+        tree = binarize(decompose(eval_term(sig, t), sig))
+        for _ in range(3):
+            for op in sig.prime_ops:
+                cp_equations(op)
+                select_distinguished(op)
+                is_weakly_rigid_op(op)
+            assert validate_weakly_rigid_signature(sig).accepted
+            tree_structure(tree, sig)
+        assert searches["aut"] == 2
+
+    def test_decompose_without_signature_searches_nothing(self, searches):
+        g = random_digraph(Random(0), 50)
+        tree = decompose(g, None)
+        assert any(n.kind is NodeKind.PRIME and n.op.graph.n == 50
+                   for n in tree.nodes())
+        assert searches == {"aut": 0, "iso": 0}
+
+    def test_enumerations_follow_automorphism_order(self):
+        sym = prime_op("C3", cycle_graph(3)).symmetry
+        assert [p.image for p in sym.automorphisms] == [(2, 3, 1), (3, 1, 2)]
+        assert sym.enumerations("xyz") == [("x", "y", "z"), ("y", "z", "x"),
+                                           ("z", "x", "y")]
+        assert sym.distinguished is None
+        w5 = w5_op().symmetry
+        assert w5.enumerations("xyxyx") == [tuple("xyxyx")]
+        assert w5.orbits == (frozenset({1, 5}), frozenset({2, 4}),
+                             frozenset({3}))

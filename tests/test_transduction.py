@@ -14,7 +14,6 @@ from modgraph.signature import (CLIQUE_OP, SEQ_OP, Signature, Term,
 from modgraph.transduction import (PredicateLibrary, build_repr, build_repr0,
                                    check_kappa_lemma, classify_nodes,
                                    compute_encoding, encode_graph,
-                                   eval_set_predicate, ms_predicate_library,
                                    transduction_schema, verify_isomorphism)
 
 SIG = spw5_signature()
@@ -201,7 +200,7 @@ class TestPredicateLibrary:
         bad = Signature(Alphabet(("a",)),
                         (SEQ_OP, prime_op("C3", cycle_graph(3))))
         with pytest.raises(NotWeaklyRigid):
-            ms_predicate_library(bad)
+            PredicateLibrary(bad)
 
     def test_module_cross_oracle(self):
         lib = PredicateLibrary(SIG)
@@ -256,10 +255,6 @@ class TestPredicateLibrary:
             lib.holds("frobnicate", word_graph("a"), {})
         with pytest.raises(UnknownPredicate):
             lib.formula("frobnicate")
-
-    def test_eval_set_predicate_wrapper(self):
-        g = word_graph("ab")
-        assert eval_set_predicate("module", g, {"X": frozenset({1})}, SIG)
 
     def test_agreement_sampled_p3(self):
         rng = random.Random(9)

@@ -331,36 +331,37 @@ def _iso_search(g: LabeledGraph, h: LabeledGraph, respect_labels: bool,
 
     # most-constrained-first: high degree vertices drive pruning
     order = sorted(gv, key=lambda v: -(len(g_out[v]) + len(g_in[v])))
+    if not order:
+        return [{}]
+    wanted = [sig(u, g_out, g_in, g.labels) for u in order]
     results: list[dict[int, int]] = []
     mapping: dict[int, int] = {}
     used: set[int] = set()
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            results.append(dict(mapping))
-            return not find_all
+    # depth-first with one candidate iterator per assigned level
+    levels = [iter(hv)]
+    while levels:
+        k = len(levels) - 1
         u = order[k]
-        su = sig(u, g_out, g_in, g.labels)
-        for w in hv:
-            if w in used or sig(w, h_out, h_in, h.labels) != su:
+        if u in mapping:  # back at this level: undo its last choice
+            used.discard(mapping.pop(u))
+        for w in levels[-1]:
+            if w in used or sig(w, h_out, h_in, h.labels) != wanted[k]:
                 continue
-            ok = True
-            for u2, w2 in mapping.items():
-                if ((u2 in g_out[u]) != (w2 in h_out[w])
-                        or (u2 in g_in[u]) != (w2 in h_in[w])):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[u] = w
-            used.add(w)
-            if extend(k + 1):
-                return True
-            del mapping[u]
-            used.discard(w)
-        return False
-
-    extend(0)
+            if all((u2 in g_out[u]) == (w2 in h_out[w])
+                   and (u2 in g_in[u]) == (w2 in h_in[w])
+                   for u2, w2 in mapping.items()):
+                mapping[u] = w
+                used.add(w)
+                break
+        else:
+            levels.pop()
+            continue
+        if k + 1 < len(order):
+            levels.append(iter(hv))
+        else:
+            results.append(dict(mapping))
+            if not find_all:
+                break
     return results
 
 

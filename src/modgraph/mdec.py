@@ -1,9 +1,22 @@
 """Modular decomposition: maximal prime modules, quotients, and the trees.
 
-The decomposition is computed by polynomial case analysis (components,
-co-components, chain prefixes, minimal-module closures), not by the
-linear-time algorithms from the literature; a 2^n brute-force oracle is
-kept alongside for testing.
+``decompose`` walks the tree top down with an explicit stack, on bitmask
+adjacency rows built once per call (bit i is the i-th smallest vertex id).
+Each module M is split by mask operations alone, in the order of the
+cases: the components of "linked either way" inside M (par), the
+components of "not linked both ways" (clique), the strongly connected
+components of the semicomplete relation "u needs w unless u -> w is
+one-way", in chain order (seq).  Otherwise M is prime: with v = min M,
+partition refinement by splitter rows gives P(M, v), the maximal modules
+of M avoiding v, and a part joins v's block exactly when the splitter
+closure of v and its smallest vertex stays below M (the vertex-partition
+method of Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16(2),
+1994).  The par, clique and seq tests and each closure cost O(|M|)
+operations on n-bit ints; the refinement costs at most O(|M|^3) and far
+less in practice: 400 vertices decompose in a fraction of a second.  The
+subset-enumeration oracle ``brute_force_modules`` stays beside it, and
+the test suite keeps the old pairwise-closure case analysis as a
+polynomial referee.
 """
 
 from __future__ import annotations
@@ -12,11 +25,14 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .errors import NotAModule, NotInSignature, TooSmall, UnknownOp
-from .graphs import LabeledGraph, Permutation, co_components, is_module, undirected_components
-from .signature import Signature, SignatureOp, Term, match_op, prime_op
+from .graphs import LabeledGraph, Permutation, is_module
+from .signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature, SignatureOp, Term,
+                        edge_pattern, match_op, prime_op)
+
+T = TypeVar("T")
 
 
 class DecompositionCase(Enum):
@@ -41,84 +57,200 @@ _CASE_TO_KIND = {
 }
 
 
-def _min_module(g: LabeledGraph, seed: frozenset[int],
-                out_adj: dict[int, set[int]], in_adj: dict[int, set[int]]) -> frozenset[int]:
-    """Smallest module containing the seed, by adding outside splitters."""
-    s = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for w in g.vertices - s:
-            wo, wi = out_adj[w], in_adj[w]
-            hit_out = len(wo & s)
-            hit_in = len(wi & s)
-            if (0 < hit_out < len(s)) or (0 < hit_in < len(s)):
-                s.add(w)
-                changed = True
-    return frozenset(s)
+class _Rows:
+    """Bitmask adjacency of one graph: bit i stands for the i-th smallest id.
 
-
-def chain_prefixes(g: LabeledGraph, out_adj: dict[int, set[int]]) -> list[frozenset[int]]:
-    """All proper non-empty chain prefixes, sorted by inclusion.
-
-    A prefix P sends every edge forward into its complement and receives
-    none back; prefixes are totally ordered by inclusion.
+    ``split(m)`` breaks the module with mask m into its maximal strong
+    modules by mask operations on these rows alone.
     """
-    prefixes = set()
-    for v in g.vertices:
-        s = {v}
-        changed = True
-        while changed:
-            changed = False
-            for w in g.vertices - s:
-                # w may stay outside only if every u in s points one-way at w
-                if any(w not in out_adj[u] or u in out_adj[w] for u in s):
-                    s.add(w)
-                    changed = True
-        if len(s) < g.n:
-            prefixes.add(frozenset(s))
-    return sorted(prefixes, key=len)
 
+    __slots__ = ("verts", "out", "inn", "und", "co", "fwd", "bwd")
 
-def _case_split(g: LabeledGraph) -> tuple[DecompositionCase, list[frozenset[int]]]:
-    if g.n < 2:
-        raise TooSmall("decomposition step needs at least 2 vertices")
-    comps = undirected_components(g)
-    if len(comps) > 1:
-        return DecompositionCase.PAR, comps
-    cocomps = co_components(g)
-    if len(cocomps) > 1:
-        return DecompositionCase.CLIQUE, cocomps
-    out_adj = g.out_adj()
-    prefixes = chain_prefixes(g, out_adj)
-    if prefixes:
+    def __init__(self, g: LabeledGraph):
+        self.verts = verts = g.sorted_vertices()
+        n = len(verts)
+        idx = {v: i for i, v in enumerate(verts)}
+        out = [0] * n
+        inn = [0] * n
+        for (u, v) in g.edges:
+            out[idx[u]] |= 1 << idx[v]
+            inn[idx[v]] |= 1 << idx[u]
+        full = (1 << n) - 1
+        self.out, self.inn = out, inn
+        # linked either way; not linked both ways
+        self.und = [o | i for o, i in zip(out, inn)]
+        self.co = [full & ~(o & i) for o, i in zip(out, inn)]
+        # seq relation R: u R w unless u -> w is one-way; its reverse
+        self.fwd = [full & ~(o & ~i) for o, i in zip(out, inn)]
+        self.bwd = [full & ~(i & ~o) for o, i in zip(out, inn)]
+
+    def ids(self, m: int) -> frozenset[int]:
+        verts = self.verts
+        out = []
+        while m:
+            b = m & -m
+            out.append(verts[b.bit_length() - 1])
+            m ^= b
+        return frozenset(out)
+
+    def split(self, m: int) -> tuple[DecompositionCase, list[int]]:
+        """The case of module m and its maximal strong modules.
+
+        par and clique blocks come by smallest vertex, seq blocks in chain
+        order, prime blocks by smallest vertex.
+        """
+        blocks = _components(m, self.und)
+        if len(blocks) > 1:
+            return DecompositionCase.PAR, blocks
+        blocks = _components(m, self.co)
+        if len(blocks) > 1:
+            return DecompositionCase.CLIQUE, blocks
+        blocks = _chain(m, self.fwd, self.bwd)
+        if len(blocks) > 1:
+            return DecompositionCase.SEQ, blocks
+        return DecompositionCase.PRIME_QUOTIENT, self._prime_blocks(m)
+
+    def _prime_blocks(self, m: int) -> list[int]:
+        """Maximal proper modules of a prime node, from P(m, v), v = min m.
+
+        Every part of P(m, v) is either a maximal proper module or lies in
+        the one that holds v, and it lies there exactly when the smallest
+        module holding v and the part's smallest vertex is proper.
+        """
+        out, inn = self.out, self.inn
+        v = m & -m
+        vi = v.bit_length() - 1
+        ov, iv = out[vi], inn[vi]
+        parts = _modules_avoiding(m, v, out, inn)
+        joined = v
+        for y in parts:
+            if y & joined:
+                continue
+            # splitter closure of {v, min y}: x joins when it tells a
+            # member apart from v
+            s = queue = y & -y
+            s |= v
+            while queue and s != m:
+                b = queue & -queue
+                queue ^= b
+                i = b.bit_length() - 1
+                new = ((out[i] ^ ov) | (inn[i] ^ iv)) & m & ~s
+                s |= new
+                queue |= new
+            if s != m:
+                joined |= s
+        own = v
         blocks = []
-        prev: frozenset[int] = frozenset()
-        for p in prefixes + [g.vertices]:
-            blocks.append(p - prev)
-            prev = p
-        return DecompositionCase.SEQ, blocks
-    # prime case: vertices u,v share a block iff some proper module holds both
-    in_adj = g.in_adj()
-    verts = g.sorted_vertices()
-    parent = {v: v for v in verts}
+        for y in parts:
+            if y & joined:
+                own |= y
+            else:
+                blocks.append(y)
+        blocks.append(own)
+        return sorted(blocks, key=lambda b: b & -b)
 
-    def root(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    def quotient(self, blocks: Sequence[int]) -> LabeledGraph:
+        """Quotient on 1..k of a partition into modules, read off the rows
+        of the blocks' smallest vertices."""
+        reps = [(b & -b).bit_length() - 1 for b in blocks]
+        out = self.out
+        edges = [(i + 1, j + 1)
+                 for i, r in enumerate(reps) for j, s in enumerate(reps)
+                 if out[r] >> s & 1]
+        return LabeledGraph.on_range(len(blocks), edges)
 
-    for u, v in itertools.combinations(verts, 2):
-        if root(u) == root(v):
+
+def _reach(start: int, m: int, rows: list[int]) -> int:
+    """Vertices of m reachable from the start bits along rows."""
+    seen = frontier = start
+    while frontier:
+        r = seen
+        while frontier:
+            b = frontier & -frontier
+            r |= rows[b.bit_length() - 1]
+            if not m & ~r:
+                return m
+            frontier ^= b
+        frontier = r & m & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(m: int, rows: list[int]) -> list[int]:
+    """Components of the symmetric relation rows inside m, by smallest vertex."""
+    comps = []
+    while m:
+        comp = _reach(m & -m, m, rows)
+        comps.append(comp)
+        m &= ~comp
+    return comps
+
+
+def _chain(m: int, fwd: list[int], bwd: list[int]) -> list[int]:
+    """Strongly connected components of the seq relation inside m, in chain
+    order.
+
+    The relation is semicomplete, so its components are totally ordered:
+    from a pivot, forward reachability gives the pivot's component and all
+    before it, backward reachability it and all after it.
+    """
+    chain = []
+    stack = [(m, False)]
+    while stack:
+        x, done = stack.pop()
+        if done:
+            chain.append(x)
             continue
-        if _min_module(g, frozenset((u, v)), out_adj, in_adj) != g.vertices:
-            parent[root(u)] = root(v)
-    groups: dict[int, set[int]] = {}
-    for v in verts:
-        groups.setdefault(root(v), set()).add(v)
-    blocks = sorted((frozenset(s) for s in groups.values()), key=min)
-    return DecompositionCase.PRIME_QUOTIENT, blocks
+        v = x & -x
+        ahead = _reach(v, x, fwd)
+        behind = _reach(v, x, bwd)
+        own = ahead & behind
+        if behind != own:
+            stack.append((behind & ~own, False))
+        stack.append((own, True))
+        if ahead != own:
+            stack.append((ahead & ~own, False))
+    return chain
+
+
+def _modules_avoiding(m: int, v: int, out: list[int], inn: list[int]) -> list[int]:
+    """P(m, v): the maximal modules of m without v, which partition m - v.
+
+    Partition refinement: each work item is a part with the vertices it
+    may still be split by.  A part that none of them splits is a module;
+    a split sends each piece back with the rest of the part as splitters.
+    """
+    parts = []
+    work = [(m & ~v, v)]
+    while work:
+        p, splitters = work.pop()
+        if not p & (p - 1):
+            parts.append(p)
+            continue
+        pieces = [p]
+        while splitters:
+            b = splitters & -splitters
+            splitters ^= b
+            i = b.bit_length() - 1
+            xo, xi = out[i], inn[i]
+            a, c = p & xo, p & xi
+            if (not a or a == p) and (not c or c == p):
+                continue  # splits no piece of p either
+            cut = []
+            for q in pieces:
+                a = q & xo
+                for h in ((a, q ^ a) if a and a != q else (q,)):
+                    c = h & xi
+                    if c and c != h:
+                        cut += (c, h ^ c)
+                    else:
+                        cut.append(h)
+            pieces = cut
+        if len(pieces) == 1:
+            parts.append(p)
+        else:
+            work.extend((q, p & ~q) for q in pieces)
+    return parts
 
 
 def quotient_graph(g: LabeledGraph, partition: Sequence[frozenset[int]]) -> LabeledGraph:
@@ -149,8 +281,8 @@ def _adhoc_name(q: LabeledGraph) -> str:
     return f"prime{q.n}[{body}]"
 
 
-def _match_quotient(quotient: LabeledGraph, blocks: list[frozenset[int]],
-                    sig: Optional[Signature]) -> tuple[SignatureOp, list[frozenset[int]]]:
+def _match_quotient(quotient: LabeledGraph, blocks: list[T],
+                    sig: Optional[Signature]) -> tuple[SignatureOp, list[T]]:
     """Resolve a prime quotient to an operation and an admissible block order."""
     if sig is not None:
         matched = match_op(sig.prime_ops, quotient)
@@ -171,13 +303,16 @@ def maximal_prime_modules(g: LabeledGraph, sig: Optional[Signature] = None,
     smallest-vertex order, and a prime quotient in an enumeration matching
     the signature operation when one is given and matches.
     """
-    case, blocks = _case_split(g)
+    if g.n < 2:
+        raise TooSmall("decomposition step needs at least 2 vertices")
+    rows = _Rows(g)
+    case, blocks = rows.split((1 << g.n) - 1)
     if case is DecompositionCase.PRIME_QUOTIENT and sig is not None:
         try:
-            _, blocks = _match_quotient(quotient_graph(g, blocks), blocks, sig)
+            _, blocks = _match_quotient(rows.quotient(blocks), blocks, sig)
         except NotInSignature:
             pass  # unmatched: keep the raw smallest-vertex block order
-    return case, blocks
+    return case, [rows.ids(b) for b in blocks]
 
 
 @dataclass(eq=False)
@@ -261,7 +396,7 @@ class MDecPrimeTree(MDecTree):
 
 
 def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
-    """Recursive modular decomposition of a labeled graph.
+    """Modular decomposition of a labeled graph, top down without recursion.
 
     With a signature, every prime quotient must match one of its operations
     (NotInSignature carries the quotient otherwise); without one, unmatched
@@ -269,73 +404,98 @@ def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
     """
     if g.n == 0:
         raise TooSmall("cannot decompose the empty graph")
-
-    def rec(module: frozenset[int]) -> MDecNode:
-        if len(module) == 1:
-            (v,) = module
-            sym = g.labels[v] if g.labels is not None else None
-            return MDecNode(module, NodeKind.LEAF, symbol=sym)
-        sub = g.induced(module)
-        case, blocks = _case_split(sub)
+    rows = _Rows(g)
+    verts, labels = rows.verts, g.labels
+    top: list[MDecNode] = [None]
+    inner: list[tuple[MDecNode, list[MDecNode]]] = []
+    # each entry: a module and the slot of its node in the parent's list
+    stack: list[tuple[int, list[MDecNode], int]] = [((1 << g.n) - 1, top, 0)]
+    while stack:
+        m, slot, pos = stack.pop()
+        if not m & (m - 1):
+            v = verts[m.bit_length() - 1]
+            slot[pos] = MDecNode(frozenset((v,)), NodeKind.LEAF,
+                                 symbol=labels[v] if labels is not None else None)
+            continue
+        case, blocks = rows.split(m)
+        # modules of inner nodes are filled in bottom-up below
         if case is DecompositionCase.PRIME_QUOTIENT:
-            op, blocks = _match_quotient(quotient_graph(sub, blocks), blocks, sig)
-            return MDecNode(module, NodeKind.PRIME,
-                            tuple(rec(b) for b in blocks), op=op)
-        return MDecNode(module, _CASE_TO_KIND[case], tuple(rec(b) for b in blocks))
+            op, blocks = _match_quotient(rows.quotient(blocks), blocks, sig)
+            node = MDecNode(None, NodeKind.PRIME, op=op)
+        else:
+            node = MDecNode(None, _CASE_TO_KIND[case])
+        slot[pos] = node
+        kids: list[MDecNode] = [None] * len(blocks)
+        inner.append((node, kids))
+        stack.extend((blocks[i], kids, i) for i in reversed(range(len(blocks))))
+    for node, kids in reversed(inner):
+        node.children = tuple(kids)
+        node.module = frozenset().union(*(c.module for c in kids))
+    return MDecTree(top[0])
 
-    return MDecTree(rec(g.vertices))
+
+def fold_tree(root: MDecNode, combine: Callable[[MDecNode, list[T]], T]) -> T:
+    """Bottom-up fold without recursion.
+
+    ``combine(node, values)`` gets the values of the node's children in
+    order; every child's whole subtree is folded before the next child's,
+    left to right, as a recursive fold would.
+    """
+    # pre-order with children right to left, reversed: left-to-right post-order
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    values: dict[MDecNode, T] = {}
+    pop = values.pop
+    for node in reversed(order):
+        kids = node.children
+        values[node] = combine(node, [pop(c) for c in kids] if kids else [])
+    return values[root]
+
+
+def _binarize_node(node: MDecNode, kids: list[MDecNode]) -> MDecNode:
+    if node.kind is NodeKind.SEQ and len(kids) >= 3:
+        acc = MDecNode(kids[-2].module | kids[-1].module, NodeKind.SEQ,
+                       (kids[-2], kids[-1]))
+        for c in reversed(kids[1:-2]):
+            acc = MDecNode(c.module | acc.module, NodeKind.SEQ, (c, acc))
+        return MDecNode(node.module, NodeKind.SEQ, (kids[0], acc))
+    return MDecNode(node.module, node.kind, tuple(kids), node.symbol, node.op)
 
 
 def binarize(t: MDecTree) -> MDecPrimeTree:
     """Replace each seq node with >= 3 children by a right comb of seq nodes."""
+    return MDecPrimeTree(fold_tree(t.root, _binarize_node))
 
-    def rec(node: MDecNode) -> MDecNode:
-        kids = tuple(rec(c) for c in node.children)
-        if node.kind is NodeKind.SEQ and len(kids) >= 3:
-            acc = MDecNode(kids[-2].module | kids[-1].module, NodeKind.SEQ,
-                           (kids[-2], kids[-1]))
-            for c in reversed(kids[1:-2]):
-                acc = MDecNode(c.module | acc.module, NodeKind.SEQ, (c, acc))
-            return MDecNode(node.module, NodeKind.SEQ, (kids[0], acc))
-        return MDecNode(node.module, node.kind, kids, node.symbol, node.op)
 
-    return MDecPrimeTree(rec(t.root))
+_KIND_TO_OP = {NodeKind.PAR: PAR_OP, NodeKind.SEQ: SEQ_OP, NodeKind.CLIQUE: CLIQUE_OP}
 
 
 def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
     """Rebuild the concrete graph: vertex set is exactly the union of leaves."""
     edges: set[tuple[int, int]] = set()
-    labels: dict[int, str] = {}
-    labeled = True
-
-    def rec(node: MDecNode):
-        nonlocal labeled
+    labels: Optional[dict[int, str]] = {}
+    for node in t.nodes():
         if node.is_leaf:
-            (v,) = node.module
             if node.symbol is None:
-                labeled = False
-            else:
+                labels = None
+            elif labels is not None:
+                (v,) = node.module
                 labels[v] = node.symbol
-            return
-        mods = [c.module for c in node.children]
-        k = len(mods)
-        if node.kind is NodeKind.SEQ:
-            pattern = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-        elif node.kind is NodeKind.PAR:
-            pattern = []
-        elif node.kind is NodeKind.CLIQUE:
-            pattern = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
-        else:
+            continue
+        if node.kind is NodeKind.PRIME:
             if sig is not None and not sig.has_op(node.op.name):
                 raise UnknownOp(f"operation {node.op.name!r} not in signature")
-            pattern = node.op.graph.edges
-        for (i, j) in pattern:
+            op = node.op
+        else:
+            op = _KIND_TO_OP[node.kind]
+        mods = [c.module for c in node.children]
+        for (i, j) in edge_pattern(op, len(mods)):
             edges.update(itertools.product(mods[i - 1], mods[j - 1]))
-        for c in node.children:
-            rec(c)
-
-    rec(t.root)
-    return LabeledGraph(t.root.module, frozenset(edges), labels if labeled else None)
+    return LabeledGraph(t.root.module, frozenset(edges), labels)
 
 
 def brute_force_modules(g: LabeledGraph) -> list[frozenset[int]]:
@@ -399,39 +559,37 @@ def tree_prime_modules(t: MDecTree) -> set[frozenset[int]]:
 def format_tree(t: MDecTree) -> str:
     """Indented text rendering, one node per line."""
     lines: list[str] = []
-
-    def rec(node: MDecNode, depth: int, first: bool):
+    stack = [(t.root, 0, False)]
+    while stack:
+        node, depth, first = stack.pop()
         ids = ",".join(map(str, sorted(node.module)))
         marker = " [first]" if first else ""
         lines.append("  " * depth + f"{node.label_str()} {{{ids}}}{marker}")
-        for i, c in enumerate(node.children):
-            rec(c, depth + 1, node.kind is NodeKind.SEQ and i == 0)
-
-    rec(t.root, 0, False)
+        seq = node.kind is NodeKind.SEQ
+        stack.extend((c, depth + 1, seq and i == 0)
+                     for i, c in reversed(list(enumerate(node.children))))
     return "\n".join(lines)
+
+
+def _term_of(node: MDecNode, kids: list[Term]) -> Term:
+    if node.is_leaf:
+        if node.symbol is None:
+            raise ValueError("an unlabeled tree has no term form")
+        return Term.leaf(node.symbol)
+    name = node.op.name if node.kind is NodeKind.PRIME else node.kind.value
+    return Term.node(name, kids)
 
 
 def tree_to_term(t: MDecTree) -> Term:
     """Re-serialize a tree of a labeled graph as a term."""
-
-    def rec(node: MDecNode) -> Term:
-        if node.is_leaf:
-            if node.symbol is None:
-                raise ValueError("an unlabeled tree has no term form")
-            return Term.leaf(node.symbol)
-        kids = [rec(c) for c in node.children]
-        name = node.op.name if node.kind is NodeKind.PRIME else node.kind.value
-        return Term.node(name, kids)
-
-    return rec(t.root)
+    return fold_tree(t.root, _term_of)
 
 
 def shuffle_admissible(t: MDecTree, rng: Random) -> MDecTree:
     """Random admissible re-ordering: permuted par/clique children and
     automorphism images of prime enumerations; seq order is untouched."""
 
-    def rec(node: MDecNode) -> MDecNode:
-        kids = [rec(c) for c in node.children]
+    def shuffle(node: MDecNode, kids: list[MDecNode]) -> MDecNode:
         if node.kind in (NodeKind.PAR, NodeKind.CLIQUE):
             rng.shuffle(kids)
         elif node.kind is NodeKind.PRIME:
@@ -441,7 +599,7 @@ def shuffle_admissible(t: MDecTree, rng: Random) -> MDecTree:
                 kids = [kids[sigma(i) - 1] for i in range(1, len(kids) + 1)]
         return MDecNode(node.module, node.kind, tuple(kids), node.symbol, node.op)
 
-    shuffled = rec(t.root)
+    shuffled = fold_tree(t.root, shuffle)
     if isinstance(t, MDecPrimeTree):
         return MDecPrimeTree(shuffled)
     return MDecTree(shuffled)

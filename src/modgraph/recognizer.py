@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import NotInSignature, UnvalidatedAlgebra
 from .graphs import LabeledGraph
-from .mdec import MDecNode, MDecTree, NodeKind, decompose
+from .mdec import MDecNode, MDecTree, NodeKind, decompose, fold_tree
 from .signature import OpKind, Signature
 
 
@@ -142,26 +142,27 @@ def _require_validated(alg: FiniteAlgebra, allow_unvalidated: bool):
                                  "not be well-defined")
 
 
+_KIND_TO_OP = {NodeKind.PAR: OpKind.PARALLEL, NodeKind.SEQ: OpKind.SEQUENTIAL,
+               NodeKind.CLIQUE: OpKind.CLIQUE}
+
+
 def evaluate_tree(t: MDecTree, alg: FiniteAlgebra,
                   allow_unvalidated: bool = False) -> str:
     """Fold a decomposition tree bottom-up through the algebra's tables."""
     _require_validated(alg, allow_unvalidated)
-    kind_to_op = {NodeKind.PAR: OpKind.PARALLEL, NodeKind.SEQ: OpKind.SEQUENTIAL,
-                  NodeKind.CLIQUE: OpKind.CLIQUE}
 
-    def fold(node: MDecNode) -> str:
+    def step(node: MDecNode, vals: list[str]) -> str:
         if node.is_leaf:
             if node.symbol is None:
                 raise ValueError("cannot evaluate an unlabeled graph")
             return alg.letter_image[node.symbol]
-        vals = [fold(c) for c in node.children]
         if node.kind is NodeKind.PRIME:
             if not alg.signature.has_op(node.op.name):
                 raise NotInSignature(
                     f"operation {node.op.name!r} not in the algebra's signature",
                     quotient=node.op.graph)
             return alg.tables[node.op.name][tuple(vals)]
-        op = alg.signature.builtin(kind_to_op[node.kind])
+        op = alg.signature.builtin(_KIND_TO_OP[node.kind])
         if op is None:
             raise NotInSignature(
                 f"the {node.kind.value} product is not in the algebra's signature")
@@ -170,7 +171,7 @@ def evaluate_tree(t: MDecTree, alg: FiniteAlgebra,
             acc = alg.apply2(op.name, acc, v)
         return acc
 
-    return fold(t.root)
+    return fold_tree(t.root, step)
 
 
 def evaluate(g: LabeledGraph, alg: FiniteAlgebra,

@@ -18,7 +18,7 @@ from .graphs import (LabeledGraph, apply_isomorphism, automorphism_group,
 from .mdec import (MDecNode, NodeKind, binarize, brute_force_prime_modules,
                    decompose, reconstruct, shuffle_admissible,
                    tree_prime_modules)
-from .signature import OpKind, Term, compose, compose_graph, eval_term
+from .signature import Term, compose, compose_graph, eval_term
 from .transduction import (PredicateLibrary, build_repr, check_kappa_lemma,
                            encode_graph, min_vertex_rule, verify_isomorphism)
 
@@ -131,20 +131,8 @@ def _edge_count(sig, t: Term) -> int:
         return 0
     sizes = [len(c.leaves()) for c in t.children]
     total = sum(_edge_count(sig, c) for c in t.children)
-    op = sig.op(t.op)
-    h = op.op_graph()
-    if op.arity is None:
-        k = len(sizes)
-        if op.kind is OpKind.PARALLEL:
-            pairs = []
-        elif op.kind is OpKind.SEQUENTIAL:
-            pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-        else:
-            pairs = [(i, j) for i in range(1, k + 1)
-                     for j in range(1, k + 1) if i != j]
-    else:
-        pairs = h.edges
-    return total + sum(sizes[i - 1] * sizes[j - 1] for (i, j) in pairs)
+    pattern = sig_mod.edge_pattern(sig.op(t.op), len(sizes))
+    return total + sum(sizes[i - 1] * sizes[j - 1] for (i, j) in pattern)
 
 
 @_property("signature.size-law")

@@ -299,34 +299,69 @@ def compose_graph(h: LabeledGraph, operands: Sequence[LabeledGraph],
     return LabeledGraph(frozenset(vertices), frozenset(edges), labels)
 
 
+def edge_pattern(op: SignatureOp, k: int) -> Iterable[tuple[int, int]]:
+    """Edges (i, j) on 1..k along which op applied to k arguments links
+    argument i to argument j: the chain for seq, none for par, all pairs
+    for clique, the operation graph for a prime op."""
+    if op.kind is OpKind.PRIME:
+        return op.graph.edges
+    if op.kind is OpKind.PARALLEL:
+        return ()
+    if op.kind is OpKind.SEQUENTIAL:
+        return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    return [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+
+
+def _check_arity(op: SignatureOp, k: int):
+    if op.kind is OpKind.PRIME:
+        if k != op.graph.n:
+            raise ArityMismatch(f"operation expects {op.graph.n} operands, got {k}")
+    elif k < 2:
+        raise ArityMismatch(f"{op.name} expects at least 2 operands")
+
+
 def compose(op: SignatureOp, operands: Sequence[LabeledGraph],
             relabel: bool = True) -> LabeledGraph:
     """Apply a signature operation; the built-ins accept >= 2 operands."""
     if op.kind is OpKind.PRIME:
         return compose_graph(op.graph, operands, relabel=relabel)
-    if len(operands) < 2:
-        raise ArityMismatch(f"{op.name} expects at least 2 operands")
-    if len(operands) == 2:
-        return compose_graph(op.op_graph(), operands, relabel=relabel)
-    # variadic built-ins: the chain / discrete / clique pattern on all pairs
-    n = len(operands)
-    if op.kind is OpKind.PARALLEL:
-        pattern: list[tuple[int, int]] = []
-    elif op.kind is OpKind.SEQUENTIAL:
-        pattern = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    else:
-        pattern = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return compose_graph(LabeledGraph.on_range(n, pattern), operands, relabel=relabel)
+    _check_arity(op, len(operands))
+    h = LabeledGraph.on_range(len(operands), edge_pattern(op, len(operands)))
+    return compose_graph(h, operands, relabel=relabel)
 
 
 def eval_term(sig: Signature, t: Term) -> LabeledGraph:
-    """Bottom-up evaluation of a term into a concrete labeled graph."""
-    if t.is_leaf:
-        if t.symbol not in sig.alphabet:
-            raise UnknownSymbol(f"symbol {t.symbol!r} not in alphabet")
-        return LabeledGraph.single_vertex(t.symbol)
-    op = sig.op(t.op)
-    return compose(op, [eval_term(sig, c) for c in t.children], relabel=True)
+    """Evaluate a term into a concrete labeled graph, without recursion.
+
+    Leaves are numbered 1..n from left to right, so every subterm owns a
+    contiguous range of ids; each node adds its operation's edge pattern
+    between its children's ranges.  The result equals the bottom-up fold
+    of ``compose``.
+    """
+    edges: list[tuple[int, int]] = []
+    labels: dict[int, str] = {}
+    ranges: list[range] = []  # one per finished subterm, in order
+    stack: list[tuple[Term, Optional[SignatureOp]]] = [(t, None)]
+    while stack:
+        term, op = stack.pop()
+        if op is not None:  # all children done
+            k = len(term.children)
+            _check_arity(op, k)
+            kids = ranges[len(ranges) - k:]
+            del ranges[len(ranges) - k:]
+            for (i, j) in edge_pattern(op, k):
+                edges.extend(itertools.product(kids[i - 1], kids[j - 1]))
+            ranges.append(range(kids[0].start, kids[-1].stop))
+        elif term.is_leaf:
+            if term.symbol not in sig.alphabet:
+                raise UnknownSymbol(f"symbol {term.symbol!r} not in alphabet")
+            v = len(labels) + 1
+            labels[v] = term.symbol
+            ranges.append(range(v, v + 1))
+        else:
+            stack.append((term, sig.op(term.op)))
+            stack.extend((c, None) for c in reversed(term.children))
+    return LabeledGraph(frozenset(labels), frozenset(edges), labels)
 
 
 def is_weakly_rigid_op(op: SignatureOp) -> bool:

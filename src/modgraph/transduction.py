@@ -12,6 +12,7 @@ be checked against the other.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -26,7 +27,7 @@ from .graphs import (LabeledGraph, is_clique_set, is_discrete,
                      is_module)
 from .mdec import (MDecNode, MDecPrimeTree, NodeKind, binarize,
                    brute_force_modules, brute_force_prime_modules,
-                   chain_prefixes, decompose, quotient_graph, reconstruct)
+                   decompose, quotient_graph, reconstruct)
 from .signature import (OpKind, Signature, SignatureOp, match_op,
                         validate_weakly_rigid_signature)
 
@@ -57,10 +58,14 @@ class NodeClassification:
         return [n for n in self.tree.nodes() if self.classes[n] == i]
 
 
-def classify_nodes(t: MDecPrimeTree, sig: Signature) -> NodeClassification:
+def _require_weakly_rigid(sig: Signature):
     report = validate_weakly_rigid_signature(sig)
     if not report.accepted:
         raise NotWeaklyRigidSignature(str(report))
+
+
+def classify_nodes(t: MDecPrimeTree, sig: Signature) -> NodeClassification:
+    _require_weakly_rigid(sig)
     mode = _commutative_mode(sig)
     forbidden = NodeKind.CLIQUE if mode is NodeKind.PAR else NodeKind.PAR
     classes: dict[MDecNode, int] = {}
@@ -192,10 +197,28 @@ def encode_graph(g: LabeledGraph, sig: Signature,
 # ---------------------------------------------------- module-theoretic check
 
 def _suffixes(g: LabeledGraph, w: frozenset[int]) -> list[frozenset[int]]:
+    """Proper non-empty suffixes of w: sets Z < w such that every pair from
+    w - Z to Z is linked forward only.  Each prefix w - Z is the closure of
+    one vertex under "u pulls in x unless u -> x is one-way"."""
     if len(w) < 2:
         return []
-    sub = g.induced(w)
-    return [w - p for p in chain_prefixes(sub, sub.out_adj())]
+    out: dict[int, set[int]] = {v: set() for v in w}
+    for (u, v) in g.edges:
+        if u in w and v in w:
+            out[u].add(v)
+    prefixes = set()
+    for v in w:
+        s = {v}
+        grew = True
+        while grew:
+            grew = False
+            for x in w - s:
+                if any(x not in out[u] or u in out[x] for u in s):
+                    s.add(x)
+                    grew = True
+        if len(s) < len(w):
+            prefixes.add(frozenset(s))
+    return [w - p for p in prefixes]
 
 
 def is_sequential_set(g: LabeledGraph, x: frozenset[int]) -> bool:
@@ -457,15 +480,15 @@ class PredicateLibrary:
     """
 
     def __init__(self, sig: Signature):
-        report = validate_weakly_rigid_signature(sig)
-        if not report.accepted:
-            raise NotWeaklyRigid(str(report))
+        _require_weakly_rigid(sig)
         self.sig = sig
         self.mode = _commutative_mode(sig)
         self.graph_signature = graph_signature(sig.alphabet.symbols)
         self._fresh = _Fresh()
         self._cache: dict[tuple, CmsFormula] = {}
-        self._ginfo: dict[LabeledGraph, dict] = {}
+        # per-graph tables, kept while the graph (or an equal one) lives
+        self._ginfo: "weakref.WeakKeyDictionary[LabeledGraph, dict]" = \
+            weakref.WeakKeyDictionary()
         self.var_spec: dict[str, tuple[tuple[str, str], ...]] = {}
         self.formulas: dict[str, CmsFormula] = {}
         self._build_catalog()

@@ -1,18 +1,26 @@
+import gc
+import itertools
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdec_referee import referee_decompose
 from modgraph.errors import NotAModule, NotInSignature, TooSmall
 from modgraph.generators import random_digraph, random_f_graph, random_term
-from modgraph.graphs import LabeledGraph
+from modgraph.graphs import Alphabet, LabeledGraph
 from modgraph.mdec import (DecompositionCase, NodeKind, binarize,
                            brute_force_modules, brute_force_prime_modules,
                            decompose, format_tree, maximal_prime_modules,
                            quotient_graph, reconstruct, shuffle_admissible,
                            tree_prime_modules, tree_to_term)
-from modgraph.samples import spw5_signature, word_graph
-from modgraph.signature import Term, eval_term
+from modgraph.recognizer import evaluate_tree
+from modgraph.samples import (even_vertices_algebra, p3_op, scw5_signature,
+                              spp3_signature, spw5_signature, w5_op, word_graph)
+from modgraph.signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature, Term,
+                                eval_term)
 
 
 def leaf(s):
@@ -210,3 +218,138 @@ class TestShuffle:
             g = random_f_graph(rng, SIG, max_depth=4, max_leaves=9)
             t = decompose(g, SIG)
             assert reconstruct(shuffle_admissible(t, rng)) == g
+
+
+SPW5P3 = Signature(Alphabet(("a", "b")), (SEQ_OP, PAR_OP, w5_op(), p3_op()))
+TERM_SIGS = (SIG, scw5_signature(), spp3_signature(), SPW5P3)
+
+
+def op_names(t):
+    return [n.op.name if n.op is not None else n.kind.value for n in t.nodes()]
+
+
+def assert_same_as_referee(g, sig=None):
+    got, want = decompose(g, sig), referee_decompose(g, sig)
+    assert format_tree(got) == format_tree(want)
+    assert op_names(got) == op_names(want)
+    return got
+
+
+class TestReferee:
+    """The decomposition against the pairwise-closure case analysis."""
+
+    def test_every_digraph_on_four_vertices(self):
+        pairs = [(u, v) for u in range(1, 5) for v in range(1, 5) if u != v]
+        for bits in range(1 << len(pairs)):
+            edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
+            assert_same_as_referee(LabeledGraph.build(
+                range(1, 5), edges, dict.fromkeys(range(1, 5), "a")))
+
+    def test_seeded_small_digraphs(self):
+        rng = random.Random(9)
+        for _ in range(1000):
+            g = random_digraph(rng, rng.randint(1, 9), rng.choice((0.15, 0.3, 0.5, 0.8)))
+            t = assert_same_as_referee(g)
+            assert tree_prime_modules(t) == brute_force_prime_modules(g)
+
+    def test_seeded_terms(self):
+        rng = random.Random(17)
+        for k in range(200):
+            sig = TERM_SIGS[k % len(TERM_SIGS)]
+            g = eval_term(sig, random_term(rng, sig, max_depth=6, max_leaves=30))
+            assert_same_as_referee(g, sig)
+
+    def test_large_inputs(self):
+        rng = random.Random(23)
+        for n in (50, 80):
+            assert_same_as_referee(random_digraph(rng, n, 0.3))
+        for sig, leaves in ((SIG, 120), (SPW5P3, 100)):
+            term = next(t for t in iter(lambda: random_term(rng, sig, 10, leaves), None)
+                        if len(t.leaves()) >= leaves // 2)
+            assert_same_as_referee(eval_term(sig, term), sig)
+
+
+def alternating_term(levels, ops=("seq", "par")):
+    """ops[0](a, ops[1](a, ops[0](a, ...))) with levels inner nodes."""
+    t = Term.leaf("a")
+    for i in reversed(range(levels)):
+        t = Term.node(ops[i % 2], [Term.leaf("a"), t])
+    return t
+
+
+def same_term(a, b):
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if (x.op, x.symbol, len(x.children)) != (y.op, y.symbol, len(y.children)):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True
+
+
+class TestDeepInput:
+    def test_deep_term_through_the_library(self):
+        levels = 1100
+        assert levels > sys.getrecursionlimit()
+        term = alternating_term(levels)
+        g = eval_term(SIG, term)
+        assert g.n == levels + 1
+        t = decompose(g, SIG)
+        b = binarize(t)
+        assert reconstruct(b, SIG) == g
+        text = format_tree(b)
+        assert len(text.splitlines()) == 2 * levels + 1
+        assert text.splitlines()[1] == "  leaf a {1} [first]"
+        assert same_term(tree_to_term(b), term)
+
+
+def _found_term():
+    """The fourth spw5 draw with at least 150 leaves: 390 vertices."""
+    rng = random.Random(5)
+    big = (t for t in iter(lambda: random_term(rng, SIG, max_depth=14, max_leaves=400), None)
+           if len(t.leaves()) >= 150)
+    return next(itertools.islice(big, 3, None))
+
+
+class TestScale:
+    def test_large_spw5_term_under_two_seconds(self):
+        g = eval_term(SIG, _found_term())
+        assert g.n == 390
+        start = time.perf_counter()
+        t = decompose(g, SIG)
+        took = time.perf_counter() - start
+        assert sorted(len(c.module) for c in t.root.children) == [1, 45, 48, 106, 190]
+        assert reconstruct(t) == g
+        assert took < 2, f"decompose took {took:.2f} s"
+
+    @pytest.mark.parametrize("ops", [("seq", "par"), ("clique", "par")])
+    def test_alternating_cograph_under_two_seconds(self, ops):
+        sig = Signature(Alphabet(("a",)), (SEQ_OP, PAR_OP, CLIQUE_OP))
+        g = eval_term(sig, alternating_term(399, ops))
+        assert g.n == 400
+        start = time.perf_counter()
+        t = decompose(g)
+        took = time.perf_counter() - start
+        assert len(t.nodes()) == 799
+        assert took < 2, f"decompose took {took:.2f} s"
+
+
+def test_pipeline_leaves_no_reference_cycles():
+    rng = random.Random(60)
+    term = next(t for t in iter(lambda: random_term(rng, SIG, 8, 60), None)
+                if len(t.leaves()) == 60 and "W5" in str(t))
+    g = eval_term(SIG, term)
+    raw = random_digraph(rng, 60)
+    alg = even_vertices_algebra(SIG)
+    gc.collect()
+    gc.disable()
+    try:
+        for graph, sig in ((g, SIG), (raw, None)):
+            b = binarize(decompose(graph, sig))
+            assert reconstruct(b, sig) == graph
+            if sig is not None:
+                evaluate_tree(b, alg)
+        del b
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from modgraph import graphs, signature
 from modgraph.cms import tree_structure
 from modgraph.errors import ArityMismatch, NotWeaklyRigid, UnknownOp, UnknownSymbol
-from modgraph.generators import random_digraph
+from modgraph.generators import random_digraph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
 from modgraph.mdec import NodeKind, binarize, decompose
 from modgraph.samples import (W5_GRAPH, cycle_graph, p3_op, sp_signature,
@@ -102,6 +102,34 @@ class TestEvalTerm:
         t = node("W5", leaf("a"), leaf("b"), node("seq", leaf("a"), leaf("b")),
                  leaf("a"), node("par", leaf("b"), leaf("b")))
         assert eval_term(sig, t).n == len(t.leaves()) == 7
+
+    def test_equals_compose_fold(self):
+        def fold(sig, t):
+            if t.is_leaf:
+                return LabeledGraph.single_vertex(t.symbol)
+            return compose(sig.op(t.op), [fold(sig, c) for c in t.children])
+
+        rng = Random(41)
+        sigs = (spw5_signature(), sp_signature(),
+                Signature(Alphabet(("a", "b")), (SEQ_OP, CLIQUE_OP, p3_op())))
+        for k in range(1200):
+            sig = sigs[k % len(sigs)]
+            t = random_term(rng, sig, max_depth=5, max_leaves=rng.randint(1, 16))
+            g, want = eval_term(sig, t), fold(sig, t)
+            assert g == want and g.labels == want.labels
+
+    def test_errors_as_the_fold_raised_them(self):
+        sig = spw5_signature()
+        with pytest.raises(ArityMismatch, match="operation expects 5 operands, got 2"):
+            eval_term(sig, Term("W5", None, (leaf("a"), leaf("b"))))
+        with pytest.raises(ArityMismatch, match="seq expects at least 2 operands"):
+            eval_term(sig, Term("seq", None, (leaf("a"),)))
+        # the first fault in a left-to-right walk wins, operations before
+        # their arguments
+        with pytest.raises(UnknownSymbol):
+            eval_term(sig, node("seq", leaf("z"), Term("W5", None, ())))
+        with pytest.raises(UnknownOp):
+            eval_term(sig, node("seq", leaf("a"), node("P3", leaf("z"))))
 
 
 class TestSizeLaw:

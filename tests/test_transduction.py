@@ -1,20 +1,23 @@
+import gc
 import random
 
 import pytest
 
 from modgraph.cms import ModelChecker, graph_structure, model_check
 from modgraph.errors import NotWeaklyRigid, NotWeaklyRigidSignature, UnknownPredicate
-from modgraph.generators import random_f_graph, random_subset
+from modgraph.generators import random_digraph, random_f_graph, random_subset
 from modgraph.graphs import Alphabet, LabeledGraph, is_module
-from modgraph.mdec import NodeKind, binarize, decompose, reconstruct
+from modgraph.mdec import (DecompositionCase, NodeKind, binarize, decompose,
+                           maximal_prime_modules, reconstruct)
 from modgraph.samples import (cycle_graph, scw5_signature, spp3_signature,
                               spw5_signature, word_graph, word_term)
 from modgraph.signature import (CLIQUE_OP, SEQ_OP, Signature, Term,
                                 eval_term, prime_op)
-from modgraph.transduction import (PredicateLibrary, build_repr, build_repr0,
-                                   check_kappa_lemma, classify_nodes,
-                                   compute_encoding, encode_graph,
-                                   transduction_schema, verify_isomorphism)
+from modgraph.transduction import (PredicateLibrary, _suffixes, build_repr,
+                                   build_repr0, check_kappa_lemma,
+                                   classify_nodes, compute_encoding,
+                                   encode_graph, transduction_schema,
+                                   verify_isomorphism)
 
 SIG = spw5_signature()
 DUAL = scw5_signature()
@@ -123,6 +126,21 @@ class TestKappaLemma:
             t, cls, enc = encode_graph(g, sig)
             assert check_kappa_lemma(t, enc, sig).ok
 
+    def test_suffixes_agree_with_the_chain_split(self):
+        # the referee's own prefix routine against the decomposition
+        rng = random.Random(12)
+        for k in range(300):
+            if k % 2:
+                g = random_f_graph(rng, SIG, max_depth=4, max_leaves=10)
+            else:
+                g = random_digraph(rng, rng.randint(2, 7), rng.choice((0.3, 0.5)))
+            want = set()
+            if g.n > 1:
+                case, blocks = maximal_prime_modules(g)
+                if case is DecompositionCase.SEQ:
+                    want = {frozenset().union(*blocks[i:]) for i in range(1, len(blocks))}
+            assert set(_suffixes(g, g.vertices)) == want
+
 
 class TestRepr:
     def test_leaf_domain(self):
@@ -200,6 +218,23 @@ class TestPredicateLibrary:
         bad = Signature(Alphabet(("a",)),
                         (SEQ_OP, prime_op("C3", cycle_graph(3))))
         with pytest.raises(NotWeaklyRigid):
+            PredicateLibrary(bad)
+
+    def test_graph_tables_go_with_their_graphs(self):
+        lib = PredicateLibrary(SIG)
+        rng = random.Random(300)
+        for _ in range(300):
+            g = random_digraph(rng, rng.randint(4, 7))
+            lib.holds("node", g, {"X": g.vertices})
+        assert len(lib._ginfo) == 1  # the last graph is still alive
+        del g
+        gc.collect()
+        assert len(lib._ginfo) == 0
+
+    def test_one_weak_rigidity_gate(self):
+        bad = Signature(Alphabet(("a",)),
+                        (SEQ_OP, prime_op("C3", cycle_graph(3))))
+        with pytest.raises(NotWeaklyRigidSignature, match="REJECT"):
             PredicateLibrary(bad)
 
     def test_module_cross_oracle(self):

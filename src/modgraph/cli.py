@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify_transduction)
 
     p = sub.add_parser("oracle-modules",
-                       help="prime modules by brute-force enumeration")
+                       help="prime modules from the exact module oracle")
     p.add_argument("graph")
     p.set_defaults(fn=_cmd_oracle_modules)
 

@@ -205,25 +205,6 @@ def is_internally_disconnected(g: LabeledGraph, x: Iterable[int]) -> bool:
     return len(undirected_components(g, xs)) > 1
 
 
-def is_internally_co_disconnected(g: LabeledGraph, x: Iterable[int]) -> bool:
-    """True iff x splits into halves fully linked in both directions."""
-    xs = _check_subset(g, x)
-    if not xs:
-        raise EmptySetError("connectivity of the empty set is undefined")
-    return len(co_components(g, xs)) > 1
-
-
-def is_discrete(g: LabeledGraph, x: Iterable[int]) -> bool:
-    xs = _check_subset(g, x)
-    return not any(u in xs and v in xs for (u, v) in g.edges)
-
-
-def is_clique_set(g: LabeledGraph, x: Iterable[int]) -> bool:
-    xs = _check_subset(g, x)
-    es = g.edges
-    return all((u, v) in es and (v, u) in es for u, v in itertools.combinations(xs, 2))
-
-
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of 1..n, stored as the image tuple (image[i-1] = sigma(i))."""

@@ -13,12 +13,19 @@ closure of v and its smallest vertex stays below M (the vertex-partition
 method of Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16(2),
 1994).  The par, clique and seq tests and each closure cost O(|M|)
 operations on n-bit ints; the refinement costs at most O(|M|^3) and far
-less in practice: 400 vertices decompose in a fraction of a second.  The
-subset-enumeration oracle ``brute_force_modules`` stays beside it, and
-the test suite keeps the old pairwise-closure case analysis as a
-polynomial referee.
-"""
+less in practice: 400 vertices decompose in a fraction of a second.
 
+Beside it stands one exact module oracle, ``all_modules``.  The modules
+of a digraph, with the empty set, are closed under intersection, so
+Ganter's NextClosure lists them in lectic order with polynomial delay,
+the splitter closure serving as closure operator (B. Ganter, "Two basic
+algorithms in concept analysis", 1984; ICFCA 2010, LNCS 5986).  It is
+output-sensitive, not polynomial: a par node with k children has 2^k
+modules.  ``brute_force_prime_modules`` filters its family by overlap.
+The test suite keeps the exhaustive subset enumeration as the oracle's
+referee and the old pairwise-closure case analysis as a polynomial
+referee of the decomposition.
+"""
 from __future__ import annotations
 
 import itertools
@@ -27,7 +34,7 @@ from enum import Enum
 from random import Random
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .errors import NotAModule, NotInSignature, TooSmall, UnknownOp
+from .errors import NotAModule, NotInSignature, TooSmall, UnknownOp, VertexNotInGraph
 from .graphs import LabeledGraph, Permutation, is_module
 from .signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature, SignatureOp, Term,
                         edge_pattern, match_op, prime_op)
@@ -57,19 +64,20 @@ _CASE_TO_KIND = {
 }
 
 
-class _Rows:
+class Rows:
     """Bitmask adjacency of one graph: bit i stands for the i-th smallest id.
 
     ``split(m)`` breaks the module with mask m into its maximal strong
-    modules by mask operations on these rows alone.
+    modules, and ``modules()`` lists every module, by mask operations on
+    these rows alone.
     """
 
-    __slots__ = ("verts", "out", "inn", "und", "co", "fwd", "bwd")
+    __slots__ = ("verts", "idx", "out", "inn", "und", "co", "fwd", "bwd")
 
     def __init__(self, g: LabeledGraph):
         self.verts = verts = g.sorted_vertices()
         n = len(verts)
-        idx = {v: i for i, v in enumerate(verts)}
+        self.idx = idx = {v: i for i, v in enumerate(verts)}
         out = [0] * n
         inn = [0] * n
         for (u, v) in g.edges:
@@ -92,6 +100,54 @@ class _Rows:
             out.append(verts[b.bit_length() - 1])
             m ^= b
         return frozenset(out)
+
+    def mask(self, ids) -> int:
+        idx = self.idx
+        m = 0
+        try:
+            for v in ids:
+                m |= 1 << idx[v]
+        except KeyError as e:
+            raise VertexNotInGraph(f"vertex {e.args[0]} not in graph") from None
+        return m
+
+    def modules(self) -> list[int]:
+        """Every non-empty module, in lectic order: ascending as ints.
+
+        NextClosure: the module after a is the closure of (a above bit i)
+        plus bit i, for the lowest bit i outside a whose closure adds no
+        bit above i.  The closure adds every vertex outside the set whose
+        out-row or in-row meets the set partially, found as the vertices
+        that tell some member apart from one pivot member; a candidate is
+        dropped as soon as it gains a bit above i.
+        """
+        out, inn = self.out, self.inn
+        n = len(out)
+        full = (1 << n) - 1
+        found = []
+        a = 0
+        while a != full:
+            for i in range(n):
+                bit = 1 << i
+                if a & bit:
+                    continue
+                above = full & ~((bit << 1) - 1)
+                s = queue = (a & above) | bit
+                ov, iv = out[i], inn[i]
+                while queue:
+                    b = queue & -queue
+                    queue ^= b
+                    j = b.bit_length() - 1
+                    new = ((out[j] ^ ov) | (inn[j] ^ iv)) & ~s
+                    if new & above:
+                        break
+                    s |= new
+                    queue |= new
+                else:
+                    a = s
+                    found.append(s)
+                    break
+        return found
 
     def split(self, m: int) -> tuple[DecompositionCase, list[int]]:
         """The case of module m and its maximal strong modules.
@@ -160,7 +216,7 @@ class _Rows:
         return LabeledGraph.on_range(len(blocks), edges)
 
 
-def _reach(start: int, m: int, rows: list[int]) -> int:
+def reach(start: int, m: int, rows: list[int]) -> int:
     """Vertices of m reachable from the start bits along rows."""
     seen = frontier = start
     while frontier:
@@ -180,7 +236,7 @@ def _components(m: int, rows: list[int]) -> list[int]:
     """Components of the symmetric relation rows inside m, by smallest vertex."""
     comps = []
     while m:
-        comp = _reach(m & -m, m, rows)
+        comp = reach(m & -m, m, rows)
         comps.append(comp)
         m &= ~comp
     return comps
@@ -202,8 +258,8 @@ def _chain(m: int, fwd: list[int], bwd: list[int]) -> list[int]:
             chain.append(x)
             continue
         v = x & -x
-        ahead = _reach(v, x, fwd)
-        behind = _reach(v, x, bwd)
+        ahead = reach(v, x, fwd)
+        behind = reach(v, x, bwd)
         own = ahead & behind
         if behind != own:
             stack.append((behind & ~own, False))
@@ -305,7 +361,7 @@ def maximal_prime_modules(g: LabeledGraph, sig: Optional[Signature] = None,
     """
     if g.n < 2:
         raise TooSmall("decomposition step needs at least 2 vertices")
-    rows = _Rows(g)
+    rows = Rows(g)
     case, blocks = rows.split((1 << g.n) - 1)
     if case is DecompositionCase.PRIME_QUOTIENT and sig is not None:
         try:
@@ -404,7 +460,7 @@ def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
     """
     if g.n == 0:
         raise TooSmall("cannot decompose the empty graph")
-    rows = _Rows(g)
+    rows = Rows(g)
     verts, labels = rows.verts, g.labels
     top: list[MDecNode] = [None]
     inner: list[tuple[MDecNode, list[MDecNode]]] = []
@@ -498,57 +554,35 @@ def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
     return LabeledGraph(t.root.module, frozenset(edges), labels)
 
 
-def brute_force_modules(g: LabeledGraph) -> list[frozenset[int]]:
-    """All non-empty modules, by exhaustive subset enumeration."""
-    verts = g.sorted_vertices()
-    n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    out_m = [0] * n
-    in_m = [0] * n
-    for (u, v) in g.edges:
-        out_m[idx[u]] |= 1 << idx[v]
-        in_m[idx[v]] |= 1 << idx[u]
-    found = []
-    for mask in range(1, 1 << n):
-        rest = ((1 << n) - 1) & ~mask
-        ok = True
-        r = rest
-        while r:
-            b = r & -r
-            i = b.bit_length() - 1
-            hit = out_m[i] & mask
-            if hit and hit != mask:
-                ok = False
-                break
-            hit = in_m[i] & mask
-            if hit and hit != mask:
-                ok = False
-                break
-            r ^= b
-        if ok:
-            found.append(mask)
-    return [frozenset(verts[i] for i in range(n) if mask >> i & 1) for mask in found]
+def strong_modules(masks: list[int]) -> list[int]:
+    """The modules among masks that overlap none of them.
+
+    Given the whole module family, these are the strong modules, the
+    full vertex set and the singletons included.
+    """
+    inner = [y for y in masks if y & (y - 1)]  # singletons overlap nothing
+    return [x for x in masks
+            if not x & (x - 1)
+            or not any(x & y and x & ~y and y & ~x for y in inner)]
+
+
+def all_modules(g: LabeledGraph) -> list[frozenset[int]]:
+    """Every non-empty module of g, in lectic order (bit i for the i-th
+    smallest id, ascending), each once.
+
+    Output-sensitive, not polynomial: a par node with k children alone
+    gives 2^k modules.
+    """
+    rows = Rows(g)
+    return [rows.ids(m) for m in rows.modules()]
 
 
 def brute_force_prime_modules(g: LabeledGraph) -> set[frozenset[int]]:
-    """Prime (strong) modules by definition: proper modules overlapping none."""
-    verts = g.sorted_vertices()
-    n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    masks = []
-    for m in brute_force_modules(g):
-        mm = 0
-        for v in m:
-            mm |= 1 << idx[v]
-        masks.append(mm)
-    full = (1 << n) - 1
-    primes = []
-    for x in masks:
-        if x == full:
-            continue
-        if all(not (x & y) or not (x & ~y) or not (y & ~x) for y in masks):
-            primes.append(x)
-    return {frozenset(verts[i] for i in range(n) if x >> i & 1) for x in primes}
+    """Prime (strong) modules by definition: proper modules overlapping
+    none, filtered from the family of ``all_modules``."""
+    rows = Rows(g)
+    full = (1 << g.n) - 1
+    return {rows.ids(x) for x in strong_modules(rows.modules()) if x != full}
 
 
 def tree_prime_modules(t: MDecTree) -> set[frozenset[int]]:

@@ -10,6 +10,7 @@ graphs with >= 3 vertices give everything else.
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -209,17 +210,49 @@ def match_op(ops: Iterable[SignatureOp], quotient: LabeledGraph,
     return None
 
 
-@dataclass(frozen=True)
+_stored_hash = operator.attrgetter("_hash")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Term:
     """Term over a signature: leaf(symbol) or node(op name, children).
 
     The variadic built-ins are kept flattened: a seq node never has a seq
-    child, and likewise for par and clique.
+    child, and likewise for par and clique.  Terms compare by structure;
+    each hashes once at construction from its children's stored hashes,
+    and equality, ``leaves`` and ``str`` walk with explicit stacks, so
+    terms of any depth work without recursion.
     """
 
     op: Optional[str]
     symbol: Optional[str]
     children: tuple["Term", ...]
+
+    def __init__(self, op: Optional[str], symbol: Optional[str],
+                 children: tuple["Term", ...]):
+        # frozen, so the fields go straight into the instance dict
+        d = self.__dict__
+        d["op"] = op
+        d["symbol"] = symbol
+        d["children"] = children
+        d["_hash"] = hash((op, symbol, *map(_stored_hash, children)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, Term):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a._hash != b._hash or a.op != b.op or a.symbol != b.symbol
+                    or len(a.children) != len(b.children)):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     @staticmethod
     def leaf(symbol: str) -> "Term":
@@ -240,15 +273,34 @@ class Term:
         return self.op is None
 
     def leaves(self) -> list[str]:
-        if self.is_leaf:
-            return [self.symbol]
-        return [s for c in self.children for s in c.leaves()]
+        out = []
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if t.is_leaf:
+                out.append(t.symbol)
+            else:
+                stack.extend(reversed(t.children))
+        return out
 
     def __str__(self):
-        if self.is_leaf:
-            return self.symbol
-        head = self.op if self.op in BUILTIN_NAMES else f"prime {self.op}"
-        return "(" + head + " " + " ".join(str(c) for c in self.children) + ")"
+        parts = []
+        # a string item is emitted as is; a term item opens its text
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                parts.append(t)
+            elif t.is_leaf:
+                parts.append(t.symbol)
+            else:
+                head = t.op if t.op in BUILTIN_NAMES else f"prime {t.op}"
+                parts.append("(" + head)
+                stack.append(")")
+                for c in reversed(t.children):
+                    stack.append(c)
+                    stack.append(" ")
+        return "".join(parts)
 
 
 def compose_graph(h: LabeledGraph, operands: Sequence[LabeledGraph],

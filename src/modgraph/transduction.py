@@ -22,12 +22,9 @@ from .cms import (And, CmsFormula, Eq, Exists, ExistsSet, Forall, ForallSet,
                   tree_relations)
 from .errors import (NotWeaklyRigid, NotWeaklyRigidSignature, UnknownOp,
                      UnknownPredicate)
-from .graphs import (LabeledGraph, is_clique_set, is_discrete,
-                     is_internally_co_disconnected, is_internally_disconnected,
-                     is_module)
-from .mdec import (MDecNode, MDecPrimeTree, NodeKind, binarize,
-                   brute_force_modules, brute_force_prime_modules,
-                   decompose, quotient_graph, reconstruct)
+from .graphs import LabeledGraph, is_internally_disconnected, is_module
+from .mdec import (MDecNode, MDecPrimeTree, NodeKind, Rows, binarize,
+                   decompose, reach, reconstruct, strong_modules)
 from .signature import (OpKind, Signature, SignatureOp, match_op,
                         validate_weakly_rigid_signature)
 
@@ -196,46 +193,46 @@ def encode_graph(g: LabeledGraph, sig: Signature,
 
 # ---------------------------------------------------- module-theoretic check
 
-def _suffixes(g: LabeledGraph, w: frozenset[int]) -> list[frozenset[int]]:
+def _bits(m: int):
+    """Indices of the set bits of m, lowest first."""
+    while m:
+        b = m & -m
+        yield b.bit_length() - 1
+        m ^= b
+
+
+def _suffixes(rows: Rows, w: int) -> list[int]:
     """Proper non-empty suffixes of w: sets Z < w such that every pair from
     w - Z to Z is linked forward only.  Each prefix w - Z is the closure of
-    one vertex under "u pulls in x unless u -> x is one-way"."""
-    if len(w) < 2:
-        return []
-    out: dict[int, set[int]] = {v: set() for v in w}
-    for (u, v) in g.edges:
-        if u in w and v in w:
-            out[u].add(v)
-    prefixes = set()
-    for v in w:
-        s = {v}
-        grew = True
-        while grew:
-            grew = False
-            for x in w - s:
-                if any(x not in out[u] or u in out[x] for u in s):
-                    s.add(x)
-                    grew = True
-        if len(s) < len(w):
-            prefixes.add(frozenset(s))
-    return [w - p for p in prefixes]
+    one vertex under "u pulls in x unless u -> x is one-way"; the vertices
+    that pull each other in share one prefix, so one closure serves them."""
+    out = []
+    todo = w if w & (w - 1) else 0
+    while todo:
+        v = todo & -todo
+        prefix = reach(v, w, rows.fwd)
+        if prefix != w:
+            out.append(w & ~prefix)
+        todo &= ~(prefix & reach(v, w, rows.bwd))
+    return out
 
 
-def is_sequential_set(g: LabeledGraph, x: frozenset[int]) -> bool:
-    """True iff the induced subgraph splits as prefix + fully-linked suffix."""
-    return bool(_suffixes(g, x))
-
-
-def _initial_of(g: LabeledGraph, x: frozenset[int], y: frozenset[int]) -> bool:
-    """y is the least prefix of x: the complement is a suffix, y not sequential."""
-    if not y or not y < x:
+def _sequential(rows: Rows, x: int) -> bool:
+    """x splits as prefix + suffix linked forward only: the relation "pulls
+    in" is not strongly connected on x."""
+    if not x & (x - 1):
         return False
-    rest = x - y
-    es = g.edges
-    if not all((p, q) in es and (q, p) not in es
-               for p in y for q in rest):
+    v = x & -x
+    return reach(v, x, rows.fwd) != x or reach(v, x, rows.bwd) != x
+
+
+def _initial(rows: Rows, x: int, y: int) -> bool:
+    """y, a non-empty proper subset of x, is the least prefix of x: the
+    complement is a suffix, y not sequential."""
+    rest, fwd = x & ~y, rows.fwd
+    if any(rest & fwd[i] for i in _bits(y)):
         return False
-    return not is_sequential_set(g, y)
+    return not _sequential(rows, y)
 
 
 @dataclass(frozen=True)
@@ -271,53 +268,67 @@ class KappaLemmaReport:
 def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
                       sig: Optional[Signature] = None) -> KappaLemmaReport:
     """Cross-check the path-based kappa maps against their module-theoretic
-    characterization, computed from the graph with the brute-force oracle."""
+    characterization, computed from the graph alone.
+
+    The node family is the strong modules of ``reconstruct(t)``, filtered
+    from the NextClosure oracle's module family, plus the sequential
+    suffixes of the sequential ones; all of it runs on the graph's bitmask
+    rows.  The tree enters only through that graph and its prime
+    operations: no decomposition runs and no tree module is read.  The
+    oracle is output-sensitive, not polynomial: a par node with k children
+    has 2^k modules.
+    """
     g = reconstruct(t)
-    mode = enc.classification.mode
-    if mode is NodeKind.PAR:
-        disc = lambda x: len(x) > 1 and is_internally_disconnected(g, x)
-        degenerate = lambda x: is_discrete(g, x)
-    else:
-        disc = lambda x: len(x) > 1 and is_internally_co_disconnected(g, x)
-        degenerate = lambda x: is_clique_set(g, x)
+    rows = Rows(g)
+    # the relation whose components split a disconnected set
+    sep = rows.und if enc.classification.mode is NodeKind.PAR else rows.co
+
+    disc_memo: dict[int, bool] = {}
+
+    def disc(x: int) -> bool:
+        if x not in disc_memo:
+            disc_memo[x] = reach(x & -x, x, sep) != x
+        return disc_memo[x]
+
+    def degenerate(x: int) -> bool:
+        # discrete (par mode) or a clique (clique mode)
+        return not any(sep[i] & x & ~(1 << i) for i in _bits(x))
 
     # independent node family: strong modules plus sequential suffixes
-    strongs = brute_force_prime_modules(g) | {g.vertices}
-    node_family = set(strongs)
+    strongs = set(strong_modules(rows.modules()))
+    family = set(strongs)
     for w in strongs:
-        if is_sequential_set(g, w):
-            for z in _suffixes(g, w):
-                if is_sequential_set(g, z):
-                    node_family.add(z)
+        family.update(z for z in _suffixes(rows, w) if _sequential(rows, z))
+
+    # the family is laminar: the members holding a vertex form a chain,
+    # and each member's parent is the next one up the chain of its
+    # smallest vertex
+    by_size = sorted(family, key=int.bit_count)
+    chains = [[m for m in by_size if m >> x & 1] for x in range(g.n)]
+    children: dict[int, list[int]] = {}  # by smallest vertex
+    for x, chain in enumerate(chains):
+        for m, up in zip(chain, chain[1:]):
+            if m & -m == 1 << x:
+                children.setdefault(up, []).append(m)
 
     prime_ops = tree_prime_ops(t, sig)
+    dist_memo: dict[int, int] = {}
 
-    def children_of(p: frozenset[int]) -> list[frozenset[int]]:
-        inside = [m for m in node_family if m < p]
-        return sorted((m for m in inside
-                       if not any(m < other < p for other in inside)), key=min)
-
-    def dist_children(p: frozenset[int]) -> set[frozenset[int]]:
-        kids = children_of(p)
-        if is_sequential_set(g, p):
-            return {y for y in kids if _initial_of(g, p, y)}
-        matched = match_op(prime_ops, quotient_graph(g.induced(p), kids))
+    def dist_children(p: int) -> int:
+        """The union of p's distinguished children."""
+        kids = children[p]
+        if _sequential(rows, p):
+            return sum(y for y in kids if _initial(rows, p, y))
+        matched = match_op(prime_ops, rows.quotient(kids))
         if matched is None:
-            raise NotWeaklyRigid(
-                f"connected node on {sorted(p)} matches no signature operation")
+            raise NotWeaklyRigid(f"connected node on {sorted(rows.ids(p))} "
+                                 "matches no signature operation")
         op, sigma = matched
-        return {kids[sigma(i) - 1] for i in op.symmetry.distinguished}
-
-    dist_cache: dict[frozenset[int], set[frozenset[int]]] = {}
-
-    def in_dist_child(p: frozenset[int], x: int) -> bool:
-        if p not in dist_cache:
-            dist_cache[p] = dist_children(p)
-        return any(x in y for y in dist_cache[p])
+        return sum(kids[sigma(i) - 1] for i in op.symmetry.distinguished)
 
     mismatches: list[KappaMismatch] = []
-    for x in sorted(g.vertices):
-        chain = sorted((m for m in node_family if x in m), key=len)
+    for x, chain in enumerate(chains):
+        bit = 1 << x
         # least disconnected strong module containing x, if degenerate
         lemma1 = None
         for p in chain:
@@ -328,24 +339,26 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
         # first non-trivial connected node reached from a distinguished child;
         # smaller connected nodes must all hold x in a non-distinguished child
         lemma3 = None
-        for q in chain:
-            if len(q) < 2 or disc(q):
+        for pos, q in enumerate(chain):
+            if not q & (q - 1) or disc(q):
                 continue
-            if in_dist_child(q, x):
+            if q not in dist_memo:
+                dist_memo[q] = dist_children(q)
+            if dist_memo[q] & bit:
                 lemma3 = q
                 break
         lemma2 = None
-        if lemma3 is not None:
-            above = [m for m in chain if lemma3 < m]
-            if above and disc(above[0]):
-                lemma2 = above[0]
+        if lemma3 is not None and pos + 1 < len(chain) and disc(chain[pos + 1]):
+            lemma2 = chain[pos + 1]
 
-        path = {1: enc.kappa[1].get(x), 2: enc.kappa[2].get(x),
-                3: enc.kappa[3].get(x)}
+        v = rows.verts[x]
+        path = {1: enc.kappa[1].get(v), 2: enc.kappa[2].get(v),
+                3: enc.kappa[3].get(v)}
         for i, lemma_val in ((1, lemma1), (2, lemma2), (3, lemma3)):
             got = path[i].module if path[i] is not None else None
-            if lemma_val != got:
-                mismatches.append(KappaMismatch(i, x, lemma_val, got))
+            want = None if lemma_val is None else rows.ids(lemma_val)
+            if want != got:
+                mismatches.append(KappaMismatch(i, v, want, got))
     return KappaLemmaReport(tuple(mismatches))
 
 
@@ -486,7 +499,9 @@ class PredicateLibrary:
         self.graph_signature = graph_signature(sig.alphabet.symbols)
         self._fresh = _Fresh()
         self._cache: dict[tuple, CmsFormula] = {}
-        # per-graph tables, kept while the graph (or an equal one) lives
+        # per-graph rows and tables, kept while the graph (or an equal one) lives
+        self._grows: "weakref.WeakKeyDictionary[LabeledGraph, Rows]" = \
+            weakref.WeakKeyDictionary()
         self._ginfo: "weakref.WeakKeyDictionary[LabeledGraph, dict]" = \
             weakref.WeakKeyDictionary()
         self.var_spec: dict[str, tuple[tuple[str, str], ...]] = {}
@@ -820,12 +835,18 @@ class PredicateLibrary:
 
     # ------------------------------------------------ algorithmic versions
 
+    def _rows(self, g: LabeledGraph) -> Rows:
+        rows = self._grows.get(g)
+        if rows is None:
+            rows = self._grows[g] = Rows(g)
+        return rows
+
     def _graph_info(self, g: LabeledGraph) -> dict:
         info = self._ginfo.get(g)
         if info is not None:
             return info
         t = binarize(decompose(g, None))
-        modules = brute_force_modules(g)
+        rows = self._rows(g)
         full = g.vertices
 
         f_nodes: set[frozenset[int]] = set()
@@ -879,13 +900,14 @@ class PredicateLibrary:
                 parent = min(above, key=len)
                 child_pairs.add((parent, y))
         first_pairs = {(x, y) for (x, y) in child_pairs
-                       if x in labels["label_seq"] and _initial_of(g, x, y)}
+                       if x in labels["label_seq"]
+                       and _initial(rows, rows.mask(x), rows.mask(y))}
         dist_pairs = set(first_pairs)
         for (x, y) in child_pairs:
             if y in dist_by_node.get(x, ()):
                 dist_pairs.add((x, y))
 
-        info = {"tree": t, "modules": modules, "f_nodes": f_nodes,
+        info = {"tree": t, "modules": rows.modules(), "f_nodes": f_nodes,
                 "labels": labels, "children": children_tuples,
                 "child": child_pairs, "child*": star_pairs,
                 "first-child": first_pairs, "dist-child": dist_pairs,
@@ -925,8 +947,9 @@ class PredicateLibrary:
         if name == "pmodule":
             if not X or X == g.vertices or not is_module(g, X):
                 return False
+            x = self._rows(g).mask(X)
             mods = self._graph_info(g)["modules"]
-            return not any(X & m and X - m and m - X for m in mods)
+            return not any(x & m and x & ~m and m & ~x for m in mods)
         if name == "disconnected":
             return len(X) > 1 and is_internally_disconnected(g, X)
         if name == "connected":
@@ -934,9 +957,14 @@ class PredicateLibrary:
         if name == "suffix":
             return self._suffix_holds(g, X, b["Z"])
         if name == "sequential":
-            return is_sequential_set(g, X)
+            rows = self._rows(g)
+            return _sequential(rows, rows.mask(X))
         if name == "initial":
-            return _initial_of(g, X, b["Y"])
+            Y = b["Y"]
+            if not Y or not Y < X:
+                return False
+            rows = self._rows(g)
+            return _initial(rows, rows.mask(X), rows.mask(Y))
         info = self._graph_info(g)
         if name in ("label_par", "label_clique", "label_seq"):
             return X in info["labels"][name]

@@ -1,10 +1,13 @@
-"""Polynomial referee for the modular decomposition.
+"""Referees for the modular decomposition and the module oracle.
 
 The case analysis below (components, co-components, chain prefixes,
 minimal-module closures) computes the same trees as ``mdec.decompose`` at
 about n^4 cost, by a different route: it closes every vertex pair to its
 smallest module instead of refining partitions.  The differential tests in
 ``test_mdec.py`` compare the two on inputs the 2^n oracle cannot reach.
+
+``brute_force_modules`` tests every one of the 2^n vertex subsets; it is
+the referee of the NextClosure oracle ``mdec.all_modules``.
 """
 
 from __future__ import annotations
@@ -116,3 +119,57 @@ def referee_decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecT
         return MDecNode(module, _CASE_TO_KIND[case], tuple(rec(b) for b in blocks))
 
     return MDecTree(rec(g.vertices))
+
+
+def brute_force_modules(g: LabeledGraph) -> list[frozenset[int]]:
+    """All non-empty modules, by exhaustive subset enumeration."""
+    verts = g.sorted_vertices()
+    n = len(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    out_m = [0] * n
+    in_m = [0] * n
+    for (u, v) in g.edges:
+        out_m[idx[u]] |= 1 << idx[v]
+        in_m[idx[v]] |= 1 << idx[u]
+    found = []
+    for mask in range(1, 1 << n):
+        rest = ((1 << n) - 1) & ~mask
+        ok = True
+        r = rest
+        while r:
+            b = r & -r
+            i = b.bit_length() - 1
+            hit = out_m[i] & mask
+            if hit and hit != mask:
+                ok = False
+                break
+            hit = in_m[i] & mask
+            if hit and hit != mask:
+                ok = False
+                break
+            r ^= b
+        if ok:
+            found.append(mask)
+    return [frozenset(verts[i] for i in range(n) if mask >> i & 1) for mask in found]
+
+
+def referee_prime_modules(g: LabeledGraph) -> set[frozenset[int]]:
+    """Prime (strong) modules by definition: proper modules overlapping
+    none, over the 2^n family."""
+    verts = g.sorted_vertices()
+    n = len(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    masks = []
+    for m in brute_force_modules(g):
+        mm = 0
+        for v in m:
+            mm |= 1 << idx[v]
+        masks.append(mm)
+    full = (1 << n) - 1
+    primes = []
+    for x in masks:
+        if x == full:
+            continue
+        if all(not (x & y) or not (x & ~y) or not (y & ~x) for y in masks):
+            primes.append(x)
+    return {frozenset(verts[i] for i in range(n) if x >> i & 1) for x in primes}

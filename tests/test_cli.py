@@ -113,6 +113,21 @@ class TestVerbs:
         assert code == 0
         assert "{1}" in out
 
+    def test_oracle_modules_on_forty_vertices(self, capsys, tmp_path):
+        import random
+        from modgraph.generators import random_f_graph
+        rng = random.Random(7)
+        g = next(g for g in iter(lambda: random_f_graph(rng, spw5_signature(), 9, 40), None)
+                 if g.n == 40)
+        path = tmp_path / "forty.lg"
+        path.write_text(graph_to_text(g))
+        code, out, _ = run(capsys, "oracle-modules", str(path))
+        assert code == 0
+        want = sorted(mdec.tree_prime_modules(mdec.decompose(g)),
+                      key=lambda s: (len(s), min(s)))
+        assert out == "".join("{" + ",".join(map(str, sorted(m))) + "}\n" for m in want)
+        assert len(want) > 40
+
     def test_parse_error_exit_2(self, capsys, files, tmp_path):
         bad = tmp_path / "bad.lg"
         bad.write_text("graph g\nalphabet a\nvertex 1 a\nedge 1 1\n")

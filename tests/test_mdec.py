@@ -7,15 +7,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdec_referee import referee_decompose
+from mdec_referee import brute_force_modules, referee_decompose, referee_prime_modules
 from modgraph.errors import NotAModule, NotInSignature, TooSmall
 from modgraph.generators import random_digraph, random_f_graph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
-from modgraph.mdec import (DecompositionCase, NodeKind, binarize,
-                           brute_force_modules, brute_force_prime_modules,
-                           decompose, format_tree, maximal_prime_modules,
-                           quotient_graph, reconstruct, shuffle_admissible,
-                           tree_prime_modules, tree_to_term)
+from modgraph.mdec import (DecompositionCase, NodeKind, Rows, all_modules, binarize,
+                           brute_force_prime_modules, decompose, format_tree,
+                           maximal_prime_modules, quotient_graph, reconstruct,
+                           shuffle_admissible, tree_prime_modules, tree_to_term)
 from modgraph.recognizer import evaluate_tree
 from modgraph.samples import (even_vertices_algebra, p3_op, scw5_signature,
                               spp3_signature, spw5_signature, w5_op, word_graph)
@@ -187,9 +186,53 @@ class TestOracle:
 
     def test_modules_contain_trivial(self):
         g = word_graph("aba")
-        mods = set(brute_force_modules(g))
+        mods = set(all_modules(g))
         assert g.vertices in mods
         assert all(frozenset({v}) in mods for v in g.vertices)
+
+
+def assert_same_modules(g):
+    """NextClosure against the 2^n enumeration: the same modules, each
+    once, in lectic order (ascending masks), and the same strong ones."""
+    got = all_modules(g)
+    assert got == brute_force_modules(g)
+    rows = Rows(g)
+    masks = [rows.mask(m) for m in got]
+    assert masks == sorted(set(masks))
+    assert brute_force_prime_modules(g) == referee_prime_modules(g)
+
+
+class TestModuleOracle:
+    """``all_modules`` against the subset-enumeration referee."""
+
+    def test_every_digraph_on_at_most_four_vertices(self):
+        for n in range(5):
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+            for bits in range(1 << len(pairs)):
+                edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
+                assert_same_modules(LabeledGraph.build(range(1, n + 1), edges))
+
+    def test_seeded_digraphs_up_to_ten_vertices(self):
+        rng = random.Random(31)
+        for _ in range(1000):
+            g = random_digraph(rng, rng.randint(1, 10), rng.choice((0.15, 0.3, 0.5, 0.8)))
+            assert_same_modules(g)
+
+    def test_seeded_f_graphs_with_sparse_ids(self):
+        # module-rich inputs, with vertex ids that are not 1..n
+        rng = random.Random(32)
+        for k in range(200):
+            sig = TERM_SIGS[k % len(TERM_SIGS)]
+            g = eval_term(sig, random_term(rng, sig, max_depth=5, max_leaves=10))
+            ids = rng.sample(range(1, 100), g.n)
+            ren = dict(zip(g.sorted_vertices(), ids))
+            assert_same_modules(LabeledGraph.build(
+                ids, [(ren[u], ren[v]) for u, v in g.edges]))
+
+    def test_par_node_has_two_to_the_k_modules(self):
+        # the documented limit: the enumeration is output-sensitive
+        g = LabeledGraph.build(range(1, 13), [])
+        assert len(all_modules(g)) == 2 ** 12 - 1
 
 
 class TestTreeOutput:
@@ -301,6 +344,19 @@ class TestDeepInput:
         assert len(text.splitlines()) == 2 * levels + 1
         assert text.splitlines()[1] == "  leaf a {1} [first]"
         assert same_term(tree_to_term(b), term)
+
+    def test_term_methods_without_recursion(self):
+        levels = 1100
+        term = alternating_term(levels)
+        assert term.leaves() == ["a"] * (levels + 1)
+        assert str(term) == "(seq a (par a " * (levels // 2) + "a" + ")" * levels
+        twin = alternating_term(levels)
+        assert twin is not term and twin == term and hash(twin) == hash(term)
+        assert term != alternating_term(levels, ("par", "seq"))
+        odd = Term.leaf("b")  # differs from term in the deepest leaf only
+        for i in reversed(range(levels)):
+            odd = Term.node(("seq", "par")[i % 2], [Term.leaf("a"), odd])
+        assert odd != term and len({odd, term, twin}) == 2
 
 
 def _found_term():

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from modgraph import graphs, signature
 from modgraph.cms import tree_structure
 from modgraph.errors import ArityMismatch, NotWeaklyRigid, UnknownOp, UnknownSymbol
+from modgraph.formats import parse_term
 from modgraph.generators import random_digraph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
 from modgraph.mdec import NodeKind, binarize, decompose
-from modgraph.samples import (W5_GRAPH, cycle_graph, p3_op, sp_signature,
-                              spw5_signature, w5_op)
+from modgraph.samples import (W5_GRAPH, cycle_graph, p3_op, scw5_signature,
+                              sp_signature, spp3_signature, spw5_signature, w5_op)
 from modgraph.signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature,
                                 Term, compose, cp_equations, eval_term,
                                 is_prime, is_weakly_rigid_op, prime_op,
@@ -67,6 +68,53 @@ class TestCompose:
             compose(w5_op(), [LabeledGraph.single_vertex("a")] * 4)
         with pytest.raises(ArityMismatch):
             compose(SEQ_OP, [LabeledGraph.single_vertex("a")])
+
+
+def _old_str(t):
+    # the recursive rendering the iterative one replaced
+    if t.is_leaf:
+        return t.symbol
+    head = t.op if t.op in ("seq", "par", "clique") else f"prime {t.op}"
+    return "(" + head + " " + " ".join(_old_str(c) for c in t.children) + ")"
+
+
+def _old_eq(a, b):
+    # the dataclass field comparison the iterative one replaced
+    return ((a.op, a.symbol, len(a.children)) == (b.op, b.symbol, len(b.children))
+            and all(_old_eq(x, y) for x, y in zip(a.children, b.children)))
+
+
+def _old_leaves(t):
+    return [t.symbol] if t.is_leaf else [s for c in t.children for s in _old_leaves(c)]
+
+
+class TestTermStructure:
+    """Iterative str, leaves, equality and stored hashes, against the
+    recursive versions on seeded terms."""
+
+    SIGS = (spw5_signature(), scw5_signature(), spp3_signature(), sp_signature())
+
+    def test_seeded_terms_unchanged(self):
+        rng = Random(71)
+        prev = None
+        for k in range(600):
+            sig = self.SIGS[k % len(self.SIGS)]
+            t = random_term(rng, sig, max_depth=5, max_leaves=rng.choice((2, 3, 12)))
+            assert str(t) == _old_str(t)
+            assert t.leaves() == _old_leaves(t)
+            again = parse_term(str(t), sig)
+            assert again is not t and again == t and hash(again) == hash(t)
+            if prev is not None:
+                assert (t == prev) is _old_eq(t, prev)
+                assert (t != prev) is not _old_eq(t, prev)
+            prev = t
+
+    def test_one_leaf_apart(self):
+        t = node("seq", leaf("a"), node("W5", *[leaf(s) for s in "abab"], leaf("a")))
+        u = node("seq", leaf("a"), node("W5", *[leaf(s) for s in "abab"], leaf("b")))
+        assert t != u and not _old_eq(t, u)
+        assert t != "(seq a (prime W5 a b a b a))"
+        assert {t, u, parse_term(str(t), spw5_signature())} == {t, u}
 
 
 class TestEvalTerm:

@@ -1,13 +1,16 @@
+import dataclasses
 import gc
 import random
+import time
 
 import pytest
 
+from kappa_referee import referee_check_kappa_lemma
 from modgraph.cms import ModelChecker, graph_structure, model_check
 from modgraph.errors import NotWeaklyRigid, NotWeaklyRigidSignature, UnknownPredicate
 from modgraph.generators import random_digraph, random_f_graph, random_subset
 from modgraph.graphs import Alphabet, LabeledGraph, is_module
-from modgraph.mdec import (DecompositionCase, NodeKind, binarize, decompose,
+from modgraph.mdec import (DecompositionCase, NodeKind, Rows, binarize, decompose,
                            maximal_prime_modules, reconstruct)
 from modgraph.samples import (cycle_graph, scw5_signature, spp3_signature,
                               spw5_signature, word_graph, word_term)
@@ -139,7 +142,61 @@ class TestKappaLemma:
                 case, blocks = maximal_prime_modules(g)
                 if case is DecompositionCase.SEQ:
                     want = {frozenset().union(*blocks[i:]) for i in range(1, len(blocks))}
-            assert set(_suffixes(g, g.vertices)) == want
+            rows = Rows(g)
+            assert {rows.ids(z) for z in _suffixes(rows, rows.mask(g.vertices))} == want
+
+
+def _corrupt(rng, t, enc, i):
+    """A copy of the tables with one entry of kappa[i] changed: reassigned
+    to another node, dropped, or added where there was none.  Returns the
+    tables and the vertex whose entry changed."""
+    kappa = [dict(k) for k in enc.kappa]
+    table = kappa[i]
+    v = rng.choice(sorted(t.leaf_of))
+    others = [n for n in t.nodes() if n is not table.get(v)]
+    if v in table and rng.random() < 0.5:
+        del table[v]
+    else:
+        table[v] = rng.choice(others)
+    return dataclasses.replace(enc, kappa=tuple(kappa)), v
+
+
+class TestKappaReferee:
+    """The bitmask check against the frozenset check it replaced."""
+
+    def test_reports_equal_and_corruption_is_caught(self):
+        rng = random.Random(41)
+        sigs = (SIG, DUAL)
+        for k in range(300):
+            sig = sigs[k % 2]
+            g = random_f_graph(rng, sig, max_depth=5, max_leaves=rng.randint(2, 12))
+            t, cls, enc = encode_graph(g, sig)
+            report = check_kappa_lemma(t, enc, sig)
+            assert report.ok
+            assert report == referee_check_kappa_lemma(t, enc, sig)
+            for i in (1, 2, 3):
+                bad, v = _corrupt(rng, t, enc, i)
+                report = check_kappa_lemma(t, bad, sig)
+                assert (i, v) in [(m.index, m.vertex) for m in report.mismatches]
+                assert report == referee_check_kappa_lemma(t, bad, sig)
+
+    @pytest.mark.parametrize("sig", [SIG, DUAL], ids=["spw5", "scw5"])
+    def test_large_f_graphs_under_two_seconds(self, sig):
+        # out of reach of 2^n enumeration
+        rng = random.Random(40)
+        sizes = []
+        while len(sizes) < 4:
+            g = random_f_graph(rng, sig, max_depth=9, max_leaves=60)
+            if not 40 <= g.n <= 60:
+                continue
+            sizes.append(g.n)
+            t, cls, enc = encode_graph(g, sig)
+            start = time.perf_counter()
+            report = check_kappa_lemma(t, enc, sig)
+            took = time.perf_counter() - start
+            assert report.ok, str(report)
+            assert took < 2, f"check_kappa_lemma took {took:.2f} s on {g.n} vertices"
+        assert max(sizes) == 60
 
 
 class TestRepr:

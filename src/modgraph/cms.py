@@ -2,18 +2,22 @@
 
 Formulas are syntax trees compared by structure; model checking is
 brute-force Tarskian semantics (set quantifiers range over all subsets of
-the domain), compiled once per subformula into closures, with a
-deterministic work budget and memoization of quantified subformulas.
-Structure encoders turn labeled graphs and decomposition trees into
-relational structures.
+the domain) with a deterministic work budget and memoization of
+quantified subformulas.  Element quantifiers over bodies of atoms,
+connectives and such quantifiers are evaluated set-at-a-time on bitmasks
+over the domain, with the work an element-at-a-time evaluation would
+charge counted analytically; the other quantifiers loop.  Each quantifier
+and each checked formula is compiled to generated Python code once per
+formula shape.  Structure encoders turn labeled graphs and decomposition
+trees into relational structures.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import weakref
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (ArityMismatch, BudgetExceeded, FormulaSyntaxError,
@@ -452,8 +456,606 @@ def _free(node: CmsFormula) -> tuple[str, ...]:
     return got
 
 
+def _column(q: _Quantifier) -> Optional[str]:
+    """The free variable a quantifier's memo is a bitmask over: its only
+    free element variable, or None when it has none or several."""
+    got = q.__dict__.get("_column", ())
+    if got == ():
+        kinds = variable_kinds(q)
+        elems = [v for v in _free(q) if kinds.get(v) == ELEMENT]
+        got = elems[0] if len(elems) == 1 else None
+        object.__setattr__(q, "_column", got)
+    return got
+
+
+_ELEMENT_QUANTIFIERS = (Exists, Forall, ExistsMod)
+_KIND = {Exists: "exists", Forall: "forall", ExistsMod: "mod",
+         ExistsSet: "existsset", ForallSet: "forallset"}
+
+
+def _set_at_a_time(f: CmsFormula, var: str, nested: bool) -> bool:
+    """Whether f can be evaluated as bitmasks over the values of var: atoms
+    (none of arity 3 or more on var) and connectives, plus, when nested,
+    element quantifiers over such bodies whose memo is a bitmask over var
+    or does not depend on var."""
+    if isinstance(f, (In, Eq)):
+        return True
+    if isinstance(f, Pred):
+        return len(f.args) < 3 or var not in f.args
+    if isinstance(f, Not):
+        return _set_at_a_time(f.body, var, nested)
+    if isinstance(f, (And, Or)):
+        return all(_set_at_a_time(p, var, nested) for p in f.parts)
+    if isinstance(f, Implies):
+        return (_set_at_a_time(f.left, var, nested)
+                and _set_at_a_time(f.right, var, nested))
+    return (nested and isinstance(f, _ELEMENT_QUANTIFIERS)
+            and _set_at_a_time(f.body, f.var, False)
+            and (var not in _free(f) or _column(f) == var))
+
+
+def _shape(node: CmsFormula) -> tuple[tuple, list[str], list[CmsFormula]]:
+    """The canonical form of one compiled unit, with the variable names and
+    the nested quantifier nodes it refers to by position.
+
+    Variables become indices into the name list: the node's free variables
+    in sorted order, then each binder in depth-first order.  Equal nested
+    quantifiers share one position, as they share one memo table.
+
+    A "mask" unit is an element quantifier evaluated set-at-a-time, with
+    its nested element quantifiers in its canonical form.  A "loop" unit is
+    any other quantifier and a "top" unit a formula that is not one; their
+    canonical forms hold the set-at-a-time quantifiers without nested
+    quantifiers that they enter, and "call" the units of the others."""
+    names: list[str] = []
+    nodes: list[CmsFormula] = []
+    slots: dict[CmsFormula, int] = {}
+
+    def bind(v):
+        names.append(v)
+        return len(names) - 1
+
+    def memo_spec(q, sc):
+        col = _column(q)
+        return (None if col is None else sc[col],
+                tuple(sc[v] for v in _free(q) if v != col))
+
+    def walk(f, sc, masked):
+        if isinstance(f, In):
+            return ("in", sc[f.elem], sc[f.sett])
+        if isinstance(f, Eq):
+            return ("eq", sc[f.left], sc[f.right])
+        if isinstance(f, Pred):
+            return ("pred", f.name, tuple(sc[a] for a in f.args))
+        if isinstance(f, Not):
+            return ("not", walk(f.body, sc, masked))
+        if isinstance(f, (And, Or)):
+            return ("and" if isinstance(f, And) else "or",
+                    tuple(walk(p, sc, masked) for p in f.parts))
+        if isinstance(f, Implies):
+            return ("imp", walk(f.left, sc, masked), walk(f.right, sc, masked))
+        slot = slots.get(f)
+        if slot is None:
+            slot = slots[f] = len(nodes)
+            nodes.append(f)
+        if masked or (isinstance(f, _ELEMENT_QUANTIFIERS)
+                      and _set_at_a_time(f.body, f.var, False)):
+            return quant(f, sc, slot)
+        return ("call", slot) + memo_spec(f, sc)
+
+    def quant(q, sc, slot, masked=True):
+        inner = dict(sc)
+        inner[q.var] = bind(q.var)
+        return ("quant", _KIND[type(q)], getattr(q, "q", 0), inner[q.var],
+                walk(q.body, inner, masked), (slot,) + memo_spec(q, sc))
+
+    scope = {v: bind(v) for v in _free(node)}
+    if not isinstance(node, _Quantifier):
+        return ("top", (len(scope), walk(node, scope, False))), names, nodes
+    if (isinstance(node, _ELEMENT_QUANTIFIERS)
+            and _set_at_a_time(node.body, node.var, True)):
+        return ("mask", quant(node, scope, None)), names, nodes
+    return ("loop", quant(node, scope, None, False)), names, nodes
+
+
+def _calls(f: tuple) -> list[int]:
+    """The slots of the nested units a canonical body calls."""
+    tag = f[0]
+    if tag == "call":
+        return [f[1]]
+    if tag == "not":
+        return _calls(f[1])
+    if tag in ("and", "or"):
+        return [k for p in f[1] for k in _calls(p)]
+    if tag == "imp":
+        return _calls(f[1]) + _calls(f[2])
+    return []
+
+
+class _Codegen:
+    """Python source of one unit's factory, from its canonical form.
+
+    Identifiers in the source are generated; formula variables appear only
+    as positions into the name tuple the factory is bound with, predicate
+    names only as string literals."""
+
+    def __init__(self, unit: tuple):
+        self.head: list[str] = []
+        self.body: list[str] = []
+        self.depth = 2
+        self.k = 0
+        self.wconst = 0
+        self.dirty = False
+        self.tables: dict[tuple, str] = {}
+        self.memos: set[int] = set()
+        self.nest: dict[int, dict] = {}
+        kind, node = unit
+        if kind == "top":
+            self.top(node)
+        else:
+            self.unit(node, kind == "mask")
+
+    def source(self) -> str:
+        lines = ["def factory(chk, ref, node, NAMES, NODES):",
+                 "    env = chk._env", "    meter = chk._meter",
+                 "    N = chk.n", "    ALL = chk.all", "    inner = None"]
+        lines += ["    " + h for h in self.head]
+        lines += ["    def run():", "        nonlocal inner"] + self.body
+        lines.append("    return run")
+        return "\n".join(lines) + "\n"
+
+    # -- emission helpers --
+
+    def emit(self, line: str):
+        self.body.append("    " * self.depth + line)
+
+    def tmp(self, prefix: str = "t") -> str:
+        # no other generated name has an underscore
+        self.k += 1
+        return f"{prefix}_{self.k}"
+
+    def let(self, expr: str, prefix: str = "t") -> str:
+        t = self.tmp(prefix)
+        self.emit(f"{t} = {expr}")
+        return t
+
+    def table(self, name: str, arity: int, form: str) -> str:
+        key = (name, arity, form)
+        if key not in self.tables:
+            self.tables[key] = local = f"R{len(self.tables)}"
+            self.head.append(f"{local} = chk._table({name!r}, {arity}, {form!r})")
+        return self.tables[key]
+
+    def memo(self, slot) -> str:
+        local = f"M{slot}"
+        if slot not in self.memos:
+            self.memos.add(slot)
+            self.head.append(f"{local} = chk._memo_of(NODES[{slot}])")
+        return local
+
+    @staticmethod
+    def tuple_expr(items) -> str:
+        return "(" + "".join(f"{x}, " for x in items).rstrip(" ") + ")"
+
+    # -- memo tables: a plain value per key when the node has no column,
+    #    else two bitmasks over the column (evaluated, and true) --
+
+    def probe(self, memo: str, key: str, col: Optional[str]) -> tuple[str, str]:
+        """Emit a memo lookup; return the names of the memoized value (None
+        on a miss) and of the table entry."""
+        ent = self.let(f"{memo}.get({key})", "ent")
+        if col is None:
+            return ent, ent
+        hit = self.let(f"None if {ent} is None or not {ent}[0] >> {col} & 1 "
+                       f"else {ent}[1] >> {col} & 1", "hit")
+        return hit, ent
+
+    def store(self, memo: str, key: str, ent: str, col: Optional[str], value: str):
+        if col is None:
+            self.emit(f"{memo}[{key}] = {value}")
+            return
+        self.emit(f"if {ent} is None:")
+        self.emit(f"    {memo}[{key}] = [1 << {col}, {value} << {col}]")
+        self.emit("else:")
+        self.emit(f"    {ent}[0] |= 1 << {col}")
+        self.emit(f"    {ent}[1] |= {value} << {col}")
+
+    def key(self, rest, scope) -> str:
+        """A memo key: the value itself for one variable, else a tuple."""
+        if len(rest) == 1:
+            return scope[rest[0]]
+        return self.let(self.tuple_expr(scope[i] for i in rest), "key")
+
+    # -- units --
+
+    def load(self, names) -> dict[int, str]:
+        for i in names:
+            self.head.append(f"N{i} = NAMES[{i}]")
+            self.emit(f"v{i} = env[N{i}]")
+        return {i: f"v{i}" for i in names}
+
+    def bind_calls(self, f) -> list[int]:
+        """Bind the nested units a loop or top unit calls, on first use."""
+        slots = sorted(set(_calls(f)))
+        if slots:
+            self.emit("if inner is None:")
+            self.emit(f"    inner = ref()._bind(NODES, {self.tuple_expr(slots)})")
+            self.emit("C = inner")
+        return slots
+
+    def unit(self, q, masked: bool):
+        _, kind, qmod, var, body, (_, col, rest) = q
+        self.head.append("MEMO = chk._memo_of(node)")
+        self.emit("meter.work += 1")
+        scope = self.load(sorted(set(rest) | ({col} - {None})))
+        c = None if col is None else scope[col]
+        key = self.key(rest, scope)
+        hit, ent = self.probe("MEMO", key, c)
+        self.emit(f"if {hit} is not None:")
+        self.emit(f"    return {hit}")
+        self.emit("if meter.work > meter.budget:")
+        self.emit("    meter.exhausted()")
+        if masked:
+            value, work = self.quant(q, scope)
+            self.emit(f"meter.work += {work}")
+        else:
+            value = self.loop(q, scope)
+        self.store("MEMO", key, ent, c, value)
+        self.emit(f"return {value}")
+
+    def loop(self, q, scope) -> str:
+        _, kind, qmod, var, body, _ = q
+        # the units called from the body read the loop variable from env
+        calls = self.bind_calls(body)
+        if calls:
+            self.head.append(f"N{var} = NAMES[{var}]")
+            self.emit(f"saved = env.get(N{var})")
+        self.emit("w = 0")
+        self.emit("count = 0" if kind == "mod"
+                  else f"res = {kind.startswith('forall')}")
+        values = "1 << N" if kind.endswith("set") else "N"
+        self.emit(f"for v{var} in range({values}):")
+        self.depth += 1
+        if calls:
+            self.emit(f"env[N{var}] = v{var}")
+        scope = dict(scope)
+        scope[var] = f"v{var}"
+        t = self.straight(body, scope, None)
+        self.flush("w")
+        if kind == "mod":
+            self.emit(f"if {t}:")
+            self.emit("    count += 1")
+        else:
+            universal = kind.startswith("forall")
+            self.emit(f"if {'not ' if universal else ''}{t}:")
+            self.emit(f"    res = {not universal}")
+            self.emit("    break")
+        self.depth -= 1
+        if kind == "mod":
+            self.emit(f"res = count % {qmod} == 0")
+        self.emit("meter.work += w")
+        if calls:
+            self.emit(f"env[N{var}] = saved")
+        return "res"
+
+    def top(self, unit):
+        nfree, f = unit
+        scope = self.load(range(nfree))
+        self.bind_calls(f)
+        self.emit("w = 0")
+        t = self.straight(f, scope, None)
+        self.flush("meter.work")
+        if self.dirty:
+            self.emit("meter.work += w")
+        self.emit(f"return {t}")
+
+    # -- one element at a time: straight-line code, one flag per node --
+
+    def count(self, entry):
+        """Charge one entry: a constant when always entered, else the flag."""
+        if entry is None:
+            self.wconst += 1
+        else:
+            self.emit(f"w += {entry}")
+            self.dirty = True
+
+    def flush(self, target: str):
+        if self.wconst:
+            self.emit(f"{target} += {self.wconst}")
+            self.wconst = 0
+            self.dirty = self.dirty or target == "w"
+
+    def atom(self, f, scope) -> str:
+        tag = f[0]
+        if tag == "in":
+            return f"{scope[f[2]]} >> {scope[f[1]]} & 1"
+        if tag == "eq":
+            return f"{scope[f[1]]} == {scope[f[2]]}"
+        _, name, args = f
+        if len(args) == 1:
+            return f"{self.table(name, 1, 'mask')} >> {scope[args[0]]} & 1"
+        if len(args) == 2:
+            return (f"{self.table(name, 2, 'out')}[{scope[args[0]]}]"
+                    f" >> {scope[args[1]]} & 1")
+        return (f"{self.tuple_expr(scope[a] for a in args)} in "
+                f"{self.table(name, len(args), 'tuples')}")
+
+    def straight(self, f, scope, entry) -> str:
+        """Emit f's evaluation under the flag entry (None: always entered);
+        return a name holding its truth, false wherever f is not entered."""
+        tag = f[0]
+        if tag == "quant":
+            return self.inline(f, scope, entry)
+        if tag == "call":
+            # the memo probe is inlined; a miss calls the unit, whose budget
+            # check then sees every unit of work charged so far
+            _, slot, col, rest = f
+            self.flush("meter.work")
+            t = self.tmp()
+            if entry is not None:
+                self.emit(f"{t} = 0")
+                self.emit(f"if {entry}:")
+                self.depth += 1
+            hit, _ = self.probe(self.memo(slot), self.key(rest, scope),
+                                None if col is None else scope[col])
+            self.emit(f"if {hit} is None:")
+            if self.dirty:
+                self.emit("    meter.work += w")
+                self.emit("    w = 0")
+            self.emit(f"    {t} = C[{slot}]()")
+            self.emit("else:")
+            self.emit(f"    {t} = {hit}")
+            self.emit("    w += 1")
+            self.dirty = True
+            if entry is not None:
+                self.depth -= 1
+            return t
+        self.count(entry)
+        guard = "" if entry is None else f"{entry} and "
+        if tag in ("in", "eq", "pred"):
+            return self.let(f"{guard}({self.atom(f, scope)})")
+        if tag == "not":
+            return self.let(f"{guard}not {self.straight(f[1], scope, entry)}")
+        if tag == "and":
+            e = entry
+            for part in f[1]:
+                e = self.straight(part, scope, e)
+            return e
+        if tag == "or":
+            e = entry
+            for part in f[1]:
+                t = self.straight(part, scope, e)
+                e = self.let(f"not {t}" if e is None else f"{e} and not {t}")
+            return self.let(f"{guard}not {e}")
+        left = self.straight(f[1], scope, entry)
+        right = self.straight(f[2], scope, left)
+        return self.let(f"{guard}(not {left} or {right})")
+
+    def inline(self, q, scope, entry) -> str:
+        """A set-at-a-time quantifier entered from straight-line code: its
+        memo probe, and on a miss its budget check and evaluation, inline."""
+        _, _, _, _, _, (slot, col, rest) = q
+        self.flush("meter.work")
+        t = self.tmp()
+        if entry is not None:
+            self.emit(f"{t} = 0")
+            self.emit(f"if {entry}:")
+            self.depth += 1
+        memo, key = self.memo(slot), self.key(rest, scope)
+        c = None if col is None else scope[col]
+        hit, ent = self.probe(memo, key, c)
+        self.emit(f"if {hit} is not None:")
+        self.emit(f"    {t} = {hit}")
+        self.emit("    w += 1")
+        self.emit("else:")
+        self.depth += 1
+        self.emit("meter.work += w + 1" if self.dirty else "meter.work += 1")
+        if self.dirty:
+            self.emit("w = 0")
+        self.emit("if meter.work > meter.budget:")
+        self.emit("    meter.exhausted()")
+        value, work = self.quant(q, scope)
+        self.emit(f"meter.work += {work}")
+        self.store(memo, key, ent, c, value)
+        self.emit(f"{t} = {value}")
+        self.depth -= 1
+        self.dirty = True
+        if entry is not None:
+            self.depth -= 1
+        return t
+
+    # -- all elements at once: truth and entry masks per node --
+
+    def quant(self, q, scope) -> tuple[str, str]:
+        """Emit the evaluation of a set-at-a-time quantifier; return the
+        names of its value and of the work its body charges (one unit per
+        node entry, up to the element that decides it, as an
+        element-at-a-time loop would charge)."""
+        _, kind, qmod, var, body, _ = q
+        saved, self.nest = self.nest, {}
+        inner = dict(scope)
+        inner[var] = None
+        entries: list[str] = []
+        truth = self.mask(body, inner, "ALL", entries)
+        value = self.tmp("val")
+        if kind == "mod":
+            pre = "ALL"
+            self.emit(f"{value} = ({truth} & ALL).bit_count() % {qmod} == 0")
+        else:
+            witness = self.let(f"ALL & {'' if kind == 'exists' else '~'}{truth}", "wit")
+            pre = self.let(f"(({witness} & -{witness}) << 1) - 1 if {witness} else ALL",
+                           "pre")
+            self.emit(f"{value} = {witness} != 0" if kind == "exists"
+                      else f"{value} = not {witness}")
+        terms = []
+        for e in dict.fromkeys(entries):
+            n = entries.count(e)
+            if pre == "ALL":
+                term = "N" if e == "ALL" else f"{e}.bit_count()"
+            else:
+                term = f"{pre}.bit_count()" if e == "ALL" else f"({e} & {pre}).bit_count()"
+            terms.append(term if n == 1 else f"{n} * {term}")
+        work = self.let(" + ".join(terms), "wk")
+        for st in self.nest.values():
+            self.charge(st, pre, work)
+        self.nest = saved
+        return value, work
+
+    def mask_atom(self, f, scope) -> str:
+        """A mask over the quantified variable (marked None in scope)."""
+        def m(i):
+            return scope[i] is None
+        tag = f[0]
+        if tag == "in":
+            _, e, s = f
+            return scope[s] if m(e) else f"(ALL if {scope[s]} >> {scope[e]} & 1 else 0)"
+        if tag == "eq":
+            _, a, b = f
+            if m(a) and m(b):
+                return "ALL"
+            if m(a) or m(b):
+                return f"(1 << {scope[b] if m(a) else scope[a]})"
+            return f"(ALL if {scope[a]} == {scope[b]} else 0)"
+        _, name, args = f
+        if len(args) == 1:
+            t = self.table(name, 1, "mask")
+            return t if m(args[0]) else f"(ALL if {t} >> {scope[args[0]]} & 1 else 0)"
+        if len(args) == 2:
+            a, b = args
+            if m(a) and m(b):
+                return self.table(name, 2, "diag")
+            if m(b):
+                return f"{self.table(name, 2, 'out')}[{scope[a]}]"
+            if m(a):
+                return f"{self.table(name, 2, 'in')}[{scope[b]}]"
+        return f"(ALL if {self.atom(f, scope)} else 0)"
+
+    def mask(self, f, scope, entry, entries) -> str:
+        """Emit f's truth mask, given the mask of the elements at which it
+        is entered; record the entry mask of f and of every node below."""
+        entries.append(entry)
+        tag = f[0]
+        if tag in ("in", "eq", "pred"):
+            atom = self.mask_atom(f, scope)
+            return atom if atom.isidentifier() else self.let(atom)
+        if tag == "not":
+            return self.let(f"{entry} & ~{self.mask(f[1], scope, entry, entries)}")
+        if tag == "and":
+            e = entry
+            for part in f[1]:
+                e = self.let(f"{e} & {self.mask(part, scope, e, entries)}", "e")
+            return e
+        if tag == "or":
+            e = entry
+            for part in f[1]:
+                e = self.let(f"{e} & ~{self.mask(part, scope, e, entries)}", "e")
+            return self.let(f"{entry} & ~{e}")
+        if tag == "imp":
+            left = self.mask(f[1], scope, entry, entries)
+            right = self.mask(f[2], scope, self.let(f"{entry} & {left}", "e"), entries)
+            return self.let(f"{entry} & (~{left} | {right})")
+        return self.nested(f, scope, entry)
+
+    def nested(self, q, scope, entry) -> str:
+        """A nested element quantifier.  Over the enclosing variable (its
+        column), memo hits are read as masks and misses are evaluated one
+        element at a time; without it, the quantifier has one value.  Misses
+        are charged, and committed to its memo, only inside the enclosing
+        quantifier's prefix (see charge)."""
+        _, _, _, _, _, (slot, col, rest) = q
+        st = self.nest.get(slot)
+        if st is None:
+            memo = self.memo(slot)
+            key = self.key(rest, scope)
+            st = self.nest[slot] = {"memo": memo, "key": key, "slot": slot,
+                                    "entries": [],
+                                    "per": col is not None and scope[col] is None}
+            if st["per"]:
+                ent = st["ent"] = self.let(f"{memo}.get({key})", "ent")
+                st["done"], st["val"] = self.tmp("d"), self.tmp("dv")
+                st["got"], st["gotval"] = self.tmp("K"), self.tmp("V")
+                self.head.append(f"B{slot} = {{}}")
+                self.emit(f"{st['done']}, {st['val']} = {ent} if {ent} is not None else (0, 0)")
+                self.emit(f"{st['got']} = {st['gotval']} = 0")
+            else:
+                c = st["col"] = None if col is None else scope[col]
+                hit, st["ent"] = self.probe(memo, key, c)
+                tv, miss, wk = st["tv"], st["miss"], st["work"] = (
+                    self.tmp("tv"), self.tmp("miss"), self.tmp("wB"))
+                self.emit(f"if {hit} is not None:")
+                self.emit(f"    {tv}, {miss} = {hit}, 0")
+                self.emit("else:")
+                self.depth += 1
+                value, work = self.quant(q, scope)
+                self.emit(f"{tv}, {wk}, {miss} = {value}, {work}, 1")
+                self.depth -= 1
+        st["entries"].append(entry)
+        if not st["per"]:
+            return self.let(f"ALL if {st['tv']} else 0")
+        need = self.let(f"{entry} & ~({st['done']} | {st['got']})", "need")
+        self.emit(f"{st['got']} |= {need}")
+        self.emit(f"while {need}:")
+        self.depth += 1
+        b = self.let(f"{need} & -{need}", "b")
+        self.emit(f"{need} ^= {b}")
+        inner = dict(scope)
+        inner[col] = self.let(f"{b}.bit_length() - 1", "i")
+        value, work = self.quant(q, inner)
+        self.emit(f"B{slot}[{b}] = {work}")
+        self.emit(f"if {value}:")
+        self.emit(f"    {st['gotval']} |= {b}")
+        self.depth -= 1
+        return self.let(f"{st['val']} | {st['gotval']}")
+
+    def charge(self, st, pre, work):
+        """Charge a nested quantifier's misses inside the prefix and commit
+        them to its memo, as the element-at-a-time loop would have."""
+        memo, key, ent = st["memo"], st["key"], st["ent"]
+        if not st["per"]:
+            self.emit(f"if {st['miss']} and ({' | '.join(st['entries'])}) & {pre}:")
+            self.depth += 1
+            self.emit(f"{work} += {st['work']}")
+            self.store(memo, key, ent, st["col"], st["tv"])
+            self.depth -= 1
+            return
+        new = self.let(f"{st['got']} & {pre}", "new")
+        self.emit(f"if {new}:")
+        self.depth += 1
+        m, b = self.let(new, "m"), self.tmp("b")
+        self.emit(f"while {m}:")
+        self.emit(f"    {b} = {m} & -{m}")
+        self.emit(f"    {work} += B{st['slot']}[{b}]")
+        self.emit(f"    {m} ^= {b}")
+        self.emit(f"if {ent} is None:")
+        self.emit(f"    {memo}[{key}] = [{new}, {st['gotval']} & {new}]")
+        self.emit("else:")
+        self.emit(f"    {ent}[0] |= {new}")
+        self.emit(f"    {ent}[1] |= {st['gotval']} & {new}")
+        self.depth -= 1
+
+
+@functools.lru_cache(maxsize=4096)
+def _factory(unit: tuple) -> Callable:
+    """The compiled factory of a unit's canonical form, shared by every
+    formula of that form, up to the renaming of variables."""
+    namespace: dict = {}
+    exec(compile(_Codegen(unit).source(), f"<cms {unit[0]} unit>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _unit(node: CmsFormula):
+    """A node's factory with the names and nested nodes to bind it to,
+    computed once per node."""
+    got = node.__dict__.get("_unit")
+    if got is None:
+        unit, names, nodes = _shape(node)
+        got = (_factory(unit), tuple(names), tuple(nodes))
+        object.__setattr__(node, "_unit", got)
+    return got
+
+
 class _Meter:
-    """Work counter shared by the closures of one checker."""
+    """Work counter shared by the units of one checker."""
 
     __slots__ = ("work", "budget")
 
@@ -466,32 +1068,52 @@ class _Meter:
 
 
 class ModelChecker:
-    """Brute-force evaluator over one structure.
+    """Brute-force evaluator over one structure, set-at-a-time where it can.
 
-    Each distinct formula node is compiled once per checker into a closure
-    over one environment dict of variable values.  Formulas are looked up
-    by structure, never by object identity, so re-parsing a sentence
-    reuses its compiled entry and a transient formula can never inherit
-    another formula's tables.  Every quantifier closure owns a memo table
-    keyed by the values of its node's free variables; a subformula shared
-    between several formulas, such as the library predicates' common
-    building blocks, is compiled once and shares one table.  Work is
-    counted per formula node entry, memo hits included, against a
-    deterministic budget.
+    An element quantifier whose body holds only atoms, connectives and
+    element quantifiers over such bodies is evaluated set-at-a-time: every
+    body node gets a truth mask over the quantified variable, and the
+    quantifier answers from the witness mask.  The work it charges is
+    counted analytically: one unit per node entry, as an element-at-a-time
+    evaluation that stops at the first deciding element would enter it.
+    Nested element quantifiers keep their memo as two bitmasks over the
+    enclosing variable (evaluated, and true), so memo hits cost one mask
+    operation.  Every other quantifier loops over the domain or its
+    subsets with its body as straight-line code, which inlines the
+    set-at-a-time quantifiers with no nested quantifier that it enters,
+    and calls the units of the rest.
+
+    Each looping quantifier, each set-at-a-time quantifier checked or
+    called on its own, and each formula checked at the top is one unit:
+    generated Python code, compiled once per formula shape (the same up to
+    the renaming of variables) and bound per checker to its domain size,
+    relation rows and memo tables on first use.  Formulas are looked up by
+    structure, never by object identity.  Every quantifier memoizes its
+    value on the values of its free variables, in one table per checker
+    shared by all formulas that contain it.
+
+    Work is counted per formula node entry, memo hits included, against a
+    deterministic budget; a check's answer and the work after it are those
+    of an element-at-a-time evaluation.  ``BudgetExceeded`` is raised on
+    the check whose work passes the budget.  The work recorded when it is
+    raised can be larger than an element-at-a-time evaluation would have
+    reached, because a set-at-a-time quantifier charges its work at once.
     """
 
     def __init__(self, structure: Structure, budget: int = DEFAULT_BUDGET):
         self.structure = structure
         self.domain = tuple(structure.domain)
         self.n = len(self.domain)
+        self.all = (1 << self.n) - 1
         self.index = {e: i for i, e in enumerate(self.domain)}
-        self.rels: dict[str, set] = {name: set() for name, _ in
-                                     structure.signature.predicates}
-        for name, tuples in structure.relations.items():
-            self.rels[name] = {tuple(self.index[e] for e in tup) for tup in tuples}
         self._meter = _Meter(budget)
         self._env: dict[str, int] = {}
         self._code: dict[CmsFormula, _Code] = {}
+        self._memo: dict[CmsFormula, dict] = {}
+        self._tables: dict[tuple, object] = {}
+        # top-level node -> (unit, free variables), and the last one used
+        self._tops: dict[CmsFormula, tuple[_Code, tuple[str, ...]]] = {}
+        self._last: tuple = (None, None, None)
         # top-level node -> (name, is_set) per free variable
         self._params: dict[CmsFormula, tuple[tuple[str, bool], ...]] = {}
 
@@ -536,146 +1158,78 @@ class ModelChecker:
     def check_prepared(self, formula: CmsFormula, ienv: Mapping[str, int]) -> bool:
         """Like check, with the environment already in internal form
         (element indices and set bitmasks over the domain order)."""
-        code = self._compile(formula)
+        if formula is not self._last[0]:
+            got = self._tops.get(formula)
+            if got is None:
+                got = self._tops[formula] = (self._compile(formula), _free(formula))
+            self._last = (formula,) + got
+        _, code, free = self._last
         env = self._env
-        for name in _free(formula):
+        for name in free:
             env[name] = ienv[name]
         return self._run(code)
 
     def _run(self, code: _Code) -> bool:
         result = bool(code())
-        if self._meter.work > self._meter.budget:
-            self._meter.exhausted()
+        meter = self._meter
+        if meter.work > meter.budget:
+            meter.exhausted()
         return result
 
     def _compile(self, node: CmsFormula) -> _Code:
         code = self._code.get(node)
         if code is None:
-            code = self._code[node] = self._build(node)
+            factory, names, nodes = _unit(node)
+            # units reach the checker through a weak reference, so they hold
+            # no cycle back to it and a dropped checker is freed at once
+            code = self._code[node] = factory(self, weakref.ref(self), node,
+                                              names, nodes)
         return code
 
-    def _build(self, node: CmsFormula) -> _Code:
-        # One closure per node; each entry charges one unit of work, so a
-        # memo hit costs exactly one unit.  The budget is compared only where
-        # a quantifier loop begins and at the end of a top-level run: work in
-        # between is bounded by the formula's size, and a run raises exactly
-        # when its total work exceeds the budget.
-        meter = self._meter
-        if isinstance(node, (In, Eq, Pred)):
-            return self._build_atom(node)
-        if isinstance(node, Not):
-            body = self._compile(node.body)
+    def _bind(self, nodes: Sequence[CmsFormula], slots: Sequence[int]) -> list:
+        """The units of the nodes at the given slots, by slot."""
+        units: list = [None] * len(nodes)
+        for k in slots:
+            units[k] = self._compile(nodes[k])
+        return units
 
-            def run():
-                meter.work += 1
-                return not body()
-            return run
-        if isinstance(node, Implies):
-            left, right = self._compile(node.left), self._compile(node.right)
+    def _memo_of(self, node: CmsFormula) -> dict:
+        memo = self._memo.get(node)
+        if memo is None:
+            memo = self._memo[node] = {}
+        return memo
 
-            def run():
-                meter.work += 1
-                return not left() or right()
-            return run
-        if isinstance(node, (And, Or)):
-            # and stops at the first false part, or at the first true one
-            parts = [self._compile(p) for p in node.parts]
-            conjunctive = isinstance(node, And)
-
-            def run():
-                meter.work += 1
-                for p in parts:
-                    if (not p()) is conjunctive:
-                        return not conjunctive
-                return conjunctive
-            return run
-        return self._build_quantifier(node)
-
-    def _build_quantifier(self, node: _Quantifier) -> _Code:
-        # The body is compiled at the first memo miss, so subformulas under
-        # quantifiers that no run enters are never compiled.  The checker is
-        # reached through a weak reference: its closures then hold no cycle
-        # back to it, and a dropped checker is freed at once.
-        meter, env, checker = self._meter, self._env, weakref.ref(self)
-        var, free = node.var, _free(node)
-        key = itemgetter(*free) if free else (lambda _env: ())
-        memo: dict = {}
-        values = range(1 << self.n if node._kind == SET else self.n)
-        if isinstance(node, ExistsMod):
-            q = node.q
-
-            def loop(body):
-                count = 0
-                for i in values:
-                    env[var] = i
-                    if body():
-                        count += 1
-                return count % q == 0
+    def _table(self, name: str, arity: int, form: str):
+        """One predicate's relation in the form a unit reads it: a mask
+        (unary), out-rows, in-rows or the diagonal (binary), or a set of
+        index tuples."""
+        key = (name, arity, form)
+        got = self._tables.get(key)
+        if got is not None:
+            return got
+        expected = self.structure.signature.arity(name)
+        if expected != arity:
+            raise ArityMismatch(f"predicate {name!r} expects {expected} "
+                                f"arguments, got {arity}")
+        index = self.index
+        tuples = [tuple(index[e] for e in tup)
+                  for tup in self.structure.relations.get(name, ())]
+        if form == "tuples":
+            got = set(tuples)
+        elif form in ("out", "in"):
+            got = [0] * self.n
+            for a, b in tuples:
+                if form == "out":
+                    got[a] |= 1 << b
+                else:
+                    got[b] |= 1 << a
         else:
-            # exists stops at the first true body, forall at the first false
-            universal = isinstance(node, (Forall, ForallSet))
-
-            def loop(body):
-                for i in values:
-                    env[var] = i
-                    if (not body()) is universal:
-                        return not universal
-                return universal
-        body = None
-
-        def run():
-            nonlocal body
-            meter.work += 1
-            k = key(env)
-            hit = memo.get(k)
-            if hit is not None:
-                return hit
-            if meter.work > meter.budget:
-                meter.exhausted()
-            if body is None:
-                body = checker()._compile(node.body)
-            saved = env.get(var)
-            memo[k] = result = loop(body)
-            env[var] = saved
-            return result
-        return run
-
-    def _build_atom(self, node: CmsFormula) -> _Code:
-        meter, env = self._meter, self._env
-        if isinstance(node, In):
-            e, s = node.elem, node.sett
-
-            def run():
-                meter.work += 1
-                return env[s] >> env[e] & 1
-            return run
-        if isinstance(node, Eq):
-            a, b = node.left, node.right
-
-            def run():
-                meter.work += 1
-                return env[a] == env[b]
-            return run
-        args = node.args
-        arity = self.structure.signature.arity(node.name)
-        if len(args) != arity:
-            raise ArityMismatch(f"predicate {node.name!r} expects {arity} "
-                                f"arguments, got {len(args)}")
-        rel = self.rels[node.name]
-        if arity == 1:
-            (a,) = args
-            mask = sum(1 << i for (i,) in rel)
-
-            def run():
-                meter.work += 1
-                return mask >> env[a] & 1
-            return run
-        tuple_of = itemgetter(*args)
-
-        def run():
-            meter.work += 1
-            return tuple_of(env) in rel
-        return run
+            got = 0
+            for tup in tuples:
+                if form == "mask" or tup[0] == tup[1]:
+                    got |= 1 << tup[0]
+        self._tables[key] = got
+        return got
 
 
 def model_check(s: Structure, f: CmsFormula, env: Optional[Mapping] = None,

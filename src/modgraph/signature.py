@@ -220,8 +220,8 @@ class Term:
     The variadic built-ins are kept flattened: a seq node never has a seq
     child, and likewise for par and clique.  Terms compare by structure;
     each hashes once at construction from its children's stored hashes,
-    and equality, ``leaves`` and ``str`` walk with explicit stacks, so
-    terms of any depth work without recursion.
+    and equality, ``leaves``, ``str`` and ``repr`` walk with explicit
+    stacks, so terms of any depth work without recursion.
     """
 
     op: Optional[str]
@@ -282,6 +282,25 @@ class Term:
             else:
                 stack.extend(reversed(t.children))
         return out
+
+    def __repr__(self):
+        # the dataclass repr, written with an explicit stack
+        parts = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                parts.append(t)
+                continue
+            kids = t.children
+            parts.append(f"{type(t).__qualname__}(op={t.op!r}, symbol={t.symbol!r}, "
+                         "children=(")
+            stack.append(",))" if len(kids) == 1 else "))")
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append(kids[i])
+                if i:
+                    stack.append(", ")
+        return "".join(parts)
 
     def __str__(self):
         parts = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .cms import (And, CmsFormula, Eq, Exists, ExistsSet, Forall, ForallSet,
@@ -126,9 +127,13 @@ def compute_encoding(t: MDecPrimeTree, cls: NodeClassification) -> EncodingTable
     mu: tuple[dict[MDecNode, frozenset[int]], ...] = ({}, {}, {}, {})
     dist: dict[MDecNode, frozenset[MDecNode]] = {}
 
-    def fill(node: MDecNode):
-        for c in node.children:
-            fill(c)
+    # children before parents: the reverse of a preorder
+    order, stack = [], [t.root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    for node in reversed(order):
         i = cls.classes[node]
         if i == 0:
             (v,) = node.module
@@ -145,8 +150,6 @@ def compute_encoding(t: MDecPrimeTree, cls: NodeClassification) -> EncodingTable
             non_dist = [c for c in node.children if c not in dist[node]]
             nu[node] = frozenset().union(*(nu[c] for c in non_dist))
             mu[3][node] = frozenset().union(*(nu[c] for c in dist[node]))
-
-    fill(t.root)
 
     parents = t.parents()
     kappa: tuple[dict[int, MDecNode], ...] = ({}, {}, {}, {})
@@ -478,6 +481,13 @@ class _Fresh:
         return f"P{self.k}"
 
 
+def _partition_holds(g: LabeledGraph, X: frozenset[int], *blocks: frozenset[int]) -> bool:
+    """The blocks are non-empty and cover X with their sizes adding up to
+    |X|, so they are pairwise disjoint."""
+    return (all(blocks) and sum(map(len, blocks)) == len(X)
+            and X == frozenset().union(*blocks))
+
+
 def _edge(a: str, b: str) -> CmsFormula:
     return Pred("edge", (a, b))
 
@@ -507,6 +517,14 @@ class PredicateLibrary:
         self.var_spec: dict[str, tuple[tuple[str, str], ...]] = {}
         self.formulas: dict[str, CmsFormula] = {}
         self._build_catalog()
+        # name -> (variable names, their values from a binding in spec
+        # order, decision procedure)
+        self._deciders = {}
+        for name, spec in self.var_spec.items():
+            names = tuple(v for v, _ in spec)
+            values_of = (itemgetter(*names) if len(names) > 1
+                         else lambda b, v=names[0]: (b[v],))
+            self._deciders[name] = (names, values_of, self._decider(name))
 
     # -- shared instantiated formulas; one object per (concept, variables) --
 
@@ -917,68 +935,70 @@ class PredicateLibrary:
 
     def holds(self, name: str, g: LabeledGraph, bindings: Mapping) -> bool:
         """Direct decision procedure for a predicate; the fast oracle side."""
-        if name not in self.var_spec:
+        entry = self._deciders.get(name)
+        if entry is None:
             raise UnknownPredicate(f"no predicate named {name!r}")
-        b = {k: (frozenset(v) if isinstance(v, (set, frozenset)) else v)
-             for k, v in bindings.items()}
-        for var, kind in self.var_spec[name]:
-            if var not in b:
-                raise UnknownPredicate(f"predicate {name!r} needs binding {var!r}")
-        X = b.get("X")
+        spec, values_of, decide = entry
+        try:
+            values = values_of(bindings)
+        except KeyError:
+            missing = next(var for var in spec if var not in bindings)
+            raise UnknownPredicate(
+                f"predicate {name!r} needs binding {missing!r}") from None
+        if set in map(type, values):
+            values = [frozenset(v) if isinstance(v, set) else v for v in values]
+        return decide(g, *values)
 
+    def _decider(self, name: str) -> Callable[..., bool]:
+        """The decision procedure of one predicate, given the graph and the
+        values of its variables in the order of its variable spec."""
         if name == "singleton":
-            return X == frozenset([b["x"]])
+            return lambda g, X, x: X == frozenset((x,))
         if name.startswith("label_") and name[6:] in self.sig.alphabet.symbols:
             sym = name[6:]
-            return (len(X) == 1 and g.labels is not None
-                    and g.labels[next(iter(X))] == sym)
+            return lambda g, X: (len(X) == 1 and g.labels is not None
+                                 and g.labels[next(iter(X))] == sym)
         if name.startswith("partition"):
-            blocks = [b[v] for v, _ in self.var_spec[name][1:]]
-            if any(not blk for blk in blocks):
-                return False
-            union: set[int] = set()
-            for blk in blocks:
-                if union & blk:
-                    return False
-                union |= blk
-            return union == X
+            return _partition_holds
         if name == "module":
-            return is_module(g, X)
+            return is_module
         if name == "pmodule":
-            if not X or X == g.vertices or not is_module(g, X):
-                return False
-            x = self._rows(g).mask(X)
-            mods = self._graph_info(g)["modules"]
-            return not any(x & m and x & ~m and m & ~x for m in mods)
+            return self._pmodule_holds
         if name == "disconnected":
-            return len(X) > 1 and is_internally_disconnected(g, X)
+            return lambda g, X: len(X) > 1 and is_internally_disconnected(g, X)
         if name == "connected":
-            return not (len(X) > 1 and is_internally_disconnected(g, X))
+            return lambda g, X: not (len(X) > 1 and is_internally_disconnected(g, X))
         if name == "suffix":
-            return self._suffix_holds(g, X, b["Z"])
+            return self._suffix_holds
         if name == "sequential":
-            rows = self._rows(g)
-            return _sequential(rows, rows.mask(X))
+            def sequential(g, X):
+                rows = self._rows(g)
+                return _sequential(rows, rows.mask(X))
+            return sequential
         if name == "initial":
-            Y = b["Y"]
-            if not Y or not Y < X:
-                return False
-            rows = self._rows(g)
-            return _initial(rows, rows.mask(X), rows.mask(Y))
-        info = self._graph_info(g)
-        if name in ("label_par", "label_clique", "label_seq"):
-            return X in info["labels"][name]
+            def initial(g, X, Y):
+                if not Y or not Y < X:
+                    return False
+                rows = self._rows(g)
+                return _initial(rows, rows.mask(X), rows.mask(Y))
+            return initial
         if name.startswith("label_"):
-            return X in info["labels"][name]
+            return lambda g, X: X in self._graph_info(g)["labels"][name]
         if name.startswith("children_"):
             op_name = name[len("children_"):]
-            blocks = tuple(b[v] for v, _ in self.var_spec[name][1:])
-            return (X,) + blocks in info["children"][op_name]
+            return lambda g, *sets: sets in self._graph_info(g)["children"][op_name]
         if name == "node":
-            return X in info["f_nodes"]
+            return lambda g, X: X in self._graph_info(g)["f_nodes"]
         if name in ("child", "child*", "first-child", "dist-child"):
-            return (X, b["Y"]) in info[name]
+            return lambda g, X, Y: (X, Y) in self._graph_info(g)[name]
         raise UnknownPredicate(f"no predicate named {name!r}")
+
+    def _pmodule_holds(self, g: LabeledGraph, X: frozenset[int]) -> bool:
+        if not X or X == g.vertices or not is_module(g, X):
+            return False
+        x = self._rows(g).mask(X)
+        mods = self._graph_info(g)["modules"]
+        return not any(x & m and x & ~m and m & ~x for m in mods)
 
     @staticmethod
     def _suffix_holds(g: LabeledGraph, x: frozenset[int], z: frozenset[int]) -> bool:

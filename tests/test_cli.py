@@ -150,6 +150,21 @@ class TestVerbs:
         assert code == 2
         assert err.strip() == "error: input nests too deeply"
 
+    def test_verify_transduction_on_a_deep_term(self, capsys, files, tmp_path):
+        # 1,100 alternating seq/par levels, deeper than the recursion limit
+        import sys
+        from modgraph.signature import Term, eval_term
+        levels = 1100
+        assert levels > sys.getrecursionlimit()
+        term = Term.leaf("a")
+        for i in reversed(range(levels)):
+            term = Term.node(("seq", "par")[i % 2], [Term.leaf("a"), term])
+        path = tmp_path / "deep.lg"
+        path.write_text(graph_to_text(eval_term(spw5_signature(), term)))
+        code, out, err = run(capsys, "verify-transduction", files["sig"], str(path))
+        assert code in (0, 1) and err == ""
+        assert out.splitlines()[-1] == ("ISO" if code == 0 else "FAIL")
+
 
 class TestSelftestVerb:
     def test_passes_and_deterministic(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 from random import Random
 
@@ -88,8 +89,20 @@ def _old_leaves(t):
     return [t.symbol] if t.is_leaf else [s for c in t.children for s in _old_leaves(c)]
 
 
+# a plain frozen dataclass with Term's fields: its generated repr is the one
+# Term had before it wrote its own
+_DataclassTerm = dataclasses.make_dataclass(
+    "Term", [("op", object), ("symbol", object), ("children", tuple)], frozen=True)
+
+
+def _old_repr(t):
+    def copy(u):
+        return _DataclassTerm(u.op, u.symbol, tuple(copy(c) for c in u.children))
+    return repr(copy(t))
+
+
 class TestTermStructure:
-    """Iterative str, leaves, equality and stored hashes, against the
+    """Iterative str, repr, leaves, equality and stored hashes, against the
     recursive versions on seeded terms."""
 
     SIGS = (spw5_signature(), scw5_signature(), spp3_signature(), sp_signature())
@@ -101,6 +114,7 @@ class TestTermStructure:
             sig = self.SIGS[k % len(self.SIGS)]
             t = random_term(rng, sig, max_depth=5, max_leaves=rng.choice((2, 3, 12)))
             assert str(t) == _old_str(t)
+            assert repr(t) == _old_repr(t)
             assert t.leaves() == _old_leaves(t)
             again = parse_term(str(t), sig)
             assert again is not t and again == t and hash(again) == hash(t)
@@ -108,6 +122,18 @@ class TestTermStructure:
                 assert (t == prev) is _old_eq(t, prev)
                 assert (t != prev) is not _old_eq(t, prev)
             prev = t
+
+    def test_repr_of_a_deep_term(self):
+        levels = 1100
+        t = leaf("a")
+        for i in reversed(range(levels)):
+            t = node(("seq", "par")[i % 2], leaf("a"), t)
+        text = repr(t)
+        inner = "Term(op=None, symbol='a', children=())"
+        assert text.startswith("Term(op='seq', symbol=None, children=(" + inner + ", ")
+        assert text.endswith(inner + "))" * levels)
+        assert text.count("Term(") == 2 * levels + 1
+        assert repr(leaf("b")) == "Term(op=None, symbol='b', children=())"
 
     def test_one_leaf_apart(self):
         t = node("seq", leaf("a"), node("W5", *[leaf(s) for s in "abab"], leaf("a")))

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import sys
 import time
 
 import pytest
@@ -110,6 +111,20 @@ class TestEncoding:
         for v, path in enc.rho.items():
             assert path[0].module == frozenset({v})
             assert path[-1] is t.root
+
+    def test_deep_term_without_recursion(self):
+        # 1,100 alternating seq/par levels, deeper than the recursion limit;
+        # compute_encoding checks the kappa fibers against mu itself
+        levels = 1100
+        assert levels > sys.getrecursionlimit()
+        term = leaf("a")
+        for i in reversed(range(levels)):
+            term = node(("seq", "par")[i % 2], leaf("a"), term)
+        g = eval_term(SIG, term)
+        t, cls, enc = encode_graph(g, SIG)
+        assert len(enc.rho) == g.n == levels + 1
+        assert all(enc.kappa[0][v].module == frozenset({v}) for v in g.vertices)
+        assert all(path[-1] is t.root for path in enc.rho.values())
 
 
 class TestKappaLemma:
@@ -347,6 +362,34 @@ class TestPredicateLibrary:
             lib.holds("frobnicate", word_graph("a"), {})
         with pytest.raises(UnknownPredicate):
             lib.formula("frobnicate")
+
+    def test_holds_errors_name_the_predicate_and_the_binding(self):
+        lib = PredicateLibrary(SIG)
+        g = word_graph("ab")
+        with pytest.raises(UnknownPredicate, match="^no predicate named 'frobnicate'$"):
+            lib.holds("frobnicate", g, {"X": g.vertices})
+        with pytest.raises(UnknownPredicate,
+                           match="^predicate 'partition2' needs binding 'X1'$"):
+            lib.holds("partition2", g, {"X": g.vertices, "X2": frozenset({1})})
+        with pytest.raises(UnknownPredicate,
+                           match="^predicate 'singleton' needs binding 'x'$"):
+            lib.holds("singleton", g, {"X": frozenset({1})})
+
+    def test_holds_takes_mutable_sets_as_frozensets(self):
+        rng = random.Random(808)
+        lib = PredicateLibrary(SIG)
+        for _ in range(12):
+            g = random_f_graph(rng, SIG, max_depth=4, max_leaves=6)
+            tree_sets = [n.module for n in binarize(decompose(g, SIG)).nodes()]
+            for name in lib.names():
+                for _ in range(6):
+                    b = {var: (rng.choice(tree_sets) if rng.random() < 0.6
+                               else random_subset(rng, g.sorted_vertices()))
+                         if kind == "set" else rng.choice(g.sorted_vertices())
+                         for var, kind in lib.free_vars(name)}
+                    mutable = {var: set(v) if isinstance(v, frozenset) else v
+                               for var, v in b.items()}
+                    assert lib.holds(name, g, mutable) == lib.holds(name, g, b)
 
     def test_agreement_sampled_p3(self):
         rng = random.Random(9)

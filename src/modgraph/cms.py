@@ -1,23 +1,29 @@
 """Counting monadic second-order logic over finite relational structures.
 
-Formulas are syntax trees compared by structure; model checking is
+Formulas are syntax trees compared by structure; a ``Definition`` names a
+formula over its parameters and a ``Call`` applies it to variables, and
+``expand`` inlines every call into plain counting-MSO.  Model checking is
 brute-force Tarskian semantics (set quantifiers range over all subsets of
-the domain) with a deterministic work budget and memoization of
-quantified subformulas.  Element quantifiers over bodies of atoms,
-connectives and such quantifiers are evaluated set-at-a-time on bitmasks
-over the domain, with the work an element-at-a-time evaluation would
-charge counted analytically; the other quantifiers loop.  Each quantifier
-and each checked formula is compiled to generated Python code once per
-formula shape.  Structure encoders turn labeled graphs and decomposition
-trees into relational structures.
+the domain) with a deterministic work budget, memoization of quantified
+subformulas and tabling of definitions on their argument values: a call
+costs one unit of work, and its body is evaluated once per table entry.
+Element quantifiers over bodies of atoms, connectives and such
+quantifiers are evaluated set-at-a-time on bitmasks over the domain, with
+the work an element-at-a-time evaluation would charge counted
+analytically; the other quantifiers loop.  Each quantifier, definition
+and checked formula is compiled to generated Python code once per formula
+shape.  Structure encoders turn labeled graphs and decomposition trees
+into relational structures.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (ArityMismatch, BudgetExceeded, FormulaSyntaxError,
@@ -74,11 +80,11 @@ class Structure:
 
 # ---------------------------------------------------------------- formulas
 
-class CmsFormula:
-    """A formula node.  Nodes compare by structure, never by object
-    identity; each node hashes its fields once at construction (child
-    hashes are cached in turn), so hashing is O(1) and equal formulas
-    built apart share every table keyed on them."""
+class _Structural:
+    """Compared by structure, never by object identity: each node hashes
+    its fields once at construction (child hashes are cached in turn), so
+    hashing is O(1) and equal nodes built apart share every table keyed
+    on them."""
 
     def __post_init__(self):
         key = (type(self),) + tuple(vars(self).values())
@@ -89,9 +95,13 @@ class CmsFormula:
         return self._hash
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, CmsFormula)
+        return self is other or (isinstance(other, _Structural)
                                  and self._hash == other._hash
                                  and self._key == other._key)
+
+
+class CmsFormula(_Structural):
+    """A formula node."""
 
     def free_vars(self) -> frozenset[str]:
         raise NotImplementedError
@@ -254,6 +264,55 @@ class ExistsMod(_Quantifier):
         super().__post_init__()
 
 
+@dataclass(frozen=True, eq=False)
+class Definition(_Structural):
+    """A named predicate: its parameters and its body, whose free variables
+    are among the parameters.  A parameter's kind (element or set) is read
+    from its use in the body; ``column`` is the position of the only
+    element parameter, or None when there are none or several."""
+
+    name: str
+    params: tuple[str, ...]
+    body: CmsFormula
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(set(self.params)) != len(self.params):
+            raise ValueError(f"definition {self.name!r} repeats a parameter")
+        loose = self.body.free_vars() - set(self.params)
+        if loose:
+            raise UnboundVariable(f"definition {self.name!r} leaves "
+                                  f"{sorted(loose)} unbound")
+        kinds = variable_kinds(self.body)
+        kinds = tuple(kinds.get(p) for p in self.params)
+        elems = [i for i, k in enumerate(kinds) if k == ELEMENT]
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "column", elems[0] if len(elems) == 1 else None)
+
+
+@_node
+class Call(CmsFormula):
+    """A definition applied to variables, one per parameter."""
+
+    defn: Definition
+    args: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(self.args) != len(self.defn.params):
+            raise ArityMismatch(f"{self.defn.name!r} expects "
+                                f"{len(self.defn.params)} arguments, got "
+                                f"{len(self.args)}")
+        super().__post_init__()
+
+    def free_vars(self):
+        return frozenset(self.args)
+
+    def kinds(self, out):
+        for a, kind in zip(self.args, self.defn.kinds):
+            if kind is not None:
+                _note_kind(out, a, kind)
+
+
 def _note_kind(out: dict[str, str], name: str, kind: str):
     prev = out.setdefault(name, kind)
     if prev != kind:
@@ -306,7 +365,78 @@ def to_text(f: CmsFormula) -> str:
         return f"(forallset {f.var} {to_text(f.body)})"
     if isinstance(f, ExistsMod):
         return f"(existsmod {f.q} {f.var} {to_text(f.body)})"
+    if isinstance(f, Call):
+        return "(" + " ".join((f.defn.name,) + f.args) + ")"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def expand(f: CmsFormula) -> CmsFormula:
+    """f in plain counting-MSO: every call replaced by its definition's
+    body, with the parameters renamed to the arguments and every bound
+    variable of the body to a fresh name, so nothing is captured."""
+    taken: set[str] = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Call):
+            taken.update(g.args)
+        elif isinstance(g, (In, Eq, Pred)):
+            taken.update(g.free_vars())
+        else:
+            if isinstance(g, _Quantifier):
+                taken.add(g.var)
+            todo.extend(_children(g))
+    count = 0
+
+    def fresh(kind: str) -> str:
+        nonlocal count
+        while True:
+            count += 1
+            name = f"{'P' if kind == SET else 'p'}{count}"
+            if name not in taken:
+                return name
+
+    def inline(g: CmsFormula, ren: dict[str, str], renaming: bool) -> CmsFormula:
+        # ren maps free names to their names in the result; binders are
+        # renamed apart inside definition bodies and kept outside them
+        if isinstance(g, In):
+            return In(ren.get(g.elem, g.elem), ren.get(g.sett, g.sett))
+        if isinstance(g, Eq):
+            return Eq(ren.get(g.left, g.left), ren.get(g.right, g.right))
+        if isinstance(g, Pred):
+            return Pred(g.name, tuple(ren.get(a, a) for a in g.args))
+        if isinstance(g, Call):
+            d = g.defn
+            inner = {p: ren.get(a, a) for p, a in zip(d.params, g.args)}
+            return inline(d.body, inner, True)
+        if isinstance(g, Not):
+            return Not(inline(g.body, ren, renaming))
+        if isinstance(g, (And, Or)):
+            return type(g)(tuple(inline(p, ren, renaming) for p in g.parts))
+        if isinstance(g, Implies):
+            return Implies(inline(g.left, ren, renaming),
+                           inline(g.right, ren, renaming))
+        var = fresh(g._kind) if renaming else g.var
+        body = inline(g.body, {**ren, g.var: var}, renaming)
+        if isinstance(g, ExistsMod):
+            return ExistsMod(g.q, var, body)
+        return type(g)(var, body)
+
+    return inline(f, {}, False)
+
+
+def _children(f: CmsFormula) -> tuple[CmsFormula, ...]:
+    """The formulas directly below f; a call's definition body counts as
+    below it."""
+    if isinstance(f, (And, Or)):
+        return f.parts
+    if isinstance(f, Implies):
+        return (f.left, f.right)
+    if isinstance(f, (Not, _Quantifier)):
+        return (f.body,)
+    if isinstance(f, Call):
+        return (f.defn.body,)
+    return ()
 
 
 # ------------------------------------------------------------------ parser
@@ -444,7 +574,7 @@ def parse_formula(text: str, sig: RelationalSignature,
 
 # ----------------------------------------------------------- model checking
 
-_Code = Callable[[], bool]
+_Code = Callable[..., bool]
 
 
 def _free(node: CmsFormula) -> tuple[str, ...]:
@@ -477,7 +607,8 @@ def _set_at_a_time(f: CmsFormula, var: str, nested: bool) -> bool:
     """Whether f can be evaluated as bitmasks over the values of var: atoms
     (none of arity 3 or more on var) and connectives, plus, when nested,
     element quantifiers over such bodies whose memo is a bitmask over var
-    or does not depend on var."""
+    or does not depend on var, and calls that pass var as the only element
+    argument of a pointwise definition."""
     if isinstance(f, (In, Eq)):
         return True
     if isinstance(f, Pred):
@@ -489,36 +620,116 @@ def _set_at_a_time(f: CmsFormula, var: str, nested: bool) -> bool:
     if isinstance(f, Implies):
         return (_set_at_a_time(f.left, var, nested)
                 and _set_at_a_time(f.right, var, nested))
+    if isinstance(f, Call):
+        c = f.defn.column
+        return (nested and c is not None and f.args[c] == var
+                and f.args.count(var) == 1 and _pointwise(f.defn) is not None)
     return (nested and isinstance(f, _ELEMENT_QUANTIFIERS)
             and _set_at_a_time(f.body, f.var, False)
             and (var not in _free(f) or _column(f) == var))
 
 
-def _shape(node: CmsFormula) -> tuple[tuple, list[str], list[CmsFormula]]:
-    """The canonical form of one compiled unit, with the variable names and
-    the nested quantifier nodes it refers to by position.
+def _pointwise(d: Definition) -> Optional[tuple[CmsFormula, ...]]:
+    """The quantifiers of a definition that can be evaluated at one value
+    of its element parameter inside a set-at-a-time quantifier: a body of
+    atoms, connectives and distinct element quantifiers over atoms and
+    connectives, each with its memo a bitmask over that parameter.  None
+    for any other definition."""
+    got = d.__dict__.get("_pointwise", ())
+    if got == ():
+        param = None if d.column is None else d.params[d.column]
+        quants: list[CmsFormula] = []
 
-    Variables become indices into the name list: the node's free variables
-    in sorted order, then each binder in depth-first order.  Equal nested
-    quantifiers share one position, as they share one memo table.
+        def ok(f):
+            if isinstance(f, (In, Eq, Pred)):
+                return True
+            if isinstance(f, Not):
+                return ok(f.body)
+            if isinstance(f, (And, Or)):
+                return all(ok(p) for p in f.parts)
+            if isinstance(f, Implies):
+                return ok(f.left) and ok(f.right)
+            quants.append(f)
+            return (isinstance(f, _ELEMENT_QUANTIFIERS)
+                    and _set_at_a_time(f.body, f.var, False)
+                    and _column(f) == param)
+
+        got = (tuple(quants) if param is not None and ok(d.body)
+               and len(set(quants)) == len(quants) else None)
+        object.__setattr__(d, "_pointwise", got)
+    return got
+
+
+def _masked(q: CmsFormula) -> bool:
+    """Whether q is an element quantifier evaluated set-at-a-time with its
+    nested quantifiers and calls.  Their memo commits wait for the deciding
+    element, so the tables they go to must be distinct: one call per
+    definition, and the quantifiers of the called bodies distinct from each
+    other and from the nested quantifiers."""
+    if not (isinstance(q, _ELEMENT_QUANTIFIERS)
+            and _set_at_a_time(q.body, q.var, True)):
+        return False
+    calls, todo = set(), [q.body]
+    seen: set[CmsFormula] = set()
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Call):
+            calls.add(f)
+        elif isinstance(f, _Quantifier):
+            seen.add(f)
+        else:
+            todo.extend(_children(f))
+    if len({c.defn for c in calls}) != len(calls):
+        return False
+    for c in calls:
+        for inner in _pointwise(c.defn):
+            if inner in seen:
+                return False
+            seen.add(inner)
+    return True
+
+
+def _shape(node) -> tuple[tuple, list]:
+    """The canonical form of one compiled unit, with the nested quantifiers
+    and definitions it refers to by position.
+
+    Variables become positions: the node's free variables in sorted order
+    (a definition's parameters in their order), then each binder in
+    depth-first order.  Equal nested quantifiers share one
+    position, as they share one memo table, and so do the calls of one
+    definition.
 
     A "mask" unit is an element quantifier evaluated set-at-a-time, with
-    its nested element quantifiers in its canonical form.  A "loop" unit is
-    any other quantifier and a "top" unit a formula that is not one; their
-    canonical forms hold the set-at-a-time quantifiers without nested
-    quantifiers that they enter, and "call" the units of the others."""
-    names: list[str] = []
-    nodes: list[CmsFormula] = []
-    slots: dict[CmsFormula, int] = {}
+    its nested element quantifiers and pointwise calls ("pcall", with the
+    called body) in its canonical form.  A "def" unit is a definition, a
+    "loop" unit any other quantifier and a "top" unit a formula that is
+    neither; their canonical forms hold the set-at-a-time quantifiers
+    without nested quantifiers that they enter, and "call" the units of
+    the others and of the definitions they call."""
+    nodes: list = []
+    slots: dict = {}
+    bind = itertools.count().__next__
 
-    def bind(v):
-        names.append(v)
-        return len(names) - 1
+    def slot_of(x):
+        slot = slots.get(x)
+        if slot is None:
+            slot = slots[x] = len(nodes)
+            nodes.append(x)
+        return slot
 
-    def memo_spec(q, sc):
-        col = _column(q)
-        return (None if col is None else sc[col],
-                tuple(sc[v] for v in _free(q) if v != col))
+    def spec(f, sc):
+        """A called unit's memo key at a call site: the position of its
+        column, those of the other key values, and those of its arguments
+        in the order the unit takes them."""
+        if isinstance(f, Call):
+            args, c = tuple(sc[a] for a in f.args), f.defn.column
+        else:
+            free, col = _free(f), _column(f)
+            args = tuple(sc[v] for v in free)
+            c = None if col is None else free.index(col)
+        if c is None:
+            return None, args, args
+        return args[c], args[:c] + args[c + 1:], args
 
     def walk(f, sc, masked):
         if isinstance(f, In):
@@ -534,41 +745,46 @@ def _shape(node: CmsFormula) -> tuple[tuple, list[str], list[CmsFormula]]:
                     tuple(walk(p, sc, masked) for p in f.parts))
         if isinstance(f, Implies):
             return ("imp", walk(f.left, sc, masked), walk(f.right, sc, masked))
-        slot = slots.get(f)
-        if slot is None:
-            slot = slots[f] = len(nodes)
-            nodes.append(f)
+        if isinstance(f, Call):
+            slot = slot_of(f.defn)
+            if not masked:
+                return ("call", slot) + spec(f, sc)
+            d = f.defn
+            inner = {p: sc[a] for p, a in zip(d.params, f.args)}
+            return ("pcall", slot) + spec(f, sc)[:2] + (walk(d.body, inner, True),)
+        slot = slot_of(f)
         if masked or (isinstance(f, _ELEMENT_QUANTIFIERS)
                       and _set_at_a_time(f.body, f.var, False)):
             return quant(f, sc, slot)
-        return ("call", slot) + memo_spec(f, sc)
+        return ("call", slot) + spec(f, sc)
 
     def quant(q, sc, slot, masked=True):
         inner = dict(sc)
-        inner[q.var] = bind(q.var)
+        inner[q.var] = bind()
         return ("quant", _KIND[type(q)], getattr(q, "q", 0), inner[q.var],
-                walk(q.body, inner, masked), (slot,) + memo_spec(q, sc))
+                walk(q.body, inner, masked), (slot,) + spec(q, sc)[:2])
 
-    scope = {v: bind(v) for v in _free(node)}
+    if isinstance(node, Definition):
+        scope = {p: bind() for p in node.params}
+        return ("def", (len(scope), node.column, walk(node.body, scope, False))), nodes
+    scope = {v: bind() for v in _free(node)}
     if not isinstance(node, _Quantifier):
-        return ("top", (len(scope), walk(node, scope, False))), names, nodes
-    if (isinstance(node, _ELEMENT_QUANTIFIERS)
-            and _set_at_a_time(node.body, node.var, True)):
-        return ("mask", quant(node, scope, None)), names, nodes
-    return ("loop", quant(node, scope, None, False)), names, nodes
+        return ("top", (len(scope), walk(node, scope, False))), nodes
+    if _masked(node):
+        return ("mask", quant(node, scope, None)), nodes
+    return ("loop", quant(node, scope, None, False)), nodes
 
 
-def _calls(f: tuple) -> list[int]:
-    """The slots of the nested units a canonical body calls."""
-    tag = f[0]
-    if tag == "call":
-        return [f[1]]
-    if tag == "not":
-        return _calls(f[1])
-    if tag in ("and", "or"):
-        return [k for p in f[1] for k in _calls(p)]
-    if tag == "imp":
-        return _calls(f[1]) + _calls(f[2])
+def _walk_forms(f: tuple, tag: str) -> list[tuple]:
+    """The forms with the tag in a canonical body, outside quantifiers."""
+    if f[0] == tag:
+        return [f]
+    if f[0] == "not":
+        return _walk_forms(f[1], tag)
+    if f[0] in ("and", "or"):
+        return [k for p in f[1] for k in _walk_forms(p, tag)]
+    if f[0] == "imp":
+        return _walk_forms(f[1], tag) + _walk_forms(f[2], tag)
     return []
 
 
@@ -576,12 +792,14 @@ class _Codegen:
     """Python source of one unit's factory, from its canonical form.
 
     Identifiers in the source are generated; formula variables appear only
-    as positions into the name tuple the factory is bound with, predicate
-    names only as string literals."""
+    as positions, predicate names only as string literals.  A unit takes
+    the values of its free variables, in sorted order (a definition's
+    parameters, in their order), as arguments."""
 
     def __init__(self, unit: tuple):
         self.head: list[str] = []
         self.body: list[str] = []
+        self.params = ""
         self.depth = 2
         self.k = 0
         self.wconst = 0
@@ -592,15 +810,17 @@ class _Codegen:
         kind, node = unit
         if kind == "top":
             self.top(node)
+        elif kind == "def":
+            self.define(node)
         else:
             self.unit(node, kind == "mask")
 
     def source(self) -> str:
-        lines = ["def factory(chk, ref, node, NAMES, NODES):",
-                 "    env = chk._env", "    meter = chk._meter",
-                 "    N = chk.n", "    ALL = chk.all", "    inner = None"]
+        lines = ["def factory(chk, ref, node, NODES):",
+                 "    meter = chk._meter", "    N = chk.n", "    ALL = chk.all",
+                 "    inner = None"]
         lines += ["    " + h for h in self.head]
-        lines += ["    def run():", "        nonlocal inner"] + self.body
+        lines += [f"    def run({self.params}):", "        nonlocal inner"] + self.body
         lines.append("    return run")
         return "\n".join(lines) + "\n"
 
@@ -668,26 +888,26 @@ class _Codegen:
 
     # -- units --
 
-    def load(self, names) -> dict[int, str]:
-        for i in names:
-            self.head.append(f"N{i} = NAMES[{i}]")
-            self.emit(f"v{i} = env[N{i}]")
-        return {i: f"v{i}" for i in names}
+    def take(self, n: int) -> dict[int, str]:
+        """The unit's free variables, the arguments of run."""
+        self.params = ", ".join(f"v{i}" for i in range(n))
+        return {i: f"v{i}" for i in range(n)}
 
     def bind_calls(self, f) -> list[int]:
-        """Bind the nested units a loop or top unit calls, on first use."""
-        slots = sorted(set(_calls(f)))
+        """Bind the nested units a loop, def or top unit calls, on first
+        use."""
+        slots = sorted({c[1] for c in _walk_forms(f, "call")})
         if slots:
             self.emit("if inner is None:")
             self.emit(f"    inner = ref()._bind(NODES, {self.tuple_expr(slots)})")
             self.emit("C = inner")
         return slots
 
-    def unit(self, q, masked: bool):
-        _, kind, qmod, var, body, (_, col, rest) = q
+    def enter(self, col, rest, scope) -> tuple[str, str, Optional[str]]:
+        """A unit's entry: one unit of work, its own memo probe (return on a
+        hit) and the budget check."""
         self.head.append("MEMO = chk._memo_of(node)")
         self.emit("meter.work += 1")
-        scope = self.load(sorted(set(rest) | ({col} - {None})))
         c = None if col is None else scope[col]
         key = self.key(rest, scope)
         hit, ent = self.probe("MEMO", key, c)
@@ -695,6 +915,12 @@ class _Codegen:
         self.emit(f"    return {hit}")
         self.emit("if meter.work > meter.budget:")
         self.emit("    meter.exhausted()")
+        return key, ent, c
+
+    def unit(self, q, masked: bool):
+        _, kind, qmod, var, body, (_, col, rest) = q
+        scope = self.take(len(rest) + (col is not None))
+        key, ent, c = self.enter(col, rest, scope)
         if masked:
             value, work = self.quant(q, scope)
             self.emit(f"meter.work += {work}")
@@ -703,21 +929,29 @@ class _Codegen:
         self.store("MEMO", key, ent, c, value)
         self.emit(f"return {value}")
 
+    def define(self, d):
+        nparams, col, body = d
+        scope = self.take(nparams)
+        rest = tuple(i for i in range(nparams) if i != col)
+        key, ent, c = self.enter(col, rest, scope)
+        self.bind_calls(body)
+        self.emit("w = 0")
+        t = self.straight(body, scope, None)
+        self.flush("meter.work")
+        if self.dirty:
+            self.emit("meter.work += w")
+        self.store("MEMO", key, ent, c, t)
+        self.emit(f"return {t}")
+
     def loop(self, q, scope) -> str:
         _, kind, qmod, var, body, _ = q
-        # the units called from the body read the loop variable from env
-        calls = self.bind_calls(body)
-        if calls:
-            self.head.append(f"N{var} = NAMES[{var}]")
-            self.emit(f"saved = env.get(N{var})")
+        self.bind_calls(body)
         self.emit("w = 0")
         self.emit("count = 0" if kind == "mod"
                   else f"res = {kind.startswith('forall')}")
         values = "1 << N" if kind.endswith("set") else "N"
         self.emit(f"for v{var} in range({values}):")
         self.depth += 1
-        if calls:
-            self.emit(f"env[N{var}] = v{var}")
         scope = dict(scope)
         scope[var] = f"v{var}"
         t = self.straight(body, scope, None)
@@ -734,13 +968,11 @@ class _Codegen:
         if kind == "mod":
             self.emit(f"res = count % {qmod} == 0")
         self.emit("meter.work += w")
-        if calls:
-            self.emit(f"env[N{var}] = saved")
         return "res"
 
     def top(self, unit):
         nfree, f = unit
-        scope = self.load(range(nfree))
+        scope = self.take(nfree)
         self.bind_calls(f)
         self.emit("w = 0")
         t = self.straight(f, scope, None)
@@ -789,7 +1021,7 @@ class _Codegen:
         if tag == "call":
             # the memo probe is inlined; a miss calls the unit, whose budget
             # check then sees every unit of work charged so far
-            _, slot, col, rest = f
+            _, slot, col, rest, args = f
             self.flush("meter.work")
             t = self.tmp()
             if entry is not None:
@@ -802,7 +1034,7 @@ class _Codegen:
             if self.dirty:
                 self.emit("    meter.work += w")
                 self.emit("    w = 0")
-            self.emit(f"    {t} = C[{slot}]()")
+            self.emit(f"    {t} = C[{slot}]({', '.join(scope[a] for a in args)})")
             self.emit("else:")
             self.emit(f"    {t} = {hit}")
             self.emit("    w += 1")
@@ -957,18 +1189,23 @@ class _Codegen:
         return self.nested(f, scope, entry)
 
     def nested(self, q, scope, entry) -> str:
-        """A nested element quantifier.  Over the enclosing variable (its
-        column), memo hits are read as masks and misses are evaluated one
-        element at a time; without it, the quantifier has one value.  Misses
-        are charged, and committed to its memo, only inside the enclosing
-        quantifier's prefix (see charge)."""
-        _, _, _, _, _, (slot, col, rest) = q
+        """A nested element quantifier or a pointwise call.  Over the
+        enclosing variable (its column), memo hits are read as masks and
+        misses are evaluated one element at a time; without it, the
+        quantifier has one value.  Misses are charged, and committed to
+        its memo, only inside the enclosing quantifier's prefix (see
+        charge)."""
+        if q[0] == "pcall":
+            _, slot, col, rest, body = q
+        else:
+            _, _, _, _, _, (slot, col, rest) = q
+            body = None
         st = self.nest.get(slot)
         if st is None:
             memo = self.memo(slot)
             key = self.key(rest, scope)
             st = self.nest[slot] = {"memo": memo, "key": key, "slot": slot,
-                                    "entries": [],
+                                    "entries": [], "pending": {},
                                     "per": col is not None and scope[col] is None}
             if st["per"]:
                 ent = st["ent"] = self.let(f"{memo}.get({key})", "ent")
@@ -977,6 +1214,8 @@ class _Codegen:
                 self.head.append(f"B{slot} = {{}}")
                 self.emit(f"{st['done']}, {st['val']} = {ent} if {ent} is not None else (0, 0)")
                 self.emit(f"{st['got']} = {st['gotval']} = 0")
+                if body is not None:
+                    st["pending"] = self.pending(body, scope)
             else:
                 c = st["col"] = None if col is None else scope[col]
                 hit, st["ent"] = self.probe(memo, key, c)
@@ -1000,16 +1239,88 @@ class _Codegen:
         self.emit(f"{need} ^= {b}")
         inner = dict(scope)
         inner[col] = self.let(f"{b}.bit_length() - 1", "i")
-        value, work = self.quant(q, inner)
+        if body is None:
+            value, work = self.quant(q, inner)
+        else:
+            work = self.let("0", "pw")
+            value = self.point(body, inner, None, work, b, st["pending"])
         self.emit(f"B{slot}[{b}] = {work}")
         self.emit(f"if {value}:")
         self.emit(f"    {st['gotval']} |= {b}")
         self.depth -= 1
         return self.let(f"{st['val']} | {st['gotval']}")
 
+    def pending(self, body, scope) -> dict:
+        """Per quantifier of a pointwise call's body: its memo entry, read
+        once, and the masks of the elements it missed at and held at."""
+        out = {}
+        for q in _walk_forms(body, "quant"):
+            _, _, _, _, _, (slot, _, rest) = q
+            memo, key = self.memo(slot), self.key(rest, scope)
+            ent = self.let(f"{memo}.get({key})", "ent")
+            miss, true = self.tmp("pm"), self.tmp("pt")
+            self.emit(f"{miss} = {true} = 0")
+            out[slot] = (memo, key, ent, miss, true)
+        return out
+
+    def point(self, f, scope, entry, work, bit, pend) -> str:
+        """Emit a pointwise body's truth at one value of its element
+        parameter, under the flag entry, adding the work it charges to
+        work.  A quantifier's memo is read; a miss is evaluated and noted in
+        pend for the commit, not committed."""
+        tag = f[0]
+        self.emit(f"{work} += {1 if entry is None else entry}")
+        guard = "" if entry is None else f"{entry} and "
+        if tag in ("in", "eq", "pred"):
+            return self.let(f"{guard}({self.atom(f, scope)})")
+        if tag == "not":
+            inner = self.point(f[1], scope, entry, work, bit, pend)
+            return self.let(f"{guard}not {inner}")
+        if tag == "and":
+            e = entry
+            for part in f[1]:
+                e = self.point(part, scope, e, work, bit, pend)
+            return e
+        if tag == "or":
+            e = entry
+            for part in f[1]:
+                t = self.point(part, scope, e, work, bit, pend)
+                e = self.let(f"not {t}" if e is None else f"{e} and not {t}")
+            return self.let(f"{guard}not {e}")
+        if tag == "imp":
+            left = self.point(f[1], scope, entry, work, bit, pend)
+            right = self.point(f[2], scope, left, work, bit, pend)
+            return self.let(f"{guard}(not {left} or {right})")
+        _, _, _, _, _, (slot, col, _) = f
+        _, _, ent, miss, true = pend[slot]
+        t = self.tmp()
+        if entry is not None:
+            self.emit(f"{t} = 0")
+            self.emit(f"if {entry}:")
+            self.depth += 1
+        c = scope[col]
+        hit = self.let(f"None if {ent} is None or not {ent}[0] >> {c} & 1 "
+                       f"else {ent}[1] >> {c} & 1", "hit")
+        self.emit(f"if {hit} is not None:")
+        self.emit(f"    {t} = {hit}")
+        self.emit("else:")
+        self.depth += 1
+        value, qwork = self.quant(f, scope)
+        self.emit(f"{work} += {qwork}")
+        self.emit(f"{miss} |= {bit}")
+        self.emit(f"if {value}:")
+        self.emit(f"    {true} |= {bit}")
+        self.emit(f"{t} = {value}")
+        self.depth -= 1
+        if entry is not None:
+            self.depth -= 1
+        return t
+
     def charge(self, st, pre, work):
-        """Charge a nested quantifier's misses inside the prefix and commit
-        them to its memo, as the element-at-a-time loop would have."""
+        """Charge a nested quantifier's or a pointwise call's misses inside
+        the prefix and commit them to its memo, and those of the called
+        body's quantifiers to theirs, as the element-at-a-time loop would
+        have."""
         memo, key, ent = st["memo"], st["key"], st["ent"]
         if not st["per"]:
             self.emit(f"if {st['miss']} and ({' | '.join(st['entries'])}) & {pre}:")
@@ -1026,12 +1337,22 @@ class _Codegen:
         self.emit(f"    {b} = {m} & -{m}")
         self.emit(f"    {work} += B{st['slot']}[{b}]")
         self.emit(f"    {m} ^= {b}")
-        self.emit(f"if {ent} is None:")
-        self.emit(f"    {memo}[{key}] = [{new}, {st['gotval']} & {new}]")
-        self.emit("else:")
-        self.emit(f"    {ent}[0] |= {new}")
-        self.emit(f"    {ent}[1] |= {st['gotval']} & {new}")
+        self.commit(memo, key, ent, new, f"{st['gotval']} & {new}")
+        for qmemo, qkey, _, miss, true in st["pending"].values():
+            got = self.let(f"{miss} & {new}", "pm")
+            self.emit(f"if {got}:")
+            self.depth += 1
+            self.commit(qmemo, qkey, self.let(f"{qmemo}.get({qkey})", "ent"),
+                        got, f"{true} & {got}")
+            self.depth -= 1
         self.depth -= 1
+
+    def commit(self, memo, key, ent, done, true):
+        self.emit(f"if {ent} is None:")
+        self.emit(f"    {memo}[{key}] = [{done}, {true}]")
+        self.emit("else:")
+        self.emit(f"    {ent}[0] |= {done}")
+        self.emit(f"    {ent}[1] |= {true}")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -1043,13 +1364,13 @@ def _factory(unit: tuple) -> Callable:
     return namespace["factory"]
 
 
-def _unit(node: CmsFormula):
-    """A node's factory with the names and nested nodes to bind it to,
-    computed once per node."""
+def _unit(node):
+    """A node's factory with the nested nodes to bind it to, computed once
+    per node."""
     got = node.__dict__.get("_unit")
     if got is None:
-        unit, names, nodes = _shape(node)
-        got = (_factory(unit), tuple(names), tuple(nodes))
+        unit, nodes = _shape(node)
+        got = (_factory(unit), tuple(nodes))
         object.__setattr__(node, "_unit", got)
     return got
 
@@ -1068,7 +1389,8 @@ class _Meter:
 
 
 class ModelChecker:
-    """Brute-force evaluator over one structure, set-at-a-time where it can.
+    """Brute-force evaluator over one structure, set-at-a-time where it can,
+    with tabled definitions.
 
     An element quantifier whose body holds only atoms, connectives and
     element quantifiers over such bodies is evaluated set-at-a-time: every
@@ -1083,21 +1405,32 @@ class ModelChecker:
     set-at-a-time quantifiers with no nested quantifier that it enters,
     and calls the units of the rest.
 
-    Each looping quantifier, each set-at-a-time quantifier checked or
-    called on its own, and each formula checked at the top is one unit:
-    generated Python code, compiled once per formula shape (the same up to
-    the renaming of variables) and bound per checker to its domain size,
-    relation rows and memo tables on first use.  Formulas are looked up by
-    structure, never by object identity.  Every quantifier memoizes its
-    value on the values of its free variables, in one table per checker
-    shared by all formulas that contain it.
+    A call of a definition is tabled (Chen and Warren, J. ACM 43(1), 1996,
+    without recursion to delay): each definition has one table per checker
+    on its argument values, shared by every call site and every formula
+    checked on the checker.  A call entry costs one unit of work, and a
+    table hit costs only that unit; a miss evaluates the body with the
+    parameters bound to the arguments.  A definition with exactly one
+    element parameter keeps its table as two bitmasks over it, like a
+    nested quantifier, so a call that passes the enclosing set-at-a-time
+    quantifier's variable stays set-at-a-time when the body allows it.
 
-    Work is counted per formula node entry, memo hits included, against a
-    deterministic budget; a check's answer and the work after it are those
-    of an element-at-a-time evaluation.  ``BudgetExceeded`` is raised on
-    the check whose work passes the budget.  The work recorded when it is
-    raised can be larger than an element-at-a-time evaluation would have
-    reached, because a set-at-a-time quantifier charges its work at once.
+    Each looping quantifier, each set-at-a-time quantifier checked or
+    called on its own, each definition and each other formula checked at
+    the top is one unit: generated Python code, compiled once per formula shape
+    (the same up to the renaming of variables) and bound per checker to
+    its domain size, relation rows and memo tables on first use.  Formulas
+    are looked up by structure, never by object identity.  Every
+    quantifier memoizes its value on the values of its free variables, in
+    one table per checker shared by all formulas that contain it.
+
+    Work is counted per formula node entry, memo and table hits included,
+    against a deterministic budget; a check's answer and the work after it
+    are those of an element-at-a-time evaluation.  ``BudgetExceeded`` is
+    raised on the check whose work passes the budget.  The work recorded
+    when it is raised can be larger than an element-at-a-time evaluation
+    would have reached, because a set-at-a-time quantifier charges its work
+    at once.
     """
 
     def __init__(self, structure: Structure, budget: int = DEFAULT_BUDGET):
@@ -1107,14 +1440,15 @@ class ModelChecker:
         self.all = (1 << self.n) - 1
         self.index = {e: i for i, e in enumerate(self.domain)}
         self._meter = _Meter(budget)
-        self._env: dict[str, int] = {}
-        self._code: dict[CmsFormula, _Code] = {}
-        self._memo: dict[CmsFormula, dict] = {}
+        # units of quantifiers and definitions, and their memo tables
+        self._code: dict[object, _Code] = {}
+        self._memo: dict[object, dict] = {}
         self._tables: dict[tuple, object] = {}
-        # top-level node -> (unit, free variables), and the last one used
-        self._tops: dict[CmsFormula, tuple[_Code, tuple[str, ...]]] = {}
+        # top-level formula -> (unit, its arguments from an environment),
+        # and the last one used
+        self._tops: dict[CmsFormula, tuple[_Code, Callable]] = {}
         self._last: tuple = (None, None, None)
-        # top-level node -> (name, is_set) per free variable
+        # top-level formula -> (name, is_set) per free variable
         self._params: dict[CmsFormula, tuple[tuple[str, bool], ...]] = {}
 
     @property
@@ -1140,7 +1474,7 @@ class ModelChecker:
                            for name in _free(formula))
             self._params[formula] = params
         env = env or {}
-        ienv = self._env
+        args = []
         for name, is_set in params:
             if name not in env:
                 raise UnboundVariable(f"no value for free variable {name!r}")
@@ -1148,12 +1482,12 @@ class ModelChecker:
             if is_set:
                 if not isinstance(value, (set, frozenset)):
                     raise UnboundVariable(f"variable {name!r} needs a set value")
-                ienv[name] = self.to_mask(value)
+                args.append(self.to_mask(value))
             else:
                 if value not in self.index:
                     raise UnboundVariable(f"value of {name!r} is outside the domain")
-                ienv[name] = self.index[value]
-        return self._run(code)
+                args.append(self.index[value])
+        return self._run(code, args)
 
     def check_prepared(self, formula: CmsFormula, ienv: Mapping[str, int]) -> bool:
         """Like check, with the environment already in internal form
@@ -1161,39 +1495,38 @@ class ModelChecker:
         if formula is not self._last[0]:
             got = self._tops.get(formula)
             if got is None:
-                got = self._tops[formula] = (self._compile(formula), _free(formula))
+                free = _free(formula)
+                args = (itemgetter(*free) if len(free) > 1 else
+                        (lambda e, v=free[0]: (e[v],)) if free else (lambda e: ()))
+                got = self._tops[formula] = (self._compile(formula), args)
             self._last = (formula,) + got
-        _, code, free = self._last
-        env = self._env
-        for name in free:
-            env[name] = ienv[name]
-        return self._run(code)
+        _, code, args = self._last
+        return self._run(code, args(ienv))
 
-    def _run(self, code: _Code) -> bool:
-        result = bool(code())
+    def _run(self, code: _Code, args: Sequence[int]) -> bool:
+        result = bool(code(*args))
         meter = self._meter
         if meter.work > meter.budget:
             meter.exhausted()
         return result
 
-    def _compile(self, node: CmsFormula) -> _Code:
+    def _compile(self, node) -> _Code:
         code = self._code.get(node)
         if code is None:
-            factory, names, nodes = _unit(node)
+            factory, nodes = _unit(node)
             # units reach the checker through a weak reference, so they hold
             # no cycle back to it and a dropped checker is freed at once
-            code = self._code[node] = factory(self, weakref.ref(self), node,
-                                              names, nodes)
+            code = self._code[node] = factory(self, weakref.ref(self), node, nodes)
         return code
 
-    def _bind(self, nodes: Sequence[CmsFormula], slots: Sequence[int]) -> list:
+    def _bind(self, nodes: Sequence, slots: Sequence[int]) -> list:
         """The units of the nodes at the given slots, by slot."""
         units: list = [None] * len(nodes)
         for k in slots:
             units[k] = self._compile(nodes[k])
         return units
 
-    def _memo_of(self, node: CmsFormula) -> dict:
+    def _memo_of(self, node) -> dict:
         memo = self._memo.get(node)
         if memo is None:
             memo = self._memo[node] = {}

@@ -162,7 +162,10 @@ def signature_to_text(sig: Signature, name: str = "sig") -> str:
 # -------------------------------------------------------------------- terms
 
 def parse_term(text: str, sig: Signature) -> Term:
-    """Parenthesized prefix terms: `(seq a (par b c))`, `(prime W5 a b c d e)`."""
+    """Parenthesized prefix terms: `(seq a (par b c))`, `(prime W5 a b c d e)`.
+
+    Read with an explicit stack of open nodes, so any nesting depth parses.
+    """
     toks = re.findall(r"\(|\)|[^\s()]+", text)
     pos = 0
 
@@ -177,40 +180,49 @@ def parse_term(text: str, sig: Signature) -> Term:
         pos += 1
         return tok
 
-    def term():
+    # each open node's operation and the children read so far
+    open_nodes: list[tuple[str, list[Term]]] = []
+    while True:
         tok = next_tok()
         if tok == ")":
             fail("unexpected ')'")
-        if tok != "(":
+        if tok == "(":
+            head = next_tok()
+            if head == "prime":
+                head = next_tok()
+                if not sig.has_op(head) or sig.op(head).kind is not OpKind.PRIME:
+                    fail(f"unknown prime operation {head!r}")
+            elif head in BUILTIN_NAMES:
+                if not sig.has_op(head):
+                    fail(f"operation {head!r} not in signature")
+            else:
+                fail(f"unknown operation {head!r}")
+            open_nodes.append((head, []))
+            done = None
+        else:
             if tok not in sig.alphabet:
                 fail(f"unknown symbol {tok!r}")
-            return Term.leaf(tok)
-        head = next_tok()
-        if head == "prime":
-            head = next_tok()
-            if not sig.has_op(head) or sig.op(head).kind is not OpKind.PRIME:
-                fail(f"unknown prime operation {head!r}")
-        elif head in BUILTIN_NAMES:
-            if not sig.has_op(head):
-                fail(f"operation {head!r} not in signature")
+            done = Term.leaf(tok)
+        # hand the finished term to its parent and close every node whose
+        # children end here
+        while done is None or open_nodes:
+            if done is not None:
+                open_nodes[-1][1].append(done)
+            if pos < len(toks) and toks[pos] != ")":
+                break
+            next_tok()  # consume ')'
+            head, children = open_nodes.pop()
+            want = sig.op(head).arity
+            if want is not None and len(children) != want:
+                fail(f"{head} expects {want} arguments, got {len(children)}")
+            if want is None and len(children) < 2:
+                fail(f"{head} expects at least 2 arguments")
+            done = Term.node(head, children)
         else:
-            fail(f"unknown operation {head!r}")
-        children = []
-        while pos < len(toks) and toks[pos] != ")":
-            children.append(term())
-        next_tok()  # consume ')'
-        op = sig.op(head)
-        want = op.arity
-        if want is not None and len(children) != want:
-            fail(f"{head} expects {want} arguments, got {len(children)}")
-        if want is None and len(children) < 2:
-            fail(f"{head} expects at least 2 arguments")
-        return Term.node(head, children)
-
-    result = term()
+            break
     if pos != len(toks):
         fail("trailing input after term")
-    return result
+    return done
 
 
 def term_to_text(t: Term) -> str:

@@ -59,6 +59,19 @@ class LabeledGraph:
         if self.labels is not None and set(self.labels) != self.vertices:
             raise ValueError("labeling must be defined on exactly the vertex set")
 
+    @classmethod
+    def _trusted(cls, vertices: frozenset[int], edges: frozenset[tuple[int, int]],
+                 labels: Optional[Mapping[int, str]]) -> "LabeledGraph":
+        """A graph made from parts that are valid by construction, without
+        the checks of ``__post_init__``: for graphs derived from valid
+        graphs, terms and trees (``induced``, ``compose_graph``,
+        ``eval_term``, ``reconstruct``)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "labels", labels)
+        return g
+
     @staticmethod
     def build(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
               labels: Optional[Mapping[int, str]] = None) -> "LabeledGraph":
@@ -100,7 +113,7 @@ class LabeledGraph:
             raise VertexNotInGraph(f"vertices {sorted(missing)} not in graph")
         edges = frozenset((u, v) for (u, v) in self.edges if u in xs and v in xs)
         labels = {v: self.labels[v] for v in xs} if self.labels is not None else None
-        return LabeledGraph(xs, edges, labels)
+        return LabeledGraph._trusted(xs, edges, labels)
 
     def is_dag(self) -> bool:
         adj = self.out_adj()

@@ -551,7 +551,7 @@ def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
         mods = [c.module for c in node.children]
         for (i, j) in edge_pattern(op, len(mods)):
             edges.update(itertools.product(mods[i - 1], mods[j - 1]))
-    return LabeledGraph(t.root.module, frozenset(edges), labels)
+    return LabeledGraph._trusted(t.root.module, frozenset(edges), labels)
 
 
 def strong_modules(masks: list[int]) -> list[int]:

@@ -367,7 +367,7 @@ def compose_graph(h: LabeledGraph, operands: Sequence[LabeledGraph],
             labels.update(labs)
     for (i, j) in h.edges:
         edges |= set(itertools.product(parts[i - 1][0], parts[j - 1][0]))
-    return LabeledGraph(frozenset(vertices), frozenset(edges), labels)
+    return LabeledGraph._trusted(frozenset(vertices), frozenset(edges), labels)
 
 
 def edge_pattern(op: SignatureOp, k: int) -> Iterable[tuple[int, int]]:
@@ -432,7 +432,7 @@ def eval_term(sig: Signature, t: Term) -> LabeledGraph:
         else:
             stack.append((term, sig.op(term.op)))
             stack.extend((c, None) for c in reversed(term.children))
-    return LabeledGraph(frozenset(labels), frozenset(edges), labels)
+    return LabeledGraph._trusted(frozenset(labels), frozenset(edges), labels)
 
 
 def is_weakly_rigid_op(op: SignatureOp) -> bool:

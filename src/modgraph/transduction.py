@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cms import (And, CmsFormula, Eq, Exists, ExistsSet, Forall, ForallSet,
-                  Implies, In, Not, Or, Pred, RelationalSignature, conj, disj,
-                  graph_signature, label_pred, tree_predicates, tree_prime_ops,
-                  tree_relations)
+from .cms import (And, Call, CmsFormula, Definition, Eq, Exists, ExistsSet,
+                  Forall, ForallSet, Implies, In, Not, Or, Pred,
+                  RelationalSignature, conj, disj, graph_signature, label_pred,
+                  tree_predicates, tree_prime_ops, tree_relations)
 from .errors import (NotWeaklyRigid, NotWeaklyRigidSignature, UnknownOp,
                      UnknownPredicate)
 from .graphs import LabeledGraph, is_internally_disconnected, is_module
@@ -466,21 +466,6 @@ def verify_isomorphism(r: ReprStructure, t: MDecPrimeTree,
 
 # --------------------------------------------------------- formula library
 
-class _Fresh:
-    """Bound-variable name supply; global uniqueness makes capture impossible."""
-
-    def __init__(self):
-        self.k = 0
-
-    def elem(self) -> str:
-        self.k += 1
-        return f"p{self.k}"
-
-    def set(self) -> str:
-        self.k += 1
-        return f"P{self.k}"
-
-
 def _partition_holds(g: LabeledGraph, X: frozenset[int], *blocks: frozenset[int]) -> bool:
     """The blocks are non-empty and cover X with their sizes adding up to
     |X|, so they are pairwise disjoint."""
@@ -492,14 +477,31 @@ def _edge(a: str, b: str) -> CmsFormula:
     return Pred("edge", (a, b))
 
 
+def _outside(p: str, X: str, P: str) -> CmsFormula:
+    """p is in X but not in P."""
+    return And((In(p, X), Not(In(p, P))))
+
+
+def _all_to(P: str, Q: str, cross: CmsFormula) -> CmsFormula:
+    """cross holds from every p in P to every q in Q."""
+    return Forall("p", Implies(In("p", P), Forall("q", Implies(In("q", Q), cross))))
+
+
 class PredicateLibrary:
     """Second-order predicates of a graph mirroring its decomposition tree.
 
-    Every predicate exists twice: as a formula over the graph's relational
-    signature (edge + one label predicate per letter) and as a direct
-    decision procedure; the two are cross-checked in the test suite.  The
-    node/child predicates quantify over the operations present in the
-    signature, so they only see tree nodes labeled by those operations.
+    Every predicate exists twice: as a definition over the graph's
+    relational signature (edge + one label predicate per letter) and as a
+    direct decision procedure; the two are cross-checked in the test suite.
+    ``definitions`` maps every name, the helpers and the kappa maps of the
+    transduction included, to its ``cms.Definition``; a predicate used
+    inside another is a ``cms.Call`` of its definition, so each body exists
+    once and a checker tables each predicate on its arguments, one unit of
+    work per call.  ``formula(name)`` is the body of a catalogued predicate
+    over its own parameters, and ``cms.expand`` turns any of these formulas
+    into plain counting-MSO.  The node/child predicates quantify over the
+    operations present in the signature, so they only see tree nodes
+    labeled by those operations.
     """
 
     def __init__(self, sig: Signature):
@@ -507,349 +509,219 @@ class PredicateLibrary:
         self.sig = sig
         self.mode = _commutative_mode(sig)
         self.graph_signature = graph_signature(sig.alphabet.symbols)
-        self._fresh = _Fresh()
-        self._cache: dict[tuple, CmsFormula] = {}
         # per-graph rows and tables, kept while the graph (or an equal one) lives
         self._grows: "weakref.WeakKeyDictionary[LabeledGraph, Rows]" = \
             weakref.WeakKeyDictionary()
         self._ginfo: "weakref.WeakKeyDictionary[LabeledGraph, dict]" = \
             weakref.WeakKeyDictionary()
-        self.var_spec: dict[str, tuple[tuple[str, str], ...]] = {}
-        self.formulas: dict[str, CmsFormula] = {}
-        self._build_catalog()
+        self.definitions: dict[str, Definition] = {}
+        self._catalog: list[str] = []
+        self._define_all()
         # name -> (variable names, their values from a binding in spec
         # order, decision procedure)
         self._deciders = {}
-        for name, spec in self.var_spec.items():
-            names = tuple(v for v, _ in spec)
+        for name in self._catalog:
+            names = self.definitions[name].params
             values_of = (itemgetter(*names) if len(names) > 1
                          else lambda b, v=names[0]: (b[v],))
             self._deciders[name] = (names, values_of, self._decider(name))
 
-    # -- shared instantiated formulas; one object per (concept, variables) --
+    def _define(self, name: str, params: str, body: CmsFormula,
+                public: bool = False):
+        self.definitions[name] = Definition(name, tuple(params.split()), body)
+        if public:
+            self._catalog.append(name)
 
-    def _inst(self, concept: str, *vars_: str) -> CmsFormula:
-        key = (concept, vars_)
-        got = self._cache.get(key)
-        if got is None:
-            got = getattr(self, "_f_" + concept.replace("-", "_"))(*vars_)
-            self._cache[key] = got
-        return got
+    def call(self, name: str, *args: str) -> Call:
+        """The named definition applied to the variables."""
+        return Call(self.definitions[name], args)
 
-    def _f_nonempty(self, X):
-        p = self._fresh.elem()
-        return Exists(p, In(p, X))
+    def _define_all(self):
+        d, c = self._define, self.call
+        d("nonempty", "X", Exists("p", In("p", "X")))
+        d("proper", "X", Exists("p", Not(In("p", "X"))))
+        d("subseteq", "A B", Forall("p", Implies(In("p", "A"), In("p", "B"))))
+        d("seteq", "A B", Forall("p", And((Implies(In("p", "A"), In("p", "B")),
+                                            Implies(In("p", "B"), In("p", "A"))))))
+        d("propersub", "A B", conj(c("subseteq", "A", "B"),
+                                   Exists("p", _outside("p", "B", "A"))))
+        d("nontrivial", "X", Exists("p", Exists("q", conj(
+            In("p", "X"), In("q", "X"), Not(Eq("p", "q"))))))
+        d("singleton", "X x", conj(In("x", "X"), Forall(
+            "q", Implies(In("q", "X"), Eq("q", "x")))), public=True)
+        d("is_singleton", "X", Exists("p", c("singleton", "X", "p")))
+        for sym in self.sig.alphabet:
+            d(f"label_{sym}", "X", Exists("p", conj(
+                c("singleton", "X", "p"), Pred(label_pred(sym), ("p",)))), public=True)
 
-    def _f_proper(self, X):
-        p = self._fresh.elem()
-        return Exists(p, Not(In(p, X)))
-
-    def _f_subseteq(self, A, B):
-        p = self._fresh.elem()
-        return Forall(p, Implies(In(p, A), In(p, B)))
-
-    def _f_seteq(self, A, B):
-        p = self._fresh.elem()
-        return Forall(p, And((Implies(In(p, A), In(p, B)),
-                              Implies(In(p, B), In(p, A)))))
-
-    def _f_propersub(self, A, B):
-        p = self._fresh.elem()
-        return conj(self._inst("subseteq", A, B),
-                    Exists(p, And((In(p, B), Not(In(p, A))))))
-
-    def _f_nontrivial(self, X):
-        p, q = self._fresh.elem(), self._fresh.elem()
-        return Exists(p, Exists(q, conj(In(p, X), In(q, X), Not(Eq(p, q)))))
-
-    def _f_singleton(self, X, x):
-        q = self._fresh.elem()
-        return conj(In(x, X), Forall(q, Implies(In(q, X), Eq(q, x))))
-
-    def _f_is_singleton(self, X):
-        p = self._fresh.elem()
-        return Exists(p, self._inst("singleton", X, p))
-
-    def _f_label(self, sym, X):
-        p = self._fresh.elem()
-        return Exists(p, conj(self._inst("singleton", X, p),
-                              Pred(label_pred(sym), (p,))))
-
-    def _f_module(self, X):
-        p, q1, q2 = (self._fresh.elem() for _ in range(3))
-        half_in = Implies(Exists(q1, And((In(q1, X), _edge(q1, p)))),
-                          Forall(q2, Implies(In(q2, X), _edge(q2, p))))
-        q3, q4 = self._fresh.elem(), self._fresh.elem()
-        half_out = Implies(Exists(q3, And((In(q3, X), _edge(p, q3)))),
-                           Forall(q4, Implies(In(q4, X), _edge(p, q4))))
-        return Forall(p, Implies(Not(In(p, X)), And((half_in, half_out))))
-
-    def _f_overlap(self, A, B):
-        p1, p2, p3 = (self._fresh.elem() for _ in range(3))
-        return conj(Exists(p1, And((In(p1, A), In(p1, B)))),
-                    Exists(p2, And((In(p2, A), Not(In(p2, B))))),
-                    Exists(p3, And((In(p3, B), Not(In(p3, A))))))
-
-    def _f_strongcore(self, X):
-        Q = self._fresh.set()
-        return ForallSet(Q, Implies(self._inst("module", Q),
-                                    Not(self._inst("overlap", X, Q))))
-
-    def _f_pmodule(self, X):
-        return conj(self._inst("module", X), self._inst("nonempty", X),
-                    self._inst("proper", X), self._inst("strongcore", X))
-
-    def _f_pmoduleV(self, X):
+        def half(a, b):
+            return Implies(Exists("q", And((In("q", "X"), _edge(a, b)))),
+                           Forall("q", Implies(In("q", "X"), _edge(a, b))))
+        d("module", "X", Forall("p", Implies(Not(In("p", "X")), And(
+            (half("q", "p"), half("p", "q"))))), public=True)
+        d("overlap", "A B", conj(Exists("p", And((In("p", "A"), In("p", "B")))),
+                                 Exists("p", _outside("p", "A", "B")),
+                                 Exists("p", _outside("p", "B", "A"))))
+        d("strongcore", "X", ForallSet("Q", Implies(
+            c("module", "Q"), Not(c("overlap", "X", "Q")))))
+        d("pmodule", "X", conj(c("module", "X"), c("nonempty", "X"),
+                               c("proper", "X"), c("strongcore", "X")), public=True)
         # like pmodule but keeps the full vertex set: tree roots qualify
-        return conj(self._inst("module", X), self._inst("nonempty", X),
-                    self._inst("strongcore", X))
+        d("pmoduleV", "X", conj(c("module", "X"), c("nonempty", "X"),
+                                c("strongcore", "X")))
+        # a half P of X with no cross edges (or all of them, both ways)
+        for name, cross in (
+                ("disconnected", And((Not(_edge("p", "q")), Not(_edge("q", "p"))))),
+                ("co-disconnected", And((_edge("p", "q"), _edge("q", "p"))))):
+            d(name, "X", ExistsSet("P", conj(
+                c("nonempty", "P"), c("subseteq", "P", "X"),
+                Exists("q", _outside("q", "X", "P")),
+                Forall("p", Implies(In("p", "P"), Forall("q", Implies(
+                    _outside("q", "X", "P"), cross)))))),
+              public=name == "disconnected")
+        d("connected", "X", Not(c("disconnected", "X")), public=True)
+        d("discrete", "X", _all_to("X", "X", Not(_edge("p", "q"))))
+        d("cliqueset", "X", Forall("p", Implies(In("p", "X"), Forall("q", Implies(
+            And((In("q", "X"), Not(Eq("p", "q")))),
+            And((_edge("p", "q"), _edge("q", "p"))))))))
+        # Z is a proper suffix of X (and Y the complement of one); the
+        # prefix links to the suffix forward only
+        forward = And((_edge("p", "q"), Not(_edge("q", "p"))))
+        d("suffix", "X Z", conj(
+            c("nonempty", "Z"), c("subseteq", "Z", "X"),
+            Exists("p", _outside("p", "X", "Z")),
+            Forall("p", Implies(_outside("p", "X", "Z"), Forall(
+                "q", Implies(In("q", "Z"), forward))))), public=True)
+        d("sequential", "X", ExistsSet("S", c("suffix", "X", "S")), public=True)
+        d("initial", "X Y", conj(
+            c("nonempty", "Y"), c("subseteq", "Y", "X"),
+            Exists("p", _outside("p", "X", "Y")),
+            Forall("p", Implies(In("p", "Y"), Forall(
+                "q", Implies(_outside("q", "X", "Y"), forward)))),
+            Not(c("sequential", "Y"))), public=True)
+        d("label_seq", "X", conj(c("sequential", "X"), disj(
+            c("pmoduleV", "X"),
+            ExistsSet("P", conj(c("pmoduleV", "P"), c("sequential", "P"),
+                                c("suffix", "P", "X"))))), public=True)
+        d("label_par", "X", conj(c("disconnected", "X"), c("pmoduleV", "X")),
+          public=True)
+        d("label_clique", "X", conj(c("co-disconnected", "X"), c("pmoduleV", "X")),
+          public=True)
+        d("partition2", "X X1 X2", conj(
+            c("nonempty", "X1"), c("nonempty", "X2"),
+            Forall("p", Not(And((In("p", "X1"), In("p", "X2"))))),
+            Forall("q", And((Implies(In("q", "X"), Or((In("q", "X1"), In("q", "X2")))),
+                             Implies(In("q", "X1"), In("q", "X")),
+                             Implies(In("q", "X2"), In("q", "X")))))), public=True)
+        # a chain of partition2; catalogued for the arities of operations
+        arities = {op.graph.n for op in self.sig.prime_ops}
+        for k in range(3, max(arities, default=2) + 1):
+            blocks = " ".join(f"X{i}" for i in range(1, k + 1))
+            d(f"partition{k}", "X " + blocks, ExistsSet("R", And((
+                c("partition2", "X", "X1", "R"),
+                c(f"partition{k - 1}", "R", *blocks.split()[1:])))),
+              public=k in arities)
+        for op in self.sig.prime_ops:
+            self._define_op(op)
+        node = [c("is_singleton", "X")]
+        for kind, label in ((OpKind.PARALLEL, "label_par"),
+                            (OpKind.CLIQUE, "label_clique"),
+                            (OpKind.SEQUENTIAL, "label_seq")):
+            if self.sig.builtin(kind) is not None:
+                node.append(c(label, "X"))
+        node += [c(f"label_{op.name}", "X") for op in self.sig.prime_ops]
+        d("node", "X", disj(*node), public=True)
+        d("child*", "X Y", conj(c("node", "X"), c("node", "Y"),
+                                c("propersub", "Y", "X")), public=True)
+        d("child", "X Y", conj(
+            c("node", "X"), c("node", "Y"), c("propersub", "Y", "X"),
+            Not(ExistsSet("K", conj(c("propersub", "Y", "K"), c("propersub", "K", "X"),
+                                    c("node", "K"))))), public=True)
+        d("first-child", "X Y", conj(c("child", "X", "Y"), c("label_seq", "X"),
+                                     c("initial", "X", "Y")), public=True)
+        branches = [conj(c("label_seq", "X"), c("initial", "X", "Y"))]
+        for op in self.sig.prime_ops:
+            picks = [c("seteq", "Y", f"B{i}") for i in sorted(op.symmetry.distinguished)]
+            branches.append(self._children_search(op, disj(*picks)))
+        d("dist-child", "X Y", conj(c("child", "X", "Y"), disj(*branches)),
+          public=True)
+        self._define_kappa()
 
-    def _split_formula(self, X, mutual: bool):
-        """Exists a half of X with no cross edges (or all mutual cross edges)."""
-        P = self._fresh.set()
-        p, q = self._fresh.elem(), self._fresh.elem()
-        if mutual:
-            cross = And((_edge(p, q), _edge(q, p)))
-        else:
-            cross = And((Not(_edge(p, q)), Not(_edge(q, p))))
-        body = conj(
-            self._inst("nonempty", P),
-            self._inst("subseteq", P, X),
-            Exists(q, And((In(q, X), Not(In(q, P))))),
-            Forall(p, Implies(In(p, P),
-                              Forall(q, Implies(And((In(q, X), Not(In(q, P)))),
-                                                cross)))))
-        return ExistsSet(P, body)
+    def _define_op(self, op: SignatureOp):
+        """The edge pattern of an operation over blocks B1..Bn, and its
+        label and children predicates."""
+        d, c = self._define, self.call
+        n = op.graph.n
+        blocks = [f"B{i}" for i in range(1, n + 1)]
+        # cross edges between blocks follow the operation graph exactly
+        d(f"pattern_{op.name}", " ".join(blocks), conj(*(
+            _all_to(blocks[i - 1], blocks[j - 1],
+                    _edge("p", "q") if (i, j) in op.graph.edges
+                    else Not(_edge("p", "q")))
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j)))
+        d(f"label_{op.name}", "X", self._children_search(op), public=True)
+        xs = [f"X{i}" for i in range(1, n + 1)]
+        d(f"children_{op.name}", " ".join(["X"] + xs), conj(
+            c("pmoduleV", "X"), *(c("pmodule", x) for x in xs),
+            c(f"partition{n}", "X", *xs), c(f"pattern_{op.name}", *xs)), public=True)
 
-    def _f_disconnected(self, X):
-        return self._split_formula(X, mutual=False)
+    def _children_search(self, op: SignatureOp,
+                         extra: Optional[CmsFormula] = None) -> CmsFormula:
+        """Guarded existential search for the child blocks B1..Bn of an
+        H-node X.
 
-    def _f_co_disconnected(self, X):
-        return self._split_formula(X, mutual=True)
-
-    def _f_connected(self, X):
-        return Not(self._inst("disconnected", X))
-
-    def _f_discrete(self, X):
-        p, q = self._fresh.elem(), self._fresh.elem()
-        return Forall(p, Implies(In(p, X), Forall(q, Implies(In(q, X),
-                                                             Not(_edge(p, q))))))
-
-    def _f_cliqueset(self, X):
-        p, q = self._fresh.elem(), self._fresh.elem()
-        return Forall(p, Implies(In(p, X), Forall(
-            q, Implies(And((In(q, X), Not(Eq(p, q)))),
-                       And((_edge(p, q), _edge(q, p)))))))
-
-    def _f_suffix(self, X, Z):
-        p, q = self._fresh.elem(), self._fresh.elem()
-        return conj(
-            self._inst("nonempty", Z), self._inst("subseteq", Z, X),
-            Exists(p, And((In(p, X), Not(In(p, Z))))),
-            Forall(p, Implies(And((In(p, X), Not(In(p, Z)))),
-                              Forall(q, Implies(In(q, Z),
-                                                And((_edge(p, q),
-                                                     Not(_edge(q, p)))))))))
-
-    def _f_sequential(self, X):
-        S = self._fresh.set()
-        return ExistsSet(S, self._inst("suffix", X, S))
-
-    def _f_initial(self, X, Y):
-        p, q = self._fresh.elem(), self._fresh.elem()
-        return conj(
-            self._inst("nonempty", Y), self._inst("subseteq", Y, X),
-            Exists(p, And((In(p, X), Not(In(p, Y))))),
-            Forall(p, Implies(In(p, Y),
-                              Forall(q, Implies(And((In(q, X), Not(In(q, Y)))),
-                                                And((_edge(p, q),
-                                                     Not(_edge(q, p)))))))),
-            Not(self._inst("sequential", Y)))
-
-    def _f_label_seq(self, X):
-        P = self._fresh.set()
-        return conj(self._inst("sequential", X),
-                    disj(self._inst("pmoduleV", X),
-                         ExistsSet(P, conj(self._inst("pmoduleV", P),
-                                           self._inst("sequential", P),
-                                           self._inst("suffix", P, X)))))
-
-    def _f_label_par(self, X):
-        return conj(self._inst("disconnected", X), self._inst("pmoduleV", X))
-
-    def _f_label_clique(self, X):
-        return conj(self._inst("co-disconnected", X), self._inst("pmoduleV", X))
-
-    def _edge_pattern(self, op: SignatureOp, block_vars: Sequence[str]) -> CmsFormula:
-        """Cross edges between blocks follow the operation graph exactly."""
-        h = op.graph
-        parts = []
-        for i in range(1, h.n + 1):
-            for j in range(1, h.n + 1):
-                if i == j:
-                    continue
-                p, q = self._fresh.elem(), self._fresh.elem()
-                want = (i, j) in h.edges
-                cross = _edge(p, q) if want else Not(_edge(p, q))
-                parts.append(Forall(p, Implies(
-                    In(p, block_vars[i - 1]),
-                    Forall(q, Implies(In(q, block_vars[j - 1]), cross)))))
-        return conj(*parts)
-
-    def _f_children(self, op_name, X, *blocks):
-        op = self.sig.op(op_name)
-        # flat form: prime-module blocks + a partition chain + the edge pattern
-        parts = [self._inst("pmoduleV", X)]
-        parts += [self._inst("pmodule", b) for b in blocks]
-        parts.append(self._partition_chain(X, list(blocks)))
-        parts.append(self._edge_pattern(op, blocks))
-        return conj(*parts)
-
-    def _partition_chain(self, X, blocks: list[str]) -> CmsFormula:
-        if len(blocks) == 2:
-            return self._inst("partition2", X, blocks[0], blocks[1])
-        rest = self._fresh.set()
-        return ExistsSet(rest, And((
-            self._inst("partition2", X, blocks[0], rest),
-            self._partition_chain(rest, blocks[1:]))))
-
-    def _f_partition2(self, X, A, B):
-        p = self._fresh.elem()
-        q = self._fresh.elem()
-        return conj(
-            self._inst("nonempty", A), self._inst("nonempty", B),
-            Forall(p, Not(And((In(p, A), In(p, B))))),
-            Forall(q, And((Implies(In(q, X), Or((In(q, A), In(q, B)))),
-                           Implies(In(q, A), In(q, X)),
-                           Implies(In(q, B), In(q, X))))))
-
-    def _children_search(self, op: SignatureOp, X: str,
-                         extra: Callable[[list[str]], Optional[CmsFormula]] = None,
-                         ) -> CmsFormula:
-        """Guarded existential search for the child blocks of an H-node.
-
-        Equivalent to exists X1..Xn children_H(X, X1..Xn) but with subset,
+        Equivalent to exists B1..Bn children_H(X, B1..Bn) but with subset,
         primality and disjointness guards pushed inward so the brute-force
         checker prunes instead of sweeping full tuple spaces.
         """
-        n = op.graph.n
-        blocks = [self._fresh.set() for _ in range(n)]
-        p = self._fresh.elem()
-        cover = Forall(p, Implies(In(p, X), disj(*(In(p, b) for b in blocks))))
-        core = conj(cover, self._inst("pmoduleV", X),
-                    self._edge_pattern(op, blocks))
-        if extra is not None:
-            ex = extra(blocks)
-            if ex is not None:
-                core = conj(core, ex)
-        body = core
-        for k in range(n - 1, -1, -1):
-            guards = [self._inst("subseteq", blocks[k], X),
-                      self._inst("pmodule", blocks[k])]
-            for earlier in blocks[:k]:
-                q = self._fresh.elem()
-                guards.append(Forall(q, Not(And((In(q, earlier),
-                                                 In(q, blocks[k]))))))
+        c = self.call
+        blocks = [f"B{i}" for i in range(1, op.graph.n + 1)]
+        cover = Forall("p", Implies(In("p", "X"), disj(*(In("p", b) for b in blocks))))
+        body = conj(cover, c("pmoduleV", "X"), c(f"pattern_{op.name}", *blocks),
+                    *(() if extra is None else (extra,)))
+        for k in range(len(blocks) - 1, -1, -1):
+            guards = [c("subseteq", blocks[k], "X"), c("pmodule", blocks[k])]
+            guards += [Forall("q", Not(And((In("q", b), In("q", blocks[k])))))
+                       for b in blocks[:k]]
             body = ExistsSet(blocks[k], conj(*guards, body))
         return body
 
-    def _f_label_op(self, op_name, X):
-        return self._children_search(self.sig.op(op_name), X)
-
-    def _f_node(self, X):
-        parts = [self._inst("is_singleton", X)]
-        if self.sig.builtin(OpKind.PARALLEL) is not None:
-            parts.append(self._inst("label_par", X))
-        if self.sig.builtin(OpKind.CLIQUE) is not None:
-            parts.append(self._inst("label_clique", X))
-        if self.sig.builtin(OpKind.SEQUENTIAL) is not None:
-            parts.append(self._inst("label_seq", X))
-        for op in self.sig.prime_ops:
-            parts.append(self._inst("label_op", op.name, X))
-        return disj(*parts)
-
-    def _f_childstar(self, X, Y):
-        return conj(self._inst("node", X), self._inst("node", Y),
-                    self._inst("propersub", Y, X))
-
-    def _f_child(self, X, Y):
-        K = self._fresh.set()
-        between = ExistsSet(K, conj(self._inst("propersub", Y, K),
-                                    self._inst("propersub", K, X),
-                                    self._inst("node", K)))
-        return conj(self._inst("node", X), self._inst("node", Y),
-                    self._inst("propersub", Y, X), Not(between))
-
-    def _f_first_child(self, X, Y):
-        return conj(self._inst("child", X, Y), self._inst("label_seq", X),
-                    self._inst("initial", X, Y))
-
-    def _f_dist_child(self, X, Y):
-        branches = [conj(self._inst("label_seq", X), self._inst("initial", X, Y))]
-        for op in self.sig.prime_ops:
-            dist = op.symmetry.distinguished
-
-            def pick(blocks, dist=dist):
-                return disj(*(self._inst("seteq", Y, blocks[i - 1])
-                              for i in sorted(dist)))
-
-            branches.append(self._children_search(op, X, extra=pick))
-        return conj(self._inst("child", X, Y), disj(*branches))
-
-    # ------------------------------------------------------------ catalog
-
-    def _build_catalog(self):
-        S = "set"
-        E = "element"
-
-        def add(name, concept_args, spec):
-            self.formulas[name] = self._inst(*concept_args)
-            self.var_spec[name] = tuple(spec)
-
-        add("singleton", ("singleton", "X", "x"), [("X", S), ("x", E)])
-        for sym in self.sig.alphabet:
-            add(f"label_{sym}", ("label", sym, "X"), [("X", S)])
-        add("partition2", ("partition2", "X", "X1", "X2"),
-            [("X", S), ("X1", S), ("X2", S)])
-        add("module", ("module", "X"), [("X", S)])
-        add("pmodule", ("pmodule", "X"), [("X", S)])
-        add("disconnected", ("disconnected", "X"), [("X", S)])
-        add("connected", ("connected", "X"), [("X", S)])
-        add("label_par", ("label_par", "X"), [("X", S)])
-        add("label_clique", ("label_clique", "X"), [("X", S)])
-        add("label_seq", ("label_seq", "X"), [("X", S)])
-        add("suffix", ("suffix", "X", "Z"), [("X", S), ("Z", S)])
-        add("sequential", ("sequential", "X"), [("X", S)])
-        add("initial", ("initial", "X", "Y"), [("X", S), ("Y", S)])
-        add("node", ("node", "X"), [("X", S)])
-        add("child*", ("childstar", "X", "Y"), [("X", S), ("Y", S)])
-        add("child", ("child", "X", "Y"), [("X", S), ("Y", S)])
-        add("first-child", ("first_child", "X", "Y"), [("X", S), ("Y", S)])
-        add("dist-child", ("dist_child", "X", "Y"), [("X", S), ("Y", S)])
-        for op in self.sig.prime_ops:
-            n = op.graph.n
-            blocks = tuple(f"X{i}" for i in range(1, n + 1))
-            add(f"label_{op.name}", ("label_op", op.name, "X"), [("X", S)])
-            add(f"children_{op.name}", ("children", op.name, "X") + blocks,
-                [("X", S)] + [(b, S) for b in blocks])
-            if f"partition{n}" not in self.formulas:
-                pf = self._partition_chain("X", list(blocks))
-                self.formulas[f"partition{n}"] = pf
-                self.var_spec[f"partition{n}"] = tuple(
-                    [("X", S)] + [(b, S) for b in blocks])
+    def _define_kappa(self):
+        """kappa_i(x, M): M is the node kappa_i maps the leaf of x to."""
+        d, c = self._define, self.call
+        disc = "co-disconnected" if self.mode is NodeKind.CLIQUE else "disconnected"
+        degenerate = "cliqueset" if self.mode is NodeKind.CLIQUE else "discrete"
+        d("kappa_0", "x M", c("singleton", "M", "x"))
+        d("kappa_1", "x M", conj(
+            In("x", "M"), c("pmoduleV", "M"), c(disc, "M"), c(degenerate, "M"),
+            ForallSet("Q", Implies(conj(c("pmoduleV", "Q"), c(disc, "Q"), In("x", "Q")),
+                                   c("subseteq", "M", "Q")))))
+        # x lies in a distinguished child of M
+        d("in_dist", "x M", ExistsSet("Y", conj(c("dist-child", "M", "Y"),
+                                               In("x", "Y"))))
+        d("kappa_3", "x M", conj(
+            c("node", "M"), Not(c(disc, "M")), In("x", "M"), c("in_dist", "x", "M"),
+            ForallSet("Q", Implies(
+                conj(c("node", "Q"), Not(c(disc, "Q")), c("nontrivial", "Q"),
+                     In("x", "Q"), c("propersub", "Q", "M")),
+                Not(c("in_dist", "x", "Q"))))))
+        d("kappa_2", "x M", ExistsSet("K", conj(c("kappa_3", "x", "K"),
+                                               c("child", "M", "K"), c(disc, "M"))))
 
     def names(self) -> list[str]:
-        return sorted(self.formulas)
+        return sorted(self._catalog)
 
     def formula(self, name: str) -> CmsFormula:
-        if name not in self.formulas:
+        """The body of a catalogued predicate, over its parameters."""
+        if name not in self._deciders:
             raise UnknownPredicate(f"no predicate named {name!r}")
-        return self.formulas[name]
+        return self.definitions[name].body
 
     def free_vars(self, name: str) -> tuple[tuple[str, str], ...]:
-        if name not in self.var_spec:
+        if name not in self._deciders:
             raise UnknownPredicate(f"no predicate named {name!r}")
-        return self.var_spec[name]
+        d = self.definitions[name]
+        return tuple(zip(d.params, d.kinds))
 
     # ------------------------------------------------ algorithmic versions
 
@@ -1015,7 +887,8 @@ class PredicateLibrary:
 
 
 class _ThetaMap(Mapping):
-    """Lazy map (tree predicate, index vector) -> formula."""
+    """Lazy map (tree predicate, index vector) -> formula; each formula is
+    built once, so a key gives the same object every time."""
 
     def __init__(self, schema: "TransductionSchema"):
         self._schema = schema
@@ -1044,7 +917,9 @@ class TransductionSchema:
     Three copies of the leaf set plus the original one (copy_bound 3) and
     four set parameters standing for the representative sets; phi accepts
     exactly the correct parameter assignments, psi_i places (x, i) in the
-    output domain, and theta interprets every tree predicate.
+    output domain, and theta interprets every tree predicate.  The
+    formulas call the library's definitions, kappa_0..kappa_3 among them,
+    by name.
     """
 
     copy_bound = 3
@@ -1056,92 +931,40 @@ class TransductionSchema:
         self.signature = library.sig
         self.mode = library.mode
         self.graph_signature = library.graph_signature
-        self.tree_signature = self._tree_signature()
-        self._disc = ("co-disconnected" if self.mode is NodeKind.CLIQUE
-                      else "disconnected")
-        self._degenerate = ("cliqueset" if self.mode is NodeKind.CLIQUE
-                            else "discrete")
-        self.kappa_formulas = tuple(self._build_kappa(i) for i in range(4))
+        self.tree_signature = RelationalSignature(tuple(tree_predicates(
+            self.signature.alphabet.symbols, self.signature.prime_ops)))
+        self.kappa_formulas = tuple(library.definitions[f"kappa_{i}"].body
+                                    for i in range(4))
         self.psi = tuple(In("x", p) for p in self.params)
         self.phi = self._build_phi()
         self.theta_family = _ThetaMap(self)
-
-    def _tree_signature(self) -> RelationalSignature:
-        sig = self.signature
-        return RelationalSignature(tuple(
-            tree_predicates(sig.alphabet.symbols, sig.prime_ops)))
-
-    def _build_kappa(self, i: int, x: str = "x", M: str = "M") -> CmsFormula:
-        """Formula stating M = kappa_i(x), over the graph signature."""
-        lib = self.library
-        if i == 0:
-            return lib._inst("singleton", M, x)
-        if i == 1:
-            Q = lib._fresh.set()
-            minimal = ForallSet(Q, Implies(
-                conj(lib._inst("pmoduleV", Q), lib._inst(self._disc, Q),
-                     In(x, Q)),
-                lib._inst("subseteq", M, Q)))
-            return conj(In(x, M), lib._inst("pmoduleV", M),
-                        lib._inst(self._disc, M),
-                        lib._inst(self._degenerate, M), minimal)
-        if i == 3:
-            Y = lib._fresh.set()
-            Q = lib._fresh.set()
-            Z = lib._fresh.set()
-            in_dist = ExistsSet(Y, conj(lib._inst("dist_child", M, Y), In(x, Y)))
-            below_not_dist = ForallSet(Q, Implies(
-                conj(lib._inst("node", Q), Not(lib._inst(self._disc, Q)),
-                     lib._inst("nontrivial", Q), In(x, Q),
-                     lib._inst("propersub", Q, M)),
-                Not(ExistsSet(Z, conj(lib._inst("dist_child", Q, Z), In(x, Z))))))
-            return conj(lib._inst("node", M), Not(lib._inst(self._disc, M)),
-                        In(x, M), in_dist, below_not_dist)
-        K = lib._fresh.set()
-        return ExistsSet(K, conj(self._build_kappa(3, x, K),
-                                 lib._inst("child", M, K),
-                                 lib._inst(self._disc, M)))
 
     def kappa_formula(self, i: int) -> CmsFormula:
         """M = kappa_i(x) with free element variable x and free set variable M."""
         return self.kappa_formulas[i]
 
-    def _kappa_at(self, i: int, x: str, M: str) -> CmsFormula:
-        key = ("schema-kappa", i, x, M)
-        got = self.library._cache.get(key)
-        if got is None:
-            got = self._build_kappa(i, x, M)
-            self.library._cache[key] = got
-        return got
+    def _kappa(self, i: int, x: str, M: str) -> CmsFormula:
+        return self.library.call(f"kappa_{i}", x, M)
 
     def _build_phi(self) -> CmsFormula:
-        lib = self.library
+        k = self._kappa
         parts = []
         for i, Xi in enumerate(self.params):
-            p, q = lib._fresh.elem(), lib._fresh.elem()
-            M1 = lib._fresh.set()
-            in_domain = Forall(p, Implies(
-                In(p, Xi), ExistsSet(M1, self._kappa_at(i, p, M1))))
-            M2 = lib._fresh.set()
-            injective = Forall(p, Forall(q, Implies(
-                conj(In(p, Xi), In(q, Xi), Not(Eq(p, q))),
-                Not(ExistsSet(M2, conj(self._kappa_at(i, p, M2),
-                                       self._kappa_at(i, q, M2)))))))
-            M3, M4 = lib._fresh.set(), lib._fresh.set()
-            covering = Forall(p, Implies(
-                ExistsSet(M3, self._kappa_at(i, p, M3)),
-                Exists(q, conj(In(q, Xi),
-                               ExistsSet(M4, conj(self._kappa_at(i, p, M4),
-                                                  self._kappa_at(i, q, M4)))))))
+            defined = ExistsSet("M", k(i, "p", "M"))
+            shared = ExistsSet("M", conj(k(i, "p", "M"), k(i, "q", "M")))
+            in_domain = Forall("p", Implies(In("p", Xi), defined))
+            injective = Forall("p", Forall("q", Implies(
+                conj(In("p", Xi), In("q", Xi), Not(Eq("p", "q"))), Not(shared))))
+            covering = Forall("p", Implies(defined, Exists("q", conj(In("q", Xi), shared))))
             parts += [in_domain, injective, covering]
         return conj(*parts)
 
     def _build_theta(self, name: str, ivec: tuple[int, ...]) -> CmsFormula:
-        lib = self.library
+        c, k = self.library.call, self._kappa
         arity = self.tree_signature.arity(name)
         if len(ivec) != arity or any(not 0 <= i <= 3 for i in ivec):
             raise ValueError(f"index vector {ivec} does not fit {name!r}")
-        xs = tuple(f"x{k}" for k in range(1, arity + 1))
+        xs = tuple(f"x{j}" for j in range(1, arity + 1))
         false = Not(Eq(xs[0], xs[0]))
         true = Eq(xs[0], xs[0])
         comm_label = ("label_clique" if self.mode is NodeKind.CLIQUE
@@ -1152,38 +975,23 @@ class TransductionSchema:
             return true if ivec[0] in (1, 2) else false
         if name in ("label_par", "label_clique"):
             return false  # the inactive commutative product labels nothing
-        if name == "label_seq":
-            if ivec[0] != 3:
-                return false
-            M = lib._fresh.set()
-            return ExistsSet(M, conj(self._kappa_at(3, xs[0], M),
-                                     lib._inst("label_seq", M)))
         if name.startswith("label_"):
+            # label_seq or a prime operation's label, on the node of x1
             if ivec[0] != 3:
                 return false
-            op_name = name[6:]
-            M = lib._fresh.set()
-            return ExistsSet(M, conj(self._kappa_at(3, xs[0], M),
-                                     lib._inst("label_op", op_name, M)))
+            return ExistsSet("M", conj(k(3, xs[0], "M"), c(name, "M")))
         if name in ("child", "first-child") or name.startswith("dist-child_"):
-            M, N = lib._fresh.set(), lib._fresh.set()
-            if name == "child":
-                rel = lib._inst("child", M, N)
-            elif name == "first-child":
-                rel = lib._inst("first_child", M, N)
+            if name.startswith("dist-child_"):
+                rel = conj(c("label_" + name[len("dist-child_"):], "M"),
+                           c("dist-child", "M", "N"))
             else:
-                op_name = name[len("dist-child_"):]
-                rel = conj(lib._inst("label_op", op_name, M),
-                           lib._inst("dist_child", M, N))
-            return ExistsSet(M, conj(
-                self._kappa_at(ivec[0], xs[0], M),
-                ExistsSet(N, conj(self._kappa_at(ivec[1], xs[1], N), rel))))
+                rel = c(name, "M", "N")
+            return ExistsSet("M", conj(k(ivec[0], xs[0], "M"), ExistsSet(
+                "N", conj(k(ivec[1], xs[1], "N"), rel))))
         if name.startswith("children_"):
-            op_name = name[len("children_"):]
-            sets = [lib._fresh.set() for _ in range(arity)]
-            body = lib._inst("children", op_name, *sets)
-            out = conj(*(self._kappa_at(ivec[k], xs[k], sets[k])
-                         for k in range(arity)), body)
+            sets = [f"M{j}" for j in range(1, arity + 1)]
+            out = conj(*(k(ivec[j], xs[j], sets[j]) for j in range(arity)),
+                       c(name, *sets))
             for s in reversed(sets):
                 out = ExistsSet(s, out)
             return out

@@ -1,8 +1,9 @@
 """The closure model checker, kept as the referee of ``cms.ModelChecker``.
 
 Each distinct formula node is compiled once per checker into a closure that
-charges one unit of work per entry, with a memo table per quantifier.  This
-is the checker ``cms.ModelChecker`` replaced; the differential tests in
+charges one unit of work per entry, with a memo table per quantifier and
+one table per definition on the values of its calls' arguments.  This is
+the checker ``cms.ModelChecker`` replaced; the differential tests in
 ``test_cms_referee.py`` require the two to give the same answer and the
 same ``work`` after every check.
 """
@@ -13,7 +14,7 @@ import weakref
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
-from modgraph.cms import (DEFAULT_BUDGET, SET, And, CmsFormula, Eq, ExistsMod,
+from modgraph.cms import (DEFAULT_BUDGET, SET, And, Call, CmsFormula, Eq, ExistsMod,
                           Forall, ForallSet, Implies, In, Not, Or, Pred,
                           Structure, _free, _Meter, _Quantifier, variable_kinds)
 from modgraph.errors import ArityMismatch, UnboundVariable
@@ -32,8 +33,10 @@ class ClosureChecker:
     another formula's tables.  Every quantifier closure owns a memo table
     keyed by the values of its node's free variables; a subformula shared
     between several formulas, such as the library predicates' common
-    building blocks, is compiled once and shares one table.  Work is
-    counted per formula node entry, memo hits included, against a
+    building blocks, is compiled once and shares one table.  A call
+    looks up its definition's table on its argument values, and on a miss
+    evaluates the body with the parameters bound to them.  Work is counted
+    per formula node entry, memo and table hits included, against a
     deterministic budget.
     """
 
@@ -49,6 +52,7 @@ class ClosureChecker:
         self._meter = _Meter(budget)
         self._env: dict[str, int] = {}
         self._code: dict[CmsFormula, _Code] = {}
+        self._tables: dict = {}
         # top-level node -> (name, is_set) per free variable
         self._params: dict[CmsFormula, tuple[tuple[str, bool], ...]] = {}
 
@@ -146,7 +150,35 @@ class ClosureChecker:
                         return not conjunctive
                 return conjunctive
             return run
+        if isinstance(node, Call):
+            return self._build_call(node)
         return self._build_quantifier(node)
+
+    def _build_call(self, node: Call) -> _Code:
+        # one table per definition, shared by every call site; the body is
+        # compiled at the first miss and run with the parameters bound
+        meter, env, checker = self._meter, self._env, weakref.ref(self)
+        defn, args = node.defn, node.args
+        table = self._tables.setdefault(defn, {})
+        body = None
+
+        def run():
+            nonlocal body
+            meter.work += 1
+            k = tuple(env[a] for a in args)
+            hit = table.get(k)
+            if hit is not None:
+                return hit
+            if meter.work > meter.budget:
+                meter.exhausted()
+            if body is None:
+                body = checker()._compile(defn.body)
+            saved = [env.get(p) for p in defn.params]
+            env.update(zip(defn.params, k))
+            table[k] = result = bool(body())
+            env.update(zip(defn.params, saved))
+            return result
+        return run
 
     def _build_quantifier(self, node: _Quantifier) -> _Code:
         # The body is compiled at the first memo miss, so subformulas under

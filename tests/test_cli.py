@@ -1,7 +1,8 @@
 import pytest
 
 from modgraph import cli, mdec
-from modgraph.formats import algebra_to_text, graph_to_text, signature_to_text
+from modgraph.formats import (algebra_to_text, graph_to_text, parse_graph,
+                              signature_to_text)
 from modgraph.mdec import MDecNode, NodeKind
 from modgraph.samples import parity_algebra, spw5_signature, word_graph
 from modgraph.selftest import SelfTestConfig, run_selftest
@@ -142,13 +143,15 @@ class TestVerbs:
         code, _, err = run(capsys, "eval-term", files["sig"], "(seq a")
         assert code == 2
 
-    def test_eval_term_deep_term_exit_2(self, capsys, files):
+    def test_eval_term_deep_term(self, capsys, files):
+        # 2,000 levels, deeper than the recursion limit: parsed and
+        # evaluated without recursion
         term = "a"
         for k in range(2000):
             term = f"({'seq' if k % 2 else 'par'} {term} b)"
-        code, _, err = run(capsys, "eval-term", files["sig"], term)
-        assert code == 2
-        assert err.strip() == "error: input nests too deeply"
+        code, out, err = run(capsys, "eval-term", files["sig"], term)
+        assert code == 0 and err == ""
+        assert parse_graph(out).n == 2001
 
     def test_verify_transduction_on_a_deep_term(self, capsys, files, tmp_path):
         # 1,100 alternating seq/par levels, deeper than the recursion limit

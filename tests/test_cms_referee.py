@@ -5,6 +5,8 @@ each per structure.  After every check they must give the same answer and
 the same ``work``.  At a budget one below the total work of a sequence
 (or one below the work after any check) both raise ``BudgetExceeded`` on
 the same check with the same message, and at the total neither raises.
+The library and kappa formulas are checked in their called form: bodies
+that call the library's definitions, tabled by both checkers.
 """
 
 import itertools
@@ -13,10 +15,11 @@ import random
 import pytest
 
 from cms_referee import ClosureChecker
-from modgraph.cms import (And, Eq, Exists, ExistsMod, ExistsSet, Forall,
-                          ForallSet, Implies, In, ModelChecker, Not, Or, Pred,
-                          RelationalSignature, Structure, graph_structure,
-                          parse_formula, to_text, tree_structure)
+from modgraph.cms import (And, Call, Definition, Eq, Exists, ExistsMod,
+                          ExistsSet, Forall, ForallSet, Implies, In,
+                          ModelChecker, Not, Or, Pred, RelationalSignature,
+                          Structure, conj, graph_structure, parse_formula,
+                          to_text, tree_structure)
 from modgraph.errors import BudgetExceeded
 from modgraph.generators import random_term
 from modgraph.graphs import LabeledGraph
@@ -88,6 +91,7 @@ def library_checks(lib, g):
 
 def test_library_sweep_on_every_digraph_up_to_three_vertices():
     lib = PredicateLibrary(spw5_signature(("a",)))
+    assert any(isinstance(p, Call) for p in lib.formula("child").parts)
     graphs = [g for n in (1, 2, 3) for g in labeled_digraphs(n)]
     assert len(graphs) == 1 + 4 + 64
     checks_run = 0
@@ -245,3 +249,87 @@ def test_nested_quantifier_shapes(text):
         f = parse_formula(text, rsig)
         cumulative = run_both(structure, [(f, {}), (f, {})])
         assert_budget_parity(structure, [(f, {})], cumulative[:1])
+
+
+SINGLE = Definition("single", ("X", "x"), conj(
+    In("x", "X"), Forall("q", Implies(In("q", "X"), Eq("q", "x")))))
+SUCC = Definition("succ", ("x", "Y"), Exists("q", And((In("q", "Y"),
+                                                       Pred("r", ("x", "q"))))))
+SUB = Definition("sub", ("A", "B"), Forall("p", Implies(In("p", "A"), In("p", "B"))))
+ABOVE = Definition("above", ("X",), ExistsSet("S", conj(Call(SUB, ("S", "X")),
+                                                    Exists("p", In("p", "S")))))
+SOME = Definition("some", (), Exists("x", Pred("p", ("x",))))
+LINK = Definition("link", ("x", "y"), Or((Pred("r", ("x", "y")), Pred("r", ("y", "x")))))
+CALL_SHAPES = {
+    # a pointwise call: the table is two masks over the quantified variable
+    "pointwise": Exists("x", Call(SINGLE, ("X", "x"))),
+    "pointwise-and-atom": Exists("x", conj(Call(SINGLE, ("X", "x")), Pred("p", ("x",)))),
+    "two-pointwise-definitions": ExistsMod(2, "x", Or((Call(SINGLE, ("X", "x")),
+                                                       Call(SUCC, ("x", "Y"))))),
+    # one definition called twice, or a called body's quantifier also
+    # nested directly: the quantifier loops instead
+    "one-definition-twice": Forall("x", Implies(Call(SINGLE, ("X", "x")),
+                                                Call(SINGLE, ("Y", "x")))),
+    "shared-quantifier": Exists("x", conj(
+        Call(SINGLE, ("X", "x")), Forall("q", Implies(In("q", "X"), Eq("q", "x"))))),
+    # a call that does not pass the quantified variable
+    "call-without-the-variable": Exists("y", And((Call(SINGLE, ("X", "x")),
+                                                  Pred("r", ("x", "y"))))),
+    "set-loop": ForallSet("S", Implies(Call(SUB, ("S", "X")), Call(ABOVE, ("S",)))),
+    "no-parameters-and-two-elements": conj(Call(SOME, ()), Call(LINK, ("x", "y"))),
+    "element-pairs": Exists("x", Exists("y", Call(LINK, ("x", "y")))),
+    "repeated-argument": Or((Call(SUB, ("X", "X")), Call(SINGLE, ("X", "x")))),
+    "top-level-call": Call(SINGLE, ("X", "x")),
+}
+
+
+def _structures(rng, count, max_n=5):
+    rsig = RelationalSignature((("p", 1), ("r", 2)))
+    for _ in range(count):
+        dom = tuple(range(rng.randint(1, max_n)))
+        yield Structure(rsig, dom, {
+            "p": frozenset((d,) for d in dom if rng.random() < 0.5),
+            "r": frozenset((a, b) for a in dom for b in dom if rng.random() < 0.4)})
+
+
+def _bindings(rng, n, formulas, count):
+    checks = []
+    for _ in range(count):
+        f = rng.choice(formulas)
+        env = {"x": rng.randrange(n), "y": rng.randrange(n),
+               "X": rng.randrange(1 << n), "Y": rng.randrange(1 << n)}
+        checks.append((f, {v: env[v] for v in f.free_vars()}))
+    return checks
+
+
+@pytest.mark.parametrize("name", sorted(CALL_SHAPES))
+def test_call_shapes(name):
+    rng = random.Random(name)
+    formulas = [CALL_SHAPES[name], CALL_SHAPES["pointwise"]]
+    for k, structure in enumerate(_structures(rng, 60)):
+        checks = _bindings(rng, len(structure.domain), formulas, 16)
+        cumulative = run_both(structure, checks)
+        if k % 6 == 0:
+            assert_budget_parity(structure, checks, cumulative, picks=(2, 9))
+
+
+def test_random_definitions():
+    # random bodies over (X, x), called with the quantified variable, a
+    # free one, and from a set loop, next to their expansions
+    rng = random.Random(31)
+    for trial in range(120):
+        body = _random_formula(rng, rng.randint(1, 3), ["x"], ["X"], "xyq")
+        d = Definition("d", ("X", "x"), body)
+        e = Definition("e", ("X", "x"), _random_formula(rng, 2, ["x"], ["X"], "q"))
+        formulas = [
+            Exists("y", Call(d, ("X", "y"))),
+            Forall("y", Or((Call(d, ("Y", "y")), Pred("p", ("y",))))),
+            Exists("y", And((Call(e, ("X", "y")), Not(Call(d, ("Y", "y")))))),
+            And((Call(d, ("X", "x")), Call(e, ("Y", "y")))),
+            ExistsSet("S", Call(d, ("S", "x"))),
+        ]
+        for k, structure in enumerate(_structures(rng, 4, max_n=4)):
+            checks = _bindings(rng, len(structure.domain), formulas, 12)
+            cumulative = run_both(structure, checks)
+            if trial % 12 == 0 and k == 0:
+                assert_budget_parity(structure, checks, cumulative, picks=(3, 7))

@@ -113,6 +113,47 @@ class TestTermFormat:
         with pytest.raises(FormulaSyntaxError):
             parse_term("(seq a z)", spw5_signature())
 
+    @pytest.mark.parametrize("text, message", [
+        ("(seq a", "1:4: unexpected end of term"),
+        (")", "1:2: unexpected ')'"),
+        ("", "1:1: unexpected end of term"),
+        ("(seq a b) a", "1:6: trailing input after term"),
+        ("a b", "1:2: trailing input after term"),
+        ("(foo a b)", "1:3: unknown operation 'foo'"),
+        ("((seq a b) a)", "1:3: unknown operation '('"),
+        ("(prime P3 a b c)", "1:4: unknown prime operation 'P3'"),
+        ("(prime W5 a b)", "1:7: W5 expects 5 arguments, got 2"),
+        ("(seq a (par b a) (prime W5 a a a a))", "1:17: W5 expects 5 arguments, got 4"),
+        ("(seq a)", "1:5: seq expects at least 2 arguments"),
+        ("(par)", "1:4: par expects at least 2 arguments"),
+        ("(seq a z)", "1:5: unknown symbol 'z'"),
+        ("(clique a b)", "1:3: operation 'clique' not in signature"),
+    ])
+    def test_error_messages_and_positions(self, text, message):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_term(text, spw5_signature(("a", "b")))
+        assert str(exc.value) == message
+
+    def test_deep_term_without_recursion(self):
+        import sys
+        sig = spw5_signature(("a", "b"))
+        text = "a"
+        for k in range(2000):
+            text = f"({'seq' if k % 2 else 'par'} {text} b)"
+        assert 2000 > sys.getrecursionlimit()
+        t = parse_term(text, sig)
+        assert term_to_text(t) == text
+        assert parse_term(term_to_text(t), sig) == t
+
+    def test_seeded_terms_parse_to_themselves(self):
+        import random
+        from modgraph.generators import random_term
+        sig = spw5_signature(("a", "b"))
+        rng = random.Random(2026)
+        for _ in range(500):
+            t = random_term(rng, sig, max_depth=5, max_leaves=12)
+            assert parse_term(term_to_text(t), sig) == t
+
 
 ALGEBRA_TEXT = """\
 algebra parity

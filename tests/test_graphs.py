@@ -33,6 +33,37 @@ class TestLabeledGraph:
         with pytest.raises(ValueError):
             LabeledGraph.build([1, 2], [], {1: "a"})
 
+    @pytest.mark.parametrize("parts, error", [
+        (([1, 2], [(1, 1)], {1: "a", 2: "a"}), ValueError),
+        (([1, 2], [(1, 3)], {1: "a", 2: "a"}), VertexNotInGraph),
+        (([1, 2], [], {1: "a"}), ValueError),
+    ], ids=["self-loop", "dangling-edge", "partial-labeling"])
+    def test_public_constructor_validates(self, parts, error):
+        vertices, edges, labels = parts
+        with pytest.raises(error):
+            LabeledGraph(frozenset(vertices), frozenset(edges), labels)
+        with pytest.raises(error):
+            LabeledGraph.build(vertices, edges, labels)
+
+    def test_derived_graphs_equal_validated_ones(self):
+        # induced, compose_graph, eval_term and reconstruct skip the checks;
+        # their graphs pass them and equal the validated construction
+        import random
+        from modgraph.generators import random_term
+        from modgraph.mdec import decompose, reconstruct
+        from modgraph.samples import spw5_signature
+        from modgraph.signature import compose_graph, eval_term
+        sig = spw5_signature(("a", "b"))
+        rng = random.Random(77)
+        for _ in range(40):
+            g = eval_term(sig, random_term(rng, sig, max_depth=4, max_leaves=9))
+            h = compose_graph(W5_GRAPH, [g] * 5)
+            derived = [g, h, reconstruct(decompose(g, sig)),
+                       h.induced(rng.sample(sorted(h.vertices), h.n // 2))]
+            for d in derived:
+                checked = LabeledGraph(d.vertices, d.edges, d.labels)
+                assert d == checked and hash(d) == hash(checked)
+
     def test_equality_is_set_equality(self):
         g = LabeledGraph.build([1, 2], [(1, 2)], {1: "a", 2: "b"})
         h = LabeledGraph.build([2, 1], [(1, 2)], {2: "b", 1: "a"})

@@ -18,10 +18,10 @@ from .signature import (CLIQUE_OP, PAR_OP, SEQ_OP, DistinguishedSet, OpKind,
                         cp_equations, eval_term, is_prime, is_weakly_rigid_op,
                         prime_op, select_distinguished,
                         validate_weakly_rigid_signature)
-from .mdec import (DecompositionCase, MDecNode, MDecPrimeTree, MDecTree,
-                   NodeKind, binarize, brute_force_prime_modules, decompose,
-                   format_tree, maximal_prime_modules, quotient_graph,
-                   reconstruct, tree_to_term)
+from .mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, binarize,
+                   brute_force_prime_modules, decompose, format_tree,
+                   maximal_prime_modules, quotient_graph, reconstruct,
+                   tree_to_term)
 from .recognizer import (AlgebraReport, FiniteAlgebra, evaluate, evaluate_tree,
                          member, validate_algebra)
 from .cms import (CmsFormula, ModelChecker, RelationalSignature, Structure,

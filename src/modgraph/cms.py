@@ -7,13 +7,14 @@ brute-force Tarskian semantics (set quantifiers range over all subsets of
 the domain) with a deterministic work budget, memoization of quantified
 subformulas and tabling of definitions on their argument values: a call
 costs one unit of work, and its body is evaluated once per table entry.
-Element quantifiers over bodies of atoms, connectives and such
-quantifiers are evaluated set-at-a-time on bitmasks over the domain, with
-the work an element-at-a-time evaluation would charge counted
-analytically; the other quantifiers loop.  Each quantifier, definition
-and checked formula is compiled to generated Python code once per formula
-shape.  Structure encoders turn labeled graphs and decomposition trees
-into relational structures.
+An element quantifier whose body holds only atoms and connectives is
+evaluated set-at-a-time on bitmasks over the domain, with the work an
+element-at-a-time evaluation would charge counted analytically; every
+other quantifier loops, inlining the set-at-a-time quantifiers in its body
+and calling the units and definition tables of the rest.  Each
+quantifier, definition and checked formula is compiled to generated
+Python code once per formula shape.  Structure encoders turn labeled
+graphs and decomposition trees into relational structures.
 """
 
 from __future__ import annotations
@@ -603,109 +604,43 @@ _KIND = {Exists: "exists", Forall: "forall", ExistsMod: "mod",
          ExistsSet: "existsset", ForallSet: "forallset"}
 
 
-def _set_at_a_time(f: CmsFormula, var: str, nested: bool) -> bool:
+def _set_at_a_time(f: CmsFormula, var: str) -> bool:
     """Whether f can be evaluated as bitmasks over the values of var: atoms
-    (none of arity 3 or more on var) and connectives, plus, when nested,
-    element quantifiers over such bodies whose memo is a bitmask over var
-    or does not depend on var, and calls that pass var as the only element
-    argument of a pointwise definition."""
+    (none of arity 3 or more on var) and connectives only."""
     if isinstance(f, (In, Eq)):
         return True
     if isinstance(f, Pred):
         return len(f.args) < 3 or var not in f.args
     if isinstance(f, Not):
-        return _set_at_a_time(f.body, var, nested)
+        return _set_at_a_time(f.body, var)
     if isinstance(f, (And, Or)):
-        return all(_set_at_a_time(p, var, nested) for p in f.parts)
+        return all(_set_at_a_time(p, var) for p in f.parts)
     if isinstance(f, Implies):
-        return (_set_at_a_time(f.left, var, nested)
-                and _set_at_a_time(f.right, var, nested))
-    if isinstance(f, Call):
-        c = f.defn.column
-        return (nested and c is not None and f.args[c] == var
-                and f.args.count(var) == 1 and _pointwise(f.defn) is not None)
-    return (nested and isinstance(f, _ELEMENT_QUANTIFIERS)
-            and _set_at_a_time(f.body, f.var, False)
-            and (var not in _free(f) or _column(f) == var))
+        return _set_at_a_time(f.left, var) and _set_at_a_time(f.right, var)
+    return False
 
 
-def _pointwise(d: Definition) -> Optional[tuple[CmsFormula, ...]]:
-    """The quantifiers of a definition that can be evaluated at one value
-    of its element parameter inside a set-at-a-time quantifier: a body of
-    atoms, connectives and distinct element quantifiers over atoms and
-    connectives, each with its memo a bitmask over that parameter.  None
-    for any other definition."""
-    got = d.__dict__.get("_pointwise", ())
-    if got == ():
-        param = None if d.column is None else d.params[d.column]
-        quants: list[CmsFormula] = []
-
-        def ok(f):
-            if isinstance(f, (In, Eq, Pred)):
-                return True
-            if isinstance(f, Not):
-                return ok(f.body)
-            if isinstance(f, (And, Or)):
-                return all(ok(p) for p in f.parts)
-            if isinstance(f, Implies):
-                return ok(f.left) and ok(f.right)
-            quants.append(f)
-            return (isinstance(f, _ELEMENT_QUANTIFIERS)
-                    and _set_at_a_time(f.body, f.var, False)
-                    and _column(f) == param)
-
-        got = (tuple(quants) if param is not None and ok(d.body)
-               and len(set(quants)) == len(quants) else None)
-        object.__setattr__(d, "_pointwise", got)
-    return got
-
-
-def _masked(q: CmsFormula) -> bool:
-    """Whether q is an element quantifier evaluated set-at-a-time with its
-    nested quantifiers and calls.  Their memo commits wait for the deciding
-    element, so the tables they go to must be distinct: one call per
-    definition, and the quantifiers of the called bodies distinct from each
-    other and from the nested quantifiers."""
-    if not (isinstance(q, _ELEMENT_QUANTIFIERS)
-            and _set_at_a_time(q.body, q.var, True)):
-        return False
-    calls, todo = set(), [q.body]
-    seen: set[CmsFormula] = set()
-    while todo:
-        f = todo.pop()
-        if isinstance(f, Call):
-            calls.add(f)
-        elif isinstance(f, _Quantifier):
-            seen.add(f)
-        else:
-            todo.extend(_children(f))
-    if len({c.defn for c in calls}) != len(calls):
-        return False
-    for c in calls:
-        for inner in _pointwise(c.defn):
-            if inner in seen:
-                return False
-            seen.add(inner)
-    return True
+def _masked(f: CmsFormula) -> bool:
+    """Whether f is an element quantifier evaluated set-at-a-time."""
+    return (isinstance(f, _ELEMENT_QUANTIFIERS)
+            and _set_at_a_time(f.body, f.var))
 
 
 def _shape(node) -> tuple[tuple, list]:
-    """The canonical form of one compiled unit, with the nested quantifiers
-    and definitions it refers to by position.
+    """The canonical form of one compiled unit, with the quantifiers and
+    definitions it refers to by position.
 
     Variables become positions: the node's free variables in sorted order
     (a definition's parameters in their order), then each binder in
-    depth-first order.  Equal nested quantifiers share one
-    position, as they share one memo table, and so do the calls of one
-    definition.
+    depth-first order.  Equal quantifiers share one position, as they
+    share one memo table, and so do the calls of one definition.
 
-    A "mask" unit is an element quantifier evaluated set-at-a-time, with
-    its nested element quantifiers and pointwise calls ("pcall", with the
-    called body) in its canonical form.  A "def" unit is a definition, a
-    "loop" unit any other quantifier and a "top" unit a formula that is
-    neither; their canonical forms hold the set-at-a-time quantifiers
-    without nested quantifiers that they enter, and "call" the units of
-    the others and of the definitions they call."""
+    A "mask" unit is an element quantifier evaluated set-at-a-time: its
+    body holds only atoms and connectives.  A "def" unit is a definition,
+    a "loop" unit any other quantifier and a "top" unit a formula that is
+    neither.  Their canonical forms hold the set-at-a-time quantifiers
+    they enter ("quant", inlined), and "call" the units of the other
+    quantifiers and the tables of the definitions they call."""
     nodes: list = []
     slots: dict = {}
     bind = itertools.count().__next__
@@ -731,7 +666,7 @@ def _shape(node) -> tuple[tuple, list]:
             return None, args, args
         return args[c], args[:c] + args[c + 1:], args
 
-    def walk(f, sc, masked):
+    def walk(f, sc):
         if isinstance(f, In):
             return ("in", sc[f.elem], sc[f.sett])
         if isinstance(f, Eq):
@@ -739,53 +674,31 @@ def _shape(node) -> tuple[tuple, list]:
         if isinstance(f, Pred):
             return ("pred", f.name, tuple(sc[a] for a in f.args))
         if isinstance(f, Not):
-            return ("not", walk(f.body, sc, masked))
+            return ("not", walk(f.body, sc))
         if isinstance(f, (And, Or)):
             return ("and" if isinstance(f, And) else "or",
-                    tuple(walk(p, sc, masked) for p in f.parts))
+                    tuple(walk(p, sc) for p in f.parts))
         if isinstance(f, Implies):
-            return ("imp", walk(f.left, sc, masked), walk(f.right, sc, masked))
+            return ("imp", walk(f.left, sc), walk(f.right, sc))
         if isinstance(f, Call):
-            slot = slot_of(f.defn)
-            if not masked:
-                return ("call", slot) + spec(f, sc)
-            d = f.defn
-            inner = {p: sc[a] for p, a in zip(d.params, f.args)}
-            return ("pcall", slot) + spec(f, sc)[:2] + (walk(d.body, inner, True),)
-        slot = slot_of(f)
-        if masked or (isinstance(f, _ELEMENT_QUANTIFIERS)
-                      and _set_at_a_time(f.body, f.var, False)):
-            return quant(f, sc, slot)
-        return ("call", slot) + spec(f, sc)
+            return ("call", slot_of(f.defn)) + spec(f, sc)
+        if _masked(f):
+            return quant(f, sc, slot_of(f))
+        return ("call", slot_of(f)) + spec(f, sc)
 
-    def quant(q, sc, slot, masked=True):
+    def quant(q, sc, slot):
         inner = dict(sc)
         inner[q.var] = bind()
         return ("quant", _KIND[type(q)], getattr(q, "q", 0), inner[q.var],
-                walk(q.body, inner, masked), (slot,) + spec(q, sc)[:2])
+                walk(q.body, inner), (slot,) + spec(q, sc)[:2])
 
     if isinstance(node, Definition):
         scope = {p: bind() for p in node.params}
-        return ("def", (len(scope), node.column, walk(node.body, scope, False))), nodes
+        return ("def", (len(scope), node.column, walk(node.body, scope))), nodes
     scope = {v: bind() for v in _free(node)}
     if not isinstance(node, _Quantifier):
-        return ("top", (len(scope), walk(node, scope, False))), nodes
-    if _masked(node):
-        return ("mask", quant(node, scope, None)), nodes
-    return ("loop", quant(node, scope, None, False)), nodes
-
-
-def _walk_forms(f: tuple, tag: str) -> list[tuple]:
-    """The forms with the tag in a canonical body, outside quantifiers."""
-    if f[0] == tag:
-        return [f]
-    if f[0] == "not":
-        return _walk_forms(f[1], tag)
-    if f[0] in ("and", "or"):
-        return [k for p in f[1] for k in _walk_forms(p, tag)]
-    if f[0] == "imp":
-        return _walk_forms(f[1], tag) + _walk_forms(f[2], tag)
-    return []
+        return ("top", (len(scope), walk(node, scope))), nodes
+    return ("mask" if _masked(node) else "loop", quant(node, scope, None)), nodes
 
 
 class _Codegen:
@@ -806,7 +719,6 @@ class _Codegen:
         self.dirty = False
         self.tables: dict[tuple, str] = {}
         self.memos: set[int] = set()
-        self.nest: dict[int, dict] = {}
         kind, node = unit
         if kind == "top":
             self.top(node)
@@ -893,15 +805,21 @@ class _Codegen:
         self.params = ", ".join(f"v{i}" for i in range(n))
         return {i: f"v{i}" for i in range(n)}
 
-    def bind_calls(self, f) -> list[int]:
-        """Bind the nested units a loop, def or top unit calls, on first
-        use."""
-        slots = sorted({c[1] for c in _walk_forms(f, "call")})
+    def bind_calls(self, f):
+        """Bind the units a loop, def or top unit calls, on first use."""
+        slots, todo = set(), [f]
+        while todo:
+            g = todo.pop()
+            if g[0] == "call":
+                slots.add(g[1])
+            elif g[0] in ("and", "or"):
+                todo.extend(g[1])
+            elif g[0] in ("not", "imp"):
+                todo.extend(g[1:])
         if slots:
             self.emit("if inner is None:")
-            self.emit(f"    inner = ref()._bind(NODES, {self.tuple_expr(slots)})")
+            self.emit(f"    inner = ref()._bind(NODES, {self.tuple_expr(sorted(slots))})")
             self.emit("C = inner")
-        return slots
 
     def enter(self, col, rest, scope) -> tuple[str, str, Optional[str]]:
         """A unit's entry: one unit of work, its own memo probe (return on a
@@ -1104,7 +1022,6 @@ class _Codegen:
         node entry, up to the element that decides it, as an
         element-at-a-time loop would charge)."""
         _, kind, qmod, var, body, _ = q
-        saved, self.nest = self.nest, {}
         inner = dict(scope)
         inner[var] = None
         entries: list[str] = []
@@ -1127,11 +1044,7 @@ class _Codegen:
             else:
                 term = f"{pre}.bit_count()" if e == "ALL" else f"({e} & {pre}).bit_count()"
             terms.append(term if n == 1 else f"{n} * {term}")
-        work = self.let(" + ".join(terms), "wk")
-        for st in self.nest.values():
-            self.charge(st, pre, work)
-        self.nest = saved
-        return value, work
+        return value, self.let(" + ".join(terms), "wk")
 
     def mask_atom(self, f, scope) -> str:
         """A mask over the quantified variable (marked None in scope)."""
@@ -1182,177 +1095,9 @@ class _Codegen:
             for part in f[1]:
                 e = self.let(f"{e} & ~{self.mask(part, scope, e, entries)}", "e")
             return self.let(f"{entry} & ~{e}")
-        if tag == "imp":
-            left = self.mask(f[1], scope, entry, entries)
-            right = self.mask(f[2], scope, self.let(f"{entry} & {left}", "e"), entries)
-            return self.let(f"{entry} & (~{left} | {right})")
-        return self.nested(f, scope, entry)
-
-    def nested(self, q, scope, entry) -> str:
-        """A nested element quantifier or a pointwise call.  Over the
-        enclosing variable (its column), memo hits are read as masks and
-        misses are evaluated one element at a time; without it, the
-        quantifier has one value.  Misses are charged, and committed to
-        its memo, only inside the enclosing quantifier's prefix (see
-        charge)."""
-        if q[0] == "pcall":
-            _, slot, col, rest, body = q
-        else:
-            _, _, _, _, _, (slot, col, rest) = q
-            body = None
-        st = self.nest.get(slot)
-        if st is None:
-            memo = self.memo(slot)
-            key = self.key(rest, scope)
-            st = self.nest[slot] = {"memo": memo, "key": key, "slot": slot,
-                                    "entries": [], "pending": {},
-                                    "per": col is not None and scope[col] is None}
-            if st["per"]:
-                ent = st["ent"] = self.let(f"{memo}.get({key})", "ent")
-                st["done"], st["val"] = self.tmp("d"), self.tmp("dv")
-                st["got"], st["gotval"] = self.tmp("K"), self.tmp("V")
-                self.head.append(f"B{slot} = {{}}")
-                self.emit(f"{st['done']}, {st['val']} = {ent} if {ent} is not None else (0, 0)")
-                self.emit(f"{st['got']} = {st['gotval']} = 0")
-                if body is not None:
-                    st["pending"] = self.pending(body, scope)
-            else:
-                c = st["col"] = None if col is None else scope[col]
-                hit, st["ent"] = self.probe(memo, key, c)
-                tv, miss, wk = st["tv"], st["miss"], st["work"] = (
-                    self.tmp("tv"), self.tmp("miss"), self.tmp("wB"))
-                self.emit(f"if {hit} is not None:")
-                self.emit(f"    {tv}, {miss} = {hit}, 0")
-                self.emit("else:")
-                self.depth += 1
-                value, work = self.quant(q, scope)
-                self.emit(f"{tv}, {wk}, {miss} = {value}, {work}, 1")
-                self.depth -= 1
-        st["entries"].append(entry)
-        if not st["per"]:
-            return self.let(f"ALL if {st['tv']} else 0")
-        need = self.let(f"{entry} & ~({st['done']} | {st['got']})", "need")
-        self.emit(f"{st['got']} |= {need}")
-        self.emit(f"while {need}:")
-        self.depth += 1
-        b = self.let(f"{need} & -{need}", "b")
-        self.emit(f"{need} ^= {b}")
-        inner = dict(scope)
-        inner[col] = self.let(f"{b}.bit_length() - 1", "i")
-        if body is None:
-            value, work = self.quant(q, inner)
-        else:
-            work = self.let("0", "pw")
-            value = self.point(body, inner, None, work, b, st["pending"])
-        self.emit(f"B{slot}[{b}] = {work}")
-        self.emit(f"if {value}:")
-        self.emit(f"    {st['gotval']} |= {b}")
-        self.depth -= 1
-        return self.let(f"{st['val']} | {st['gotval']}")
-
-    def pending(self, body, scope) -> dict:
-        """Per quantifier of a pointwise call's body: its memo entry, read
-        once, and the masks of the elements it missed at and held at."""
-        out = {}
-        for q in _walk_forms(body, "quant"):
-            _, _, _, _, _, (slot, _, rest) = q
-            memo, key = self.memo(slot), self.key(rest, scope)
-            ent = self.let(f"{memo}.get({key})", "ent")
-            miss, true = self.tmp("pm"), self.tmp("pt")
-            self.emit(f"{miss} = {true} = 0")
-            out[slot] = (memo, key, ent, miss, true)
-        return out
-
-    def point(self, f, scope, entry, work, bit, pend) -> str:
-        """Emit a pointwise body's truth at one value of its element
-        parameter, under the flag entry, adding the work it charges to
-        work.  A quantifier's memo is read; a miss is evaluated and noted in
-        pend for the commit, not committed."""
-        tag = f[0]
-        self.emit(f"{work} += {1 if entry is None else entry}")
-        guard = "" if entry is None else f"{entry} and "
-        if tag in ("in", "eq", "pred"):
-            return self.let(f"{guard}({self.atom(f, scope)})")
-        if tag == "not":
-            inner = self.point(f[1], scope, entry, work, bit, pend)
-            return self.let(f"{guard}not {inner}")
-        if tag == "and":
-            e = entry
-            for part in f[1]:
-                e = self.point(part, scope, e, work, bit, pend)
-            return e
-        if tag == "or":
-            e = entry
-            for part in f[1]:
-                t = self.point(part, scope, e, work, bit, pend)
-                e = self.let(f"not {t}" if e is None else f"{e} and not {t}")
-            return self.let(f"{guard}not {e}")
-        if tag == "imp":
-            left = self.point(f[1], scope, entry, work, bit, pend)
-            right = self.point(f[2], scope, left, work, bit, pend)
-            return self.let(f"{guard}(not {left} or {right})")
-        _, _, _, _, _, (slot, col, _) = f
-        _, _, ent, miss, true = pend[slot]
-        t = self.tmp()
-        if entry is not None:
-            self.emit(f"{t} = 0")
-            self.emit(f"if {entry}:")
-            self.depth += 1
-        c = scope[col]
-        hit = self.let(f"None if {ent} is None or not {ent}[0] >> {c} & 1 "
-                       f"else {ent}[1] >> {c} & 1", "hit")
-        self.emit(f"if {hit} is not None:")
-        self.emit(f"    {t} = {hit}")
-        self.emit("else:")
-        self.depth += 1
-        value, qwork = self.quant(f, scope)
-        self.emit(f"{work} += {qwork}")
-        self.emit(f"{miss} |= {bit}")
-        self.emit(f"if {value}:")
-        self.emit(f"    {true} |= {bit}")
-        self.emit(f"{t} = {value}")
-        self.depth -= 1
-        if entry is not None:
-            self.depth -= 1
-        return t
-
-    def charge(self, st, pre, work):
-        """Charge a nested quantifier's or a pointwise call's misses inside
-        the prefix and commit them to its memo, and those of the called
-        body's quantifiers to theirs, as the element-at-a-time loop would
-        have."""
-        memo, key, ent = st["memo"], st["key"], st["ent"]
-        if not st["per"]:
-            self.emit(f"if {st['miss']} and ({' | '.join(st['entries'])}) & {pre}:")
-            self.depth += 1
-            self.emit(f"{work} += {st['work']}")
-            self.store(memo, key, ent, st["col"], st["tv"])
-            self.depth -= 1
-            return
-        new = self.let(f"{st['got']} & {pre}", "new")
-        self.emit(f"if {new}:")
-        self.depth += 1
-        m, b = self.let(new, "m"), self.tmp("b")
-        self.emit(f"while {m}:")
-        self.emit(f"    {b} = {m} & -{m}")
-        self.emit(f"    {work} += B{st['slot']}[{b}]")
-        self.emit(f"    {m} ^= {b}")
-        self.commit(memo, key, ent, new, f"{st['gotval']} & {new}")
-        for qmemo, qkey, _, miss, true in st["pending"].values():
-            got = self.let(f"{miss} & {new}", "pm")
-            self.emit(f"if {got}:")
-            self.depth += 1
-            self.commit(qmemo, qkey, self.let(f"{qmemo}.get({qkey})", "ent"),
-                        got, f"{true} & {got}")
-            self.depth -= 1
-        self.depth -= 1
-
-    def commit(self, memo, key, ent, done, true):
-        self.emit(f"if {ent} is None:")
-        self.emit(f"    {memo}[{key}] = [{done}, {true}]")
-        self.emit("else:")
-        self.emit(f"    {ent}[0] |= {done}")
-        self.emit(f"    {ent}[1] |= {true}")
+        left = self.mask(f[1], scope, entry, entries)
+        right = self.mask(f[2], scope, self.let(f"{entry} & {left}", "e"), entries)
+        return self.let(f"{entry} & (~{left} | {right})")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -1365,8 +1110,8 @@ def _factory(unit: tuple) -> Callable:
 
 
 def _unit(node):
-    """A node's factory with the nested nodes to bind it to, computed once
-    per node."""
+    """A node's factory with the nodes it refers to, computed once per
+    node."""
     got = node.__dict__.get("_unit")
     if got is None:
         unit, nodes = _shape(node)
@@ -1392,37 +1137,34 @@ class ModelChecker:
     """Brute-force evaluator over one structure, set-at-a-time where it can,
     with tabled definitions.
 
-    An element quantifier whose body holds only atoms, connectives and
-    element quantifiers over such bodies is evaluated set-at-a-time: every
+    One rule decides how a quantifier runs.  An element quantifier whose
+    body holds only atoms and connectives is evaluated set-at-a-time: every
     body node gets a truth mask over the quantified variable, and the
     quantifier answers from the witness mask.  The work it charges is
     counted analytically: one unit per node entry, as an element-at-a-time
     evaluation that stops at the first deciding element would enter it.
-    Nested element quantifiers keep their memo as two bitmasks over the
-    enclosing variable (evaluated, and true), so memo hits cost one mask
-    operation.  Every other quantifier loops over the domain or its
-    subsets with its body as straight-line code, which inlines the
-    set-at-a-time quantifiers with no nested quantifier that it enters,
-    and calls the units of the rest.
+    Every other quantifier loops over the domain or its subsets with its
+    body as straight-line code, which inlines the set-at-a-time quantifiers
+    that it enters and calls the units of the other quantifiers and the
+    tables of the definitions.
 
     A call of a definition is tabled (Chen and Warren, J. ACM 43(1), 1996,
     without recursion to delay): each definition has one table per checker
     on its argument values, shared by every call site and every formula
     checked on the checker.  A call entry costs one unit of work, and a
     table hit costs only that unit; a miss evaluates the body with the
-    parameters bound to the arguments.  A definition with exactly one
-    element parameter keeps its table as two bitmasks over it, like a
-    nested quantifier, so a call that passes the enclosing set-at-a-time
-    quantifier's variable stays set-at-a-time when the body allows it.
+    parameters bound to the arguments.
 
-    Each looping quantifier, each set-at-a-time quantifier checked or
-    called on its own, each definition and each other formula checked at
-    the top is one unit: generated Python code, compiled once per formula shape
-    (the same up to the renaming of variables) and bound per checker to
+    Each looping quantifier, each definition and each formula checked at
+    the top is one unit: generated Python code, compiled once per formula
+    shape (the same up to the renaming of variables) and bound per checker to
     its domain size, relation rows and memo tables on first use.  Formulas
     are looked up by structure, never by object identity.  Every
     quantifier memoizes its value on the values of its free variables, in
-    one table per checker shared by all formulas that contain it.
+    one table per checker shared by all formulas that contain it.  A
+    quantifier or definition with exactly one free element variable (its
+    column) keeps one entry per value of the others: two bitmasks over the
+    column, of the values evaluated and of those true.
 
     Work is counted per formula node entry, memo and table hits included,
     against a deterministic budget; a check's answer and the work after it

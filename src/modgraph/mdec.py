@@ -42,26 +42,12 @@ from .signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature, SignatureOp, Term,
 T = TypeVar("T")
 
 
-class DecompositionCase(Enum):
-    PRIME_QUOTIENT = "prime"
-    SEQ = "seq"
-    PAR = "par"
-    CLIQUE = "clique"
-
-
 class NodeKind(Enum):
     LEAF = "leaf"
     PAR = "par"
     SEQ = "seq"
     CLIQUE = "clique"
     PRIME = "prime"
-
-
-_CASE_TO_KIND = {
-    DecompositionCase.PAR: NodeKind.PAR,
-    DecompositionCase.SEQ: NodeKind.SEQ,
-    DecompositionCase.CLIQUE: NodeKind.CLIQUE,
-}
 
 
 class Rows:
@@ -149,22 +135,22 @@ class Rows:
                     break
         return found
 
-    def split(self, m: int) -> tuple[DecompositionCase, list[int]]:
-        """The case of module m and its maximal strong modules.
+    def split(self, m: int) -> tuple[NodeKind, list[int]]:
+        """The node kind of module m and its maximal strong modules.
 
         par and clique blocks come by smallest vertex, seq blocks in chain
         order, prime blocks by smallest vertex.
         """
         blocks = _components(m, self.und)
         if len(blocks) > 1:
-            return DecompositionCase.PAR, blocks
+            return NodeKind.PAR, blocks
         blocks = _components(m, self.co)
         if len(blocks) > 1:
-            return DecompositionCase.CLIQUE, blocks
+            return NodeKind.CLIQUE, blocks
         blocks = _chain(m, self.fwd, self.bwd)
         if len(blocks) > 1:
-            return DecompositionCase.SEQ, blocks
-        return DecompositionCase.PRIME_QUOTIENT, self._prime_blocks(m)
+            return NodeKind.SEQ, blocks
+        return NodeKind.PRIME, self._prime_blocks(m)
 
     def _prime_blocks(self, m: int) -> list[int]:
         """Maximal proper modules of a prime node, from P(m, v), v = min m.
@@ -352,8 +338,8 @@ def _match_quotient(quotient: LabeledGraph, blocks: list[T],
 
 
 def maximal_prime_modules(g: LabeledGraph, sig: Optional[Signature] = None,
-                          ) -> tuple[DecompositionCase, list[frozenset[int]]]:
-    """Partition into maximal prime modules plus the decomposition case.
+                          ) -> tuple[NodeKind, list[frozenset[int]]]:
+    """Partition into maximal prime modules plus the node kind.
 
     The seq case comes back in its unique chain order, par/clique in
     smallest-vertex order, and a prime quotient in an enumeration matching
@@ -362,13 +348,13 @@ def maximal_prime_modules(g: LabeledGraph, sig: Optional[Signature] = None,
     if g.n < 2:
         raise TooSmall("decomposition step needs at least 2 vertices")
     rows = Rows(g)
-    case, blocks = rows.split((1 << g.n) - 1)
-    if case is DecompositionCase.PRIME_QUOTIENT and sig is not None:
+    kind, blocks = rows.split((1 << g.n) - 1)
+    if kind is NodeKind.PRIME and sig is not None:
         try:
             _, blocks = _match_quotient(rows.quotient(blocks), blocks, sig)
         except NotInSignature:
             pass  # unmatched: keep the raw smallest-vertex block order
-    return case, [rows.ids(b) for b in blocks]
+    return kind, [rows.ids(b) for b in blocks]
 
 
 @dataclass(eq=False)
@@ -473,13 +459,13 @@ def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
             slot[pos] = MDecNode(frozenset((v,)), NodeKind.LEAF,
                                  symbol=labels[v] if labels is not None else None)
             continue
-        case, blocks = rows.split(m)
+        kind, blocks = rows.split(m)
         # modules of inner nodes are filled in bottom-up below
-        if case is DecompositionCase.PRIME_QUOTIENT:
+        if kind is NodeKind.PRIME:
             op, blocks = _match_quotient(rows.quotient(blocks), blocks, sig)
-            node = MDecNode(None, NodeKind.PRIME, op=op)
+            node = MDecNode(None, kind, op=op)
         else:
-            node = MDecNode(None, _CASE_TO_KIND[case])
+            node = MDecNode(None, kind)
         slot[pos] = node
         kids: list[MDecNode] = [None] * len(blocks)
         inner.append((node, kids))

@@ -735,9 +735,9 @@ class PredicateLibrary:
         info = self._ginfo.get(g)
         if info is not None:
             return info
-        t = binarize(decompose(g, None))
+        d = decompose(g, None)
+        t = binarize(d)
         rows = self._rows(g)
-        full = g.vertices
 
         f_nodes: set[frozenset[int]] = set()
         labels: dict[str, set[frozenset[int]]] = {
@@ -797,11 +797,11 @@ class PredicateLibrary:
             if y in dist_by_node.get(x, ()):
                 dist_pairs.add((x, y))
 
-        info = {"tree": t, "modules": rows.modules(), "f_nodes": f_nodes,
+        # the strong modules are the node modules of the unbinarized tree
+        info = {"strong": {n.module for n in d.nodes()}, "f_nodes": f_nodes,
                 "labels": labels, "children": children_tuples,
                 "child": child_pairs, "child*": star_pairs,
-                "first-child": first_pairs, "dist-child": dist_pairs,
-                "full": full}
+                "first-child": first_pairs, "dist-child": dist_pairs}
         self._ginfo[g] = info
         return info
 
@@ -866,11 +866,8 @@ class PredicateLibrary:
         raise UnknownPredicate(f"no predicate named {name!r}")
 
     def _pmodule_holds(self, g: LabeledGraph, X: frozenset[int]) -> bool:
-        if not X or X == g.vertices or not is_module(g, X):
-            return False
-        x = self._rows(g).mask(X)
-        mods = self._graph_info(g)["modules"]
-        return not any(x & m and x & ~m and m & ~x for m in mods)
+        # a nonempty proper module that overlaps no module: a strong module
+        return X != g.vertices and X in self._graph_info(g)["strong"]
 
     @staticmethod
     def _suffix_holds(g: LabeledGraph, x: frozenset[int], z: frozenset[int]) -> bool:

@@ -17,8 +17,8 @@ from typing import Optional
 
 from modgraph.errors import TooSmall
 from modgraph.graphs import LabeledGraph, co_components, undirected_components
-from modgraph.mdec import (_CASE_TO_KIND, DecompositionCase, MDecNode, MDecTree,
-                           NodeKind, _match_quotient, quotient_graph)
+from modgraph.mdec import (MDecNode, MDecTree, NodeKind, _match_quotient,
+                           quotient_graph)
 from modgraph.signature import Signature
 
 
@@ -61,15 +61,15 @@ def chain_prefixes(g: LabeledGraph, out_adj: dict[int, set[int]]) -> list[frozen
     return sorted(prefixes, key=len)
 
 
-def _case_split(g: LabeledGraph) -> tuple[DecompositionCase, list[frozenset[int]]]:
+def _case_split(g: LabeledGraph) -> tuple[NodeKind, list[frozenset[int]]]:
     if g.n < 2:
         raise TooSmall("decomposition step needs at least 2 vertices")
     comps = undirected_components(g)
     if len(comps) > 1:
-        return DecompositionCase.PAR, comps
+        return NodeKind.PAR, comps
     cocomps = co_components(g)
     if len(cocomps) > 1:
-        return DecompositionCase.CLIQUE, cocomps
+        return NodeKind.CLIQUE, cocomps
     out_adj = g.out_adj()
     prefixes = chain_prefixes(g, out_adj)
     if prefixes:
@@ -78,7 +78,7 @@ def _case_split(g: LabeledGraph) -> tuple[DecompositionCase, list[frozenset[int]
         for p in prefixes + [g.vertices]:
             blocks.append(p - prev)
             prev = p
-        return DecompositionCase.SEQ, blocks
+        return NodeKind.SEQ, blocks
     # prime case: vertices u,v share a block iff some proper module holds both
     in_adj = g.in_adj()
     verts = g.sorted_vertices()
@@ -99,7 +99,7 @@ def _case_split(g: LabeledGraph) -> tuple[DecompositionCase, list[frozenset[int]
     for v in verts:
         groups.setdefault(root(v), set()).add(v)
     blocks = sorted((frozenset(s) for s in groups.values()), key=min)
-    return DecompositionCase.PRIME_QUOTIENT, blocks
+    return NodeKind.PRIME, blocks
 
 
 def referee_decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
@@ -112,11 +112,11 @@ def referee_decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecT
             return MDecNode(module, NodeKind.LEAF, symbol=sym)
         sub = g.induced(module)
         case, blocks = _case_split(sub)
-        if case is DecompositionCase.PRIME_QUOTIENT:
+        if case is NodeKind.PRIME:
             op, blocks = _match_quotient(quotient_graph(sub, blocks), blocks, sig)
             return MDecNode(module, NodeKind.PRIME,
                             tuple(rec(b) for b in blocks), op=op)
-        return MDecNode(module, _CASE_TO_KIND[case], tuple(rec(b) for b in blocks))
+        return MDecNode(module, case, tuple(rec(b) for b in blocks))
 
     return MDecTree(rec(g.vertices))
 

@@ -11,7 +11,7 @@ from mdec_referee import brute_force_modules, referee_decompose, referee_prime_m
 from modgraph.errors import NotAModule, NotInSignature, TooSmall
 from modgraph.generators import random_digraph, random_f_graph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
-from modgraph.mdec import (DecompositionCase, NodeKind, Rows, all_modules, binarize,
+from modgraph.mdec import (NodeKind, Rows, all_modules, binarize,
                            brute_force_prime_modules, decompose, format_tree,
                            maximal_prime_modules, quotient_graph, reconstruct,
                            shuffle_admissible, tree_prime_modules, tree_to_term)
@@ -37,24 +37,24 @@ class TestMaximalPrimeModules:
     def test_seq_chain_order(self):
         g = eval_term(SIG, node("seq", leaf("a"), leaf("b"), leaf("a")))
         case, blocks = maximal_prime_modules(g)
-        assert case is DecompositionCase.SEQ
+        assert case is NodeKind.SEQ
         assert blocks == [frozenset({1}), frozenset({2}), frozenset({3})]
 
     def test_par_two_isolated(self):
         g = eval_term(SIG, node("par", leaf("a"), leaf("b")))
         case, blocks = maximal_prime_modules(g)
-        assert case is DecompositionCase.PAR
+        assert case is NodeKind.PAR
         assert blocks == [frozenset({1}), frozenset({2})]
 
     def test_clique(self):
         g = LabeledGraph.build([1, 2], [(1, 2), (2, 1)], {1: "a", 2: "b"})
         case, _ = maximal_prime_modules(g)
-        assert case is DecompositionCase.CLIQUE
+        assert case is NodeKind.CLIQUE
 
     def test_w5_prime_quotient(self):
         g = eval_term(SIG, node("W5", *[leaf(s) for s in "ababa"]))
         case, blocks = maximal_prime_modules(g)
-        assert case is DecompositionCase.PRIME_QUOTIENT
+        assert case is NodeKind.PRIME
         assert len(blocks) == 5 and all(len(b) == 1 for b in blocks)
 
     def test_too_small(self):
@@ -66,7 +66,7 @@ class TestMaximalPrimeModules:
         g = eval_term(SIG, node("seq", leaf("a"),
                                 node("par", leaf("b"), leaf("b")), leaf("a")))
         case, blocks = maximal_prime_modules(g)
-        assert case is DecompositionCase.SEQ
+        assert case is NodeKind.SEQ
         assert blocks == [frozenset({1}), frozenset({2, 3}), frozenset({4})]
 
 

@@ -11,7 +11,7 @@ from modgraph.cms import ModelChecker, graph_structure, model_check
 from modgraph.errors import NotWeaklyRigid, NotWeaklyRigidSignature, UnknownPredicate
 from modgraph.generators import random_digraph, random_f_graph, random_subset
 from modgraph.graphs import Alphabet, LabeledGraph, is_module
-from modgraph.mdec import (DecompositionCase, NodeKind, Rows, binarize, decompose,
+from modgraph.mdec import (NodeKind, Rows, binarize, decompose,
                            maximal_prime_modules, reconstruct)
 from modgraph.samples import (cycle_graph, scw5_signature, spp3_signature,
                               spw5_signature, word_graph, word_term)
@@ -155,7 +155,7 @@ class TestKappaLemma:
             want = set()
             if g.n > 1:
                 case, blocks = maximal_prime_modules(g)
-                if case is DecompositionCase.SEQ:
+                if case is NodeKind.SEQ:
                     want = {frozenset().union(*blocks[i:]) for i in range(1, len(blocks))}
             rows = Rows(g)
             assert {rows.ids(z) for z in _suffixes(rows, rows.mask(g.vertices))} == want
@@ -331,6 +331,16 @@ class TestPredicateLibrary:
         chk = ModelChecker(graph_structure(g, SIG.alphabet.symbols))
         assert not chk.check(lib.formula("pmodule"), {"X": set(g.vertices)})
         assert not lib.holds("pmodule", g, {"X": g.vertices})
+
+    def test_pmodule_reads_the_strong_modules(self):
+        # an edgeless graph on 24 vertices has 2^24 modules, 25 of them strong
+        lib = PredicateLibrary(SIG)
+        g = LabeledGraph.build(range(1, 25), [], {v: "a" for v in range(1, 25)})
+        start = time.perf_counter()
+        assert lib.holds("pmodule", g, {"X": {1}})
+        assert time.perf_counter() - start < 1.0
+        assert not lib.holds("pmodule", g, {"X": {1, 2}})
+        assert not lib.holds("pmodule", g, {"X": set()})
 
     def test_node_holds_on_every_tree_module(self):
         rng = random.Random(3)

@@ -25,10 +25,11 @@ import re
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (ArityMismatch, BudgetExceeded, FormulaSyntaxError,
-                     UnboundVariable, UnknownPredicate)
+                     UnboundVariable, UnknownPredicate, UnknownSymbol)
 from .graphs import LabeledGraph
 from .mdec import MDecNode, MDecTree, NodeKind
 from .signature import Signature, SignatureOp
@@ -1224,7 +1225,11 @@ class ModelChecker:
             if is_set:
                 if not isinstance(value, (set, frozenset)):
                     raise UnboundVariable(f"variable {name!r} needs a set value")
-                args.append(self.to_mask(value))
+                try:
+                    args.append(self.to_mask(value))
+                except KeyError as e:
+                    raise UnboundVariable(f"value of {name!r} holds {e.args[0]!r}, "
+                                          "outside the domain") from None
             else:
                 if value not in self.index:
                     raise UnboundVariable(f"value of {name!r} is outside the domain")
@@ -1371,16 +1376,29 @@ def tree_predicates(symbols: Iterable[str], prime_ops: Iterable[SignatureOp],
 
 
 def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
-                   ) -> tuple[RelationalSignature, dict[str, set[tuple]], list[MDecNode]]:
+                   ) -> tuple[RelationalSignature, Mapping[str, frozenset[tuple]],
+                              tuple[MDecNode, ...]]:
     """Decomposition-tree predicates with nodes as the carrier.
 
     Returns the relational signature, the relations keyed by node objects,
     and the node list in preorder.  Prime predicates cover the signature's
     operations when one is given, else the operations appearing in the tree.
+    A leaf letter outside the signature's alphabet raises UnknownSymbol.
+    The result is computed once per tree and signature, kept on the tree
+    and shared by every caller, so the relations are frozen.
     """
+    key = ("tree_relations", sig)
+    got = t.derived.get(key)
+    if got is None:
+        got = t.derived[key] = _tree_relations(t, sig)
+    return got
+
+
+def _tree_relations(t: MDecTree, sig: Optional[Signature]):
     nodes = t.nodes()
     symbols = sig.alphabet.symbols if sig is not None else sorted(
         {n.symbol for n in nodes if n.is_leaf and n.symbol is not None})
+    letters = frozenset(symbols)
     preds = tree_predicates(symbols, tree_prime_ops(t, sig))
     rels: dict[str, set[tuple]] = {name: set() for name, _ in preds}
 
@@ -1389,6 +1407,9 @@ def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
     for node in nodes:
         if node.is_leaf:
             if node.symbol is not None:
+                if node.symbol not in letters:
+                    raise UnknownSymbol(f"letter {node.symbol!r} is not in "
+                                        "the signature's alphabet")
                 rels[label_pred(node.symbol)].add((node,))
             continue
         for c in node.children:
@@ -1405,7 +1426,8 @@ def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
                 rels[f"children_{name}"].add((node,) + enum)
             for i in sym.distinguished or ():
                 rels[f"dist-child_{name}"].add((node, node.children[i - 1]))
-    return RelationalSignature(tuple(preds)), rels, nodes
+    frozen = {name: frozenset(tuples) for name, tuples in rels.items()}
+    return RelationalSignature(tuple(preds)), MappingProxyType(frozen), nodes
 
 
 def tree_structure(t: MDecTree, sig: Optional[Signature] = None) -> Structure:

@@ -7,7 +7,6 @@ syntax live on the canonical vertex set 1..n and carry no labels.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -171,22 +170,6 @@ def undirected_components(g: LabeledGraph, x: Optional[Iterable[int]] = None) ->
     adj: dict[int, set[int]] = {v: set() for v in xs}
     for (u, v) in g.edges:
         if u in xs and v in xs:
-            adj[u].add(v)
-            adj[v].add(u)
-    return _components_of(xs, adj)
-
-
-def co_components(g: LabeledGraph, x: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
-    """Components where u,v are adjacent iff they are NOT mutually linked.
-
-    Splitting x into co-components Y, Z means every cross pair carries
-    edges in both directions (the clique-product split).
-    """
-    xs = _check_subset(g, x) if x is not None else g.vertices
-    es = g.edges
-    adj: dict[int, set[int]] = {v: set() for v in xs}
-    for u, v in itertools.combinations(xs, 2):
-        if not ((u, v) in es and (v, u) in es):
             adj[u].add(v)
             adj[v].add(u)
     return _components_of(xs, adj)

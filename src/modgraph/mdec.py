@@ -324,10 +324,12 @@ def _adhoc_name(q: LabeledGraph) -> str:
 
 
 def _match_quotient(quotient: LabeledGraph, blocks: list[T],
-                    sig: Optional[Signature]) -> tuple[SignatureOp, list[T]]:
-    """Resolve a prime quotient to an operation and an admissible block order."""
-    if sig is not None:
-        matched = match_op(sig.prime_ops, quotient)
+                    ops: Optional[Sequence[SignatureOp]],
+                    ) -> tuple[SignatureOp, list[T]]:
+    """Resolve a prime quotient to one of the prime operations and an
+    admissible block order; without operations, to an ad-hoc one."""
+    if ops is not None:
+        matched = match_op(ops, quotient)
         if matched is None:
             raise NotInSignature(
                 f"prime quotient on {quotient.n} vertices matches no operation "
@@ -351,7 +353,7 @@ def maximal_prime_modules(g: LabeledGraph, sig: Optional[Signature] = None,
     kind, blocks = rows.split((1 << g.n) - 1)
     if kind is NodeKind.PRIME and sig is not None:
         try:
-            _, blocks = _match_quotient(rows.quotient(blocks), blocks, sig)
+            _, blocks = _match_quotient(rows.quotient(blocks), blocks, sig.prime_ops)
         except NotInSignature:
             pass  # unmatched: keep the raw smallest-vertex block order
     return kind, [rows.ids(b) for b in blocks]
@@ -385,33 +387,45 @@ class MDecNode:
 
 @dataclass(eq=False)
 class MDecTree:
-    """Decomposition tree; leaves are the singletons of the vertex set."""
+    """Decomposition tree; leaves are the singletons of the vertex set.
+
+    A tree is immutable once built: its preorder node list, parent map and
+    leaf map are read off once, at construction, and ``derived`` keeps
+    what other layers compute from the tree (``cms.tree_relations``),
+    keyed by what they computed it with.
+    """
 
     root: MDecNode
     leaf_of: dict[int, MDecNode] = field(default_factory=dict)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.leaf_of:
-            for node in self.nodes():
-                if node.is_leaf:
-                    (v,) = node.module
-                    self.leaf_of[v] = node
-
-    def nodes(self) -> list[MDecNode]:
-        out: list[MDecNode] = []
+        nodes: list[MDecNode] = []
+        parents: dict[MDecNode, MDecNode] = {}
+        leaves: dict[int, MDecNode] = {}
         stack = [self.root]
         while stack:
             node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(node.children))
-        return out
+            nodes.append(node)
+            if node.kind is NodeKind.LEAF:
+                (v,) = node.module
+                leaves[v] = node
+            kids = node.children
+            for c in kids:
+                parents[c] = node
+            stack.extend(reversed(kids))
+        self._nodes = tuple(nodes)
+        self._parents = parents
+        if not self.leaf_of:
+            self.leaf_of.update(leaves)
+
+    def nodes(self) -> tuple[MDecNode, ...]:
+        """Every node in preorder, children left to right."""
+        return self._nodes
 
     def parents(self) -> dict[MDecNode, MDecNode]:
-        par: dict[MDecNode, MDecNode] = {}
-        for node in self.nodes():
-            for c in node.children:
-                par[c] = node
-        return par
+        """The parent of every node but the root."""
+        return self._parents
 
 
 @dataclass(eq=False)
@@ -444,9 +458,15 @@ def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
     (NotInSignature carries the quotient otherwise); without one, unmatched
     quotients become ad-hoc operations.
     """
+    return _decompose(g, Rows(g), None if sig is None else sig.prime_ops)
+
+
+def _decompose(g: LabeledGraph, rows: Rows,
+               ops: Optional[Sequence[SignatureOp]]) -> MDecTree:
+    """``decompose`` on the rows of g, prime quotients matched against ops
+    (ad-hoc operations when ops is None)."""
     if g.n == 0:
         raise TooSmall("cannot decompose the empty graph")
-    rows = Rows(g)
     verts, labels = rows.verts, g.labels
     top: list[MDecNode] = [None]
     inner: list[tuple[MDecNode, list[MDecNode]]] = []
@@ -462,7 +482,7 @@ def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
         kind, blocks = rows.split(m)
         # modules of inner nodes are filled in bottom-up below
         if kind is NodeKind.PRIME:
-            op, blocks = _match_quotient(rows.quotient(blocks), blocks, sig)
+            op, blocks = _match_quotient(rows.quotient(blocks), blocks, ops)
             node = MDecNode(None, kind, op=op)
         else:
             node = MDecNode(None, kind)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import NotInSignature, UnvalidatedAlgebra
+from .errors import NotInSignature, UnknownSymbol, UnvalidatedAlgebra
 from .graphs import LabeledGraph
 from .mdec import MDecNode, MDecTree, NodeKind, decompose, fold_tree
 from .signature import OpKind, Signature
@@ -155,7 +155,11 @@ def evaluate_tree(t: MDecTree, alg: FiniteAlgebra,
         if node.is_leaf:
             if node.symbol is None:
                 raise ValueError("cannot evaluate an unlabeled graph")
-            return alg.letter_image[node.symbol]
+            q = alg.letter_image.get(node.symbol)
+            if q is None:
+                raise UnknownSymbol(
+                    f"letter {node.symbol!r} is not in the algebra's alphabet")
+            return q
         if node.kind is NodeKind.PRIME:
             if not alg.signature.has_op(node.op.name):
                 raise NotInSignature(

@@ -11,25 +11,27 @@ be checked against the other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cms import (And, Call, CmsFormula, Definition, Eq, Exists, ExistsSet,
-                  Forall, ForallSet, Implies, In, Not, Or, Pred,
+from .cms import (ELEMENT, And, Call, CmsFormula, Definition, Eq, Exists,
+                  ExistsSet, Forall, ForallSet, Implies, In, Not, Or, Pred,
                   RelationalSignature, conj, disj, graph_signature, label_pred,
                   tree_predicates, tree_prime_ops, tree_relations)
-from .errors import (NotWeaklyRigid, NotWeaklyRigidSignature, UnknownOp,
-                     UnknownPredicate)
+from .errors import (NotInSignature, NotWeaklyRigid, NotWeaklyRigidSignature,
+                     UnknownOp, UnknownPredicate, VertexNotInGraph)
 from .graphs import LabeledGraph, is_internally_disconnected, is_module
-from .mdec import (MDecNode, MDecPrimeTree, NodeKind, Rows, binarize,
-                   decompose, reach, reconstruct, strong_modules)
+from .mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, Rows,
+                   _decompose, binarize, decompose, reach, reconstruct)
 from .signature import (OpKind, Signature, SignatureOp, match_op,
                         validate_weakly_rigid_signature)
 
 PAIR = tuple[int, int]
+_NO_VERTICES: frozenset[int] = frozenset()
 
 
 def _commutative_mode(sig: Signature) -> NodeKind:
@@ -127,13 +129,7 @@ def compute_encoding(t: MDecPrimeTree, cls: NodeClassification) -> EncodingTable
     mu: tuple[dict[MDecNode, frozenset[int]], ...] = ({}, {}, {}, {})
     dist: dict[MDecNode, frozenset[MDecNode]] = {}
 
-    # children before parents: the reverse of a preorder
-    order, stack = [], [t.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    for node in reversed(order):
+    for node in reversed(t.nodes()):  # children before parents
         i = cls.classes[node]
         if i == 0:
             (v,) = node.module
@@ -204,20 +200,15 @@ def _bits(m: int):
         m ^= b
 
 
-def _suffixes(rows: Rows, w: int) -> list[int]:
-    """Proper non-empty suffixes of w: sets Z < w such that every pair from
-    w - Z to Z is linked forward only.  Each prefix w - Z is the closure of
-    one vertex under "u pulls in x unless u -> x is one-way"; the vertices
-    that pull each other in share one prefix, so one closure serves them."""
-    out = []
-    todo = w if w & (w - 1) else 0
-    while todo:
-        v = todo & -todo
-        prefix = reach(v, w, rows.fwd)
-        if prefix != w:
-            out.append(w & ~prefix)
-        todo &= ~(prefix & reach(v, w, rows.bwd))
-    return out
+def _node_masks(t: MDecTree, rows: Rows) -> dict[MDecNode, int]:
+    """The bitmask of every node's module, children before parents."""
+    idx = rows.idx
+    mask: dict[MDecNode, int] = {}
+    for node in reversed(t.nodes()):
+        kids = node.children
+        mask[node] = (sum(mask[c] for c in kids) if kids
+                      else 1 << idx[next(iter(node.module))])
+    return mask
 
 
 def _sequential(rows: Rows, x: int) -> bool:
@@ -271,95 +262,90 @@ class KappaLemmaReport:
 def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
                       sig: Optional[Signature] = None) -> KappaLemmaReport:
     """Cross-check the path-based kappa maps against their module-theoretic
-    characterization, computed from the graph alone.
+    characterization on the graph ``reconstruct(t)``.
 
-    The node family is the strong modules of ``reconstruct(t)``, filtered
-    from the NextClosure oracle's module family, plus the sequential
-    suffixes of the sequential ones; all of it runs on the graph's bitmask
-    rows.  The tree enters only through that graph and its prime
-    operations: no decomposition runs and no tree module is read.  The
-    oracle is output-sensitive, not polynomial: a par node with k children
-    has 2^k modules.
+    The node family is read off ``binarize(decompose(reconstruct(t)))``,
+    with prime quotients matched against the operations of t
+    (``cms.tree_prime_ops``): the strong modules are the nodes of the
+    decomposition, the sequential suffixes the seq comb nodes of its
+    binarization, the members holding a vertex its leaf-to-root path, and
+    a prime node's distinguished children those of the matched
+    enumeration.  Whether a member is disconnected, degenerate or
+    sequential, and which children of a sequential one are initial, is
+    decided on the graph's bitmask rows.  A prime quotient that matches no
+    operation raises NotWeaklyRigid.
+
+    The family does not come from the graph alone: the decomposition that
+    builds it is the algorithm that usually built t, so a fault in it
+    could show on both sides alike.  ``tests/mdec_referee.py`` and the
+    NextClosure oracle ``mdec.all_modules`` referee that algorithm, and
+    ``tests/kappa_referee.py``, which takes the family from 2^n subset
+    enumeration, referees this report.  Each path is walked up from its
+    leaf only as far as the lemma needs, so the check runs in polynomial
+    time.
     """
     g = reconstruct(t)
     rows = Rows(g)
+    try:
+        b = binarize(_decompose(g, rows, tree_prime_ops(t, sig)))
+    except NotInSignature as e:
+        raise NotWeaklyRigid(str(e)) from None
+    parents = b.parents()
+    mask = _node_masks(b, rows)
     # the relation whose components split a disconnected set
     sep = rows.und if enc.classification.mode is NodeKind.PAR else rows.co
 
-    disc_memo: dict[int, bool] = {}
+    @functools.cache
+    def disc(node: MDecNode) -> bool:
+        m = mask[node]
+        return reach(m & -m, m, sep) != m
 
-    def disc(x: int) -> bool:
-        if x not in disc_memo:
-            disc_memo[x] = reach(x & -x, x, sep) != x
-        return disc_memo[x]
-
-    def degenerate(x: int) -> bool:
+    @functools.cache
+    def degenerate(node: MDecNode) -> bool:
         # discrete (par mode) or a clique (clique mode)
-        return not any(sep[i] & x & ~(1 << i) for i in _bits(x))
+        m = mask[node]
+        return not any(sep[i] & m & ~(1 << i) for i in _bits(m))
 
-    # independent node family: strong modules plus sequential suffixes
-    strongs = set(strong_modules(rows.modules()))
-    family = set(strongs)
-    for w in strongs:
-        family.update(z for z in _suffixes(rows, w) if _sequential(rows, z))
-
-    # the family is laminar: the members holding a vertex form a chain,
-    # and each member's parent is the next one up the chain of its
-    # smallest vertex
-    by_size = sorted(family, key=int.bit_count)
-    chains = [[m for m in by_size if m >> x & 1] for x in range(g.n)]
-    children: dict[int, list[int]] = {}  # by smallest vertex
-    for x, chain in enumerate(chains):
-        for m, up in zip(chain, chain[1:]):
-            if m & -m == 1 << x:
-                children.setdefault(up, []).append(m)
-
-    prime_ops = tree_prime_ops(t, sig)
-    dist_memo: dict[int, int] = {}
-
-    def dist_children(p: int) -> int:
-        """The union of p's distinguished children."""
-        kids = children[p]
-        if _sequential(rows, p):
-            return sum(y for y in kids if _initial(rows, p, y))
-        matched = match_op(prime_ops, rows.quotient(kids))
-        if matched is None:
-            raise NotWeaklyRigid(f"connected node on {sorted(rows.ids(p))} "
+    @functools.cache
+    def dist_children(node: MDecNode) -> tuple[MDecNode, ...]:
+        m, kids = mask[node], node.children
+        if _sequential(rows, m):
+            return tuple(y for y in kids if _initial(rows, m, mask[y]))
+        if node.kind is not NodeKind.PRIME:
+            raise NotWeaklyRigid(f"connected node on {sorted(node.module)} "
                                  "matches no signature operation")
-        op, sigma = matched
-        return sum(kids[sigma(i) - 1] for i in op.symmetry.distinguished)
+        return tuple(kids[i - 1] for i in node.op.symmetry.distinguished)
 
     mismatches: list[KappaMismatch] = []
-    for x, chain in enumerate(chains):
-        bit = 1 << x
-        # least disconnected strong module containing x, if degenerate
+    for v in rows.verts:
+        leaf = b.leaf_of[v]
+        # least disconnected node containing v, if degenerate; it is a
+        # strong module, as comb nodes are sequential, so connected
         lemma1 = None
-        for p in chain:
-            if p in strongs and disc(p):
+        p = parents.get(leaf)
+        while p is not None:
+            if disc(p):
                 if degenerate(p):
                     lemma1 = p
                 break
-        # first non-trivial connected node reached from a distinguished child;
-        # smaller connected nodes must all hold x in a non-distinguished child
-        lemma3 = None
-        for pos, q in enumerate(chain):
-            if not q & (q - 1) or disc(q):
-                continue
-            if q not in dist_memo:
-                dist_memo[q] = dist_children(q)
-            if dist_memo[q] & bit:
+            p = parents.get(p)
+        # first connected node reached from a distinguished child; smaller
+        # connected nodes must all hold v in a non-distinguished child
+        lemma2 = lemma3 = None
+        child, q = leaf, parents.get(leaf)
+        while q is not None:
+            if not disc(q) and child in dist_children(q):
                 lemma3 = q
+                up = parents.get(q)
+                if up is not None and disc(up):
+                    lemma2 = up
                 break
-        lemma2 = None
-        if lemma3 is not None and pos + 1 < len(chain) and disc(chain[pos + 1]):
-            lemma2 = chain[pos + 1]
+            child, q = q, parents.get(q)
 
-        v = rows.verts[x]
-        path = {1: enc.kappa[1].get(v), 2: enc.kappa[2].get(v),
-                3: enc.kappa[3].get(v)}
-        for i, lemma_val in ((1, lemma1), (2, lemma2), (3, lemma3)):
-            got = path[i].module if path[i] is not None else None
-            want = None if lemma_val is None else rows.ids(lemma_val)
+        for i, lemma in ((1, lemma1), (2, lemma2), (3, lemma3)):
+            path = enc.kappa[i].get(v)
+            want = None if lemma is None else lemma.module
+            got = None if path is None else path.module
             if want != got:
                 mismatches.append(KappaMismatch(i, v, want, got))
     return KappaLemmaReport(tuple(mismatches))
@@ -514,17 +500,21 @@ class PredicateLibrary:
             weakref.WeakKeyDictionary()
         self._ginfo: "weakref.WeakKeyDictionary[LabeledGraph, dict]" = \
             weakref.WeakKeyDictionary()
+        # the graph of the last table lookup, held weakly, and its tables
+        self._last_info: tuple = (lambda: None, None)
         self.definitions: dict[str, Definition] = {}
         self._catalog: list[str] = []
         self._define_all()
         # name -> (variable names, their values from a binding in spec
-        # order, decision procedure)
+        # order, their kinds when one is an element, decision procedure)
         self._deciders = {}
         for name in self._catalog:
-            names = self.definitions[name].params
+            d = self.definitions[name]
+            names = d.params
             values_of = (itemgetter(*names) if len(names) > 1
                          else lambda b, v=names[0]: (b[v],))
-            self._deciders[name] = (names, values_of, self._decider(name))
+            kinds = d.kinds if ELEMENT in d.kinds else None
+            self._deciders[name] = (names, values_of, kinds, self._decider(name))
 
     def _define(self, name: str, params: str, body: CmsFormula,
                 public: bool = False):
@@ -732,12 +722,20 @@ class PredicateLibrary:
         return rows
 
     def _graph_info(self, g: LabeledGraph) -> dict:
-        info = self._ginfo.get(g)
-        if info is not None:
+        graph_ref, info = self._last_info
+        if graph_ref() is g:
             return info
-        d = decompose(g, None)
-        t = binarize(d)
+        info = self._ginfo.get(g)
+        if info is None:
+            info = self._ginfo[g] = self._tables_of(g)
+        self._last_info = (weakref.ref(g), info)
+        return info
+
+    def _tables_of(self, g: LabeledGraph) -> dict:
         rows = self._rows(g)
+        d = _decompose(g, rows, None)
+        t = binarize(d)
+        parents = t.parents()
 
         f_nodes: set[frozenset[int]] = set()
         labels: dict[str, set[frozenset[int]]] = {
@@ -756,70 +754,87 @@ class PredicateLibrary:
         kind_label = {NodeKind.PAR: "label_par", NodeKind.SEQ: "label_seq",
                       NodeKind.CLIQUE: "label_clique"}
 
-        for node in t.nodes():
+        # child pairs over the signature-labeled nodes only: a node's parent
+        # is the nearest of them above it in the tree
+        is_f: dict[MDecNode, bool] = {}
+        f_above: dict[MDecNode, Optional[MDecNode]] = {}
+        child_pairs: set[tuple] = set()
+        seq_pairs: list[tuple[MDecNode, MDecNode]] = []
+        for node in t.nodes():  # parents first
+            p = parents.get(node)
+            above = None if p is None else p if is_f[p] else f_above[p]
+            f_above[node] = above
             m = node.module
             if node.is_leaf:
-                f_nodes.add(m)
-                continue
-            if node.kind in kind_label:
+                f = True
+            elif node.kind in kind_label:
                 labels[kind_label[node.kind]].add(m)
-                if kind_gate[node.kind]:
-                    f_nodes.add(m)
-                continue
-            matched = match_op(self.sig.prime_ops, node.op.graph)
-            if matched is None:
-                continue
-            op, sigma = matched
-            f_nodes.add(m)
-            labels[f"label_{op.name}"].add(m)
-            enum = tuple(node.children[sigma(i) - 1].module
-                         for i in range(1, op.graph.n + 1))
-            sym = op.symmetry
-            children_tuples[op.name].update(
-                (m,) + order for order in sym.enumerations(enum))
-            dist_by_node[m] = {enum[i - 1] for i in sym.distinguished}
-
-        # child pairs over the signature-labeled nodes only (containment)
-        child_pairs: set[tuple] = set()
-        star_pairs: set[tuple] = set()
-        for y in f_nodes:
-            above = [x for x in f_nodes if y < x]
-            for x in above:
-                star_pairs.add((x, y))
-            if above:
-                parent = min(above, key=len)
-                child_pairs.add((parent, y))
-        first_pairs = {(x, y) for (x, y) in child_pairs
-                       if x in labels["label_seq"]
-                       and _initial(rows, rows.mask(x), rows.mask(y))}
+                f = kind_gate[node.kind]
+            else:
+                matched = match_op(self.sig.prime_ops, node.op.graph)
+                f = matched is not None
+                if f:
+                    op, sigma = matched
+                    labels[f"label_{op.name}"].add(m)
+                    enum = tuple(node.children[sigma(i) - 1].module
+                                 for i in range(1, op.graph.n + 1))
+                    sym = op.symmetry
+                    children_tuples[op.name].update(
+                        (m,) + order for order in sym.enumerations(enum))
+                    dist_by_node[m] = {enum[i - 1] for i in sym.distinguished}
+            is_f[node] = f
+            if f:
+                f_nodes.add(m)
+                if above is not None:
+                    child_pairs.add((above.module, m))
+                    if above.kind is NodeKind.SEQ:
+                        seq_pairs.append((above, node))
+        mask = _node_masks(t, rows)
+        first_pairs = {(x.module, y.module) for (x, y) in seq_pairs
+                       if _initial(rows, mask[x], mask[y])}
         dist_pairs = set(first_pairs)
         for (x, y) in child_pairs:
             if y in dist_by_node.get(x, ()):
                 dist_pairs.add((x, y))
 
         # the strong modules are the node modules of the unbinarized tree
-        info = {"strong": {n.module for n in d.nodes()}, "f_nodes": f_nodes,
+        return {"strong": {n.module for n in d.nodes()}, "f_nodes": f_nodes,
                 "labels": labels, "children": children_tuples,
-                "child": child_pairs, "child*": star_pairs,
-                "first-child": first_pairs, "dist-child": dist_pairs}
-        self._ginfo[g] = info
-        return info
+                "child": child_pairs, "first-child": first_pairs,
+                "dist-child": dist_pairs}
 
     def holds(self, name: str, g: LabeledGraph, bindings: Mapping) -> bool:
-        """Direct decision procedure for a predicate; the fast oracle side."""
+        """Direct decision procedure for a predicate; the fast oracle side.
+
+        A binding with a vertex outside the graph raises VertexNotInGraph.
+        """
         entry = self._deciders.get(name)
         if entry is None:
             raise UnknownPredicate(f"no predicate named {name!r}")
-        spec, values_of, decide = entry
+        spec, values_of, kinds, decide = entry
         try:
             values = values_of(bindings)
         except KeyError:
             missing = next(var for var in spec if var not in bindings)
             raise UnknownPredicate(
                 f"predicate {name!r} needs binding {missing!r}") from None
-        if set in map(type, values):
-            values = [frozenset(v) if isinstance(v, set) else v for v in values]
-        return decide(g, *values)
+        vs = g.vertices
+        inside = (_NO_VERTICES.union(*values) <= vs if kinds is None else
+                  all(x in vs if k == ELEMENT else vs.issuperset(x)
+                      for x, k in zip(values, kinds)))
+        if not inside:
+            for var, value in zip(spec, values):
+                for v in value if isinstance(value, (set, frozenset)) else (value,):
+                    if v not in vs:
+                        raise VertexNotInGraph(f"predicate {name!r}: vertex {v!r} "
+                                               f"of {var!r} is not in the graph")
+        try:
+            return decide(g, *values)
+        except TypeError:
+            # a table lookup hashed a mutable set: look it up frozen
+            if not any(isinstance(v, set) for v in values):
+                raise
+            return decide(g, *(frozenset(v) if isinstance(v, set) else v for v in values))
 
     def _decider(self, name: str) -> Callable[..., bool]:
         """The decision procedure of one predicate, given the graph and the
@@ -861,7 +876,12 @@ class PredicateLibrary:
             return lambda g, *sets: sets in self._graph_info(g)["children"][op_name]
         if name == "node":
             return lambda g, X: X in self._graph_info(g)["f_nodes"]
-        if name in ("child", "child*", "first-child", "dist-child"):
+        if name == "child*":
+            def below(g, X, Y):
+                f_nodes = self._graph_info(g)["f_nodes"]
+                return X in f_nodes and Y in f_nodes and Y < X
+            return below
+        if name in ("child", "first-child", "dist-child"):
             return lambda g, X, Y: (X, Y) in self._graph_info(g)[name]
         raise UnknownPredicate(f"no predicate named {name!r}")
 

@@ -13,13 +13,30 @@ the referee of the NextClosure oracle ``mdec.all_modules``.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterable, Optional
 
 from modgraph.errors import TooSmall
-from modgraph.graphs import LabeledGraph, co_components, undirected_components
+from modgraph.graphs import (LabeledGraph, _check_subset, _components_of,
+                             undirected_components)
 from modgraph.mdec import (MDecNode, MDecTree, NodeKind, _match_quotient,
                            quotient_graph)
 from modgraph.signature import Signature
+
+
+def co_components(g: LabeledGraph, x: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
+    """Components where u,v are adjacent iff they are NOT mutually linked.
+
+    Splitting x into co-components Y, Z means every cross pair carries
+    edges in both directions (the clique-product split).
+    """
+    xs = _check_subset(g, x) if x is not None else g.vertices
+    es = g.edges
+    adj: dict[int, set[int]] = {v: set() for v in xs}
+    for u, v in itertools.combinations(xs, 2):
+        if not ((u, v) in es and (v, u) in es):
+            adj[u].add(v)
+            adj[v].add(u)
+    return _components_of(xs, adj)
 
 
 def _min_module(g: LabeledGraph, seed: frozenset[int],
@@ -113,7 +130,8 @@ def referee_decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecT
         sub = g.induced(module)
         case, blocks = _case_split(sub)
         if case is NodeKind.PRIME:
-            op, blocks = _match_quotient(quotient_graph(sub, blocks), blocks, sig)
+            op, blocks = _match_quotient(quotient_graph(sub, blocks), blocks,
+                                         None if sig is None else sig.prime_ops)
             return MDecNode(module, NodeKind.PRIME,
                             tuple(rec(b) for b in blocks), op=op)
         return MDecNode(module, case, tuple(rec(b) for b in blocks))

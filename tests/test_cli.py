@@ -1,5 +1,6 @@
 import pytest
 
+from deep_term import LEVELS, alternating_term
 from modgraph import cli, mdec
 from modgraph.formats import (algebra_to_text, graph_to_text, parse_graph,
                               signature_to_text)
@@ -153,17 +154,37 @@ class TestVerbs:
         assert code == 0 and err == ""
         assert parse_graph(out).n == 2001
 
+    @pytest.mark.parametrize("verb", ["verify-transduction", "modelcheck", "recognize"])
+    def test_foreign_letter_exit_2(self, capsys, files, tmp_path, verb):
+        # the graph has a letter b; the signature's alphabet is {a}
+        from modgraph.recognizer import FiniteAlgebra, binary_table
+        from modgraph.samples import seq_signature
+        paths = {"graph": tmp_path / "ab.lg", "sig": tmp_path / "a.sig",
+                 "seq_sig": tmp_path / "seq_a.sig", "alg": tmp_path / "a.alg"}
+        paths["graph"].write_text(graph_to_text(word_graph("ab")))
+        paths["sig"].write_text(signature_to_text(spw5_signature(("a",))))
+        seq = seq_signature(("a",))
+        paths["seq_sig"].write_text(signature_to_text(seq))
+        carrier = ("q0", "q1")
+        alg = FiniteAlgebra(seq, carrier, {"a": "q1"},
+                            {"seq": binary_table(carrier, max)}, frozenset(["q0"]))
+        paths["alg"].write_text(algebra_to_text(alg))
+        p = {k: str(v) for k, v in paths.items()}
+        argv = {"verify-transduction": (p["sig"], p["graph"]),
+                "modelcheck": (files["tree_formula"], p["graph"], "--as", "mdectree",
+                               "--signature", p["sig"]),
+                "recognize": (p["seq_sig"], p["alg"], p["graph"])}[verb]
+        code, _, err = run(capsys, verb, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "'b'" in err
+
     def test_verify_transduction_on_a_deep_term(self, capsys, files, tmp_path):
         # 1,100 alternating seq/par levels, deeper than the recursion limit
         import sys
-        from modgraph.signature import Term, eval_term
-        levels = 1100
-        assert levels > sys.getrecursionlimit()
-        term = Term.leaf("a")
-        for i in reversed(range(levels)):
-            term = Term.node(("seq", "par")[i % 2], [Term.leaf("a"), term])
+        from modgraph.signature import eval_term
+        assert LEVELS > sys.getrecursionlimit()
         path = tmp_path / "deep.lg"
-        path.write_text(graph_to_text(eval_term(spw5_signature(), term)))
+        path.write_text(graph_to_text(eval_term(spw5_signature(), alternating_term())))
         code, out, err = run(capsys, "verify-transduction", files["sig"], str(path))
         assert code in (0, 1) and err == ""
         assert out.splitlines()[-1] == ("ISO" if code == 0 else "FAIL")

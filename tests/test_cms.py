@@ -112,6 +112,14 @@ class TestSemantics:
         with pytest.raises(UnboundVariable):
             model_check(unary_structure(2), f, {"x": 1})
 
+    def test_values_outside_the_domain(self):
+        f = parse_formula("(in x X)", SIG1,
+                          free_vars={"x": "element", "X": "set"})
+        with pytest.raises(UnboundVariable, match="'x' is outside the domain"):
+            model_check(unary_structure(2), f, {"x": 99, "X": {1}})
+        with pytest.raises(UnboundVariable, match="'X' holds 99, outside the domain"):
+            model_check(unary_structure(2), f, {"x": 1, "X": {1, 99}})
+
     def test_hand_built_predicate_errors(self):
         chk = ModelChecker(unary_structure(2))
         with pytest.raises(ArityMismatch):

@@ -266,8 +266,9 @@ CALL_SHAPES = {
     "pointwise-and-atom": Exists("x", conj(Call(SINGLE, ("X", "x")), Pred("p", ("x",)))),
     "two-pointwise-definitions": ExistsMod(2, "x", Or((Call(SINGLE, ("X", "x")),
                                                        Call(SUCC, ("x", "Y"))))),
-    # one definition called twice, or a called body's quantifier also
-    # nested directly: the quantifier loops instead
+    # one definition called at two sites, which share its table, and a
+    # quantifier both in a called body and nested directly, which share
+    # its memo
     "one-definition-twice": Forall("x", Implies(Call(SINGLE, ("X", "x")),
                                                 Call(SINGLE, ("Y", "x")))),
     "shared-quantifier": Exists("x", conj(

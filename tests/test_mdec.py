@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deep_term import LEVELS, alternating_term
 from mdec_referee import brute_force_modules, referee_decompose, referee_prime_modules
 from modgraph.errors import NotAModule, NotInSignature, TooSmall
 from modgraph.generators import random_digraph, random_f_graph, random_term
@@ -312,14 +313,6 @@ class TestReferee:
             assert_same_as_referee(eval_term(sig, term), sig)
 
 
-def alternating_term(levels, ops=("seq", "par")):
-    """ops[0](a, ops[1](a, ops[0](a, ...))) with levels inner nodes."""
-    t = Term.leaf("a")
-    for i in reversed(range(levels)):
-        t = Term.node(ops[i % 2], [Term.leaf("a"), t])
-    return t
-
-
 def same_term(a, b):
     stack = [(a, b)]
     while stack:
@@ -332,9 +325,9 @@ def same_term(a, b):
 
 class TestDeepInput:
     def test_deep_term_through_the_library(self):
-        levels = 1100
+        levels = LEVELS
         assert levels > sys.getrecursionlimit()
-        term = alternating_term(levels)
+        term = alternating_term()
         g = eval_term(SIG, term)
         assert g.n == levels + 1
         t = decompose(g, SIG)
@@ -346,16 +339,15 @@ class TestDeepInput:
         assert same_term(tree_to_term(b), term)
 
     def test_term_methods_without_recursion(self):
-        levels = 1100
-        term = alternating_term(levels)
+        levels = LEVELS
+        term = alternating_term()
         assert term.leaves() == ["a"] * (levels + 1)
         assert str(term) == "(seq a (par a " * (levels // 2) + "a" + ")" * levels
-        twin = alternating_term(levels)
+        twin = alternating_term()
         assert twin is not term and twin == term and hash(twin) == hash(term)
-        assert term != alternating_term(levels, ("par", "seq"))
-        odd = Term.leaf("b")  # differs from term in the deepest leaf only
-        for i in reversed(range(levels)):
-            odd = Term.node(("seq", "par")[i % 2], [Term.leaf("a"), odd])
+        assert term != alternating_term(ops=("par", "seq"))
+        # differs from term in the deepest leaf only
+        odd = alternating_term(bottom="b")
         assert odd != term and len({odd, term, twin}) == 2
 
 

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deep_term import LEVELS, alternating_term
 from modgraph import graphs, signature
 from modgraph.cms import tree_structure
 from modgraph.errors import ArityMismatch, NotWeaklyRigid, UnknownOp, UnknownSymbol
@@ -124,10 +125,8 @@ class TestTermStructure:
             prev = t
 
     def test_repr_of_a_deep_term(self):
-        levels = 1100
-        t = leaf("a")
-        for i in reversed(range(levels)):
-            t = node(("seq", "par")[i % 2], leaf("a"), t)
+        levels = LEVELS
+        t = alternating_term()
         text = repr(t)
         inner = "Term(op=None, symbol='a', children=())"
         assert text.startswith("Term(op='seq', symbol=None, children=(" + inner + ", ")

@@ -1,23 +1,26 @@
 import dataclasses
 import gc
 import random
+import re
 import sys
 import time
 
 import pytest
 
-from kappa_referee import referee_check_kappa_lemma
+from deep_term import LEVELS, alternating_term
+from kappa_referee import _suffixes, referee_check_kappa_lemma
 from modgraph.cms import ModelChecker, graph_structure, model_check
-from modgraph.errors import NotWeaklyRigid, NotWeaklyRigidSignature, UnknownPredicate
+from modgraph.errors import (NotWeaklyRigid, NotWeaklyRigidSignature, UnknownPredicate,
+                             VertexNotInGraph)
 from modgraph.generators import random_digraph, random_f_graph, random_subset
 from modgraph.graphs import Alphabet, LabeledGraph, is_module
-from modgraph.mdec import (NodeKind, Rows, binarize, decompose,
+from modgraph.mdec import (MDecNode, MDecPrimeTree, NodeKind, binarize, decompose,
                            maximal_prime_modules, reconstruct)
 from modgraph.samples import (cycle_graph, scw5_signature, spp3_signature,
                               spw5_signature, word_graph, word_term)
 from modgraph.signature import (CLIQUE_OP, SEQ_OP, Signature, Term,
                                 eval_term, prime_op)
-from modgraph.transduction import (PredicateLibrary, _suffixes, build_repr,
+from modgraph.transduction import (PredicateLibrary, build_repr,
                                    build_repr0, check_kappa_lemma,
                                    classify_nodes, compute_encoding,
                                    encode_graph, transduction_schema,
@@ -115,14 +118,10 @@ class TestEncoding:
     def test_deep_term_without_recursion(self):
         # 1,100 alternating seq/par levels, deeper than the recursion limit;
         # compute_encoding checks the kappa fibers against mu itself
-        levels = 1100
-        assert levels > sys.getrecursionlimit()
-        term = leaf("a")
-        for i in reversed(range(levels)):
-            term = node(("seq", "par")[i % 2], leaf("a"), term)
-        g = eval_term(SIG, term)
+        assert LEVELS > sys.getrecursionlimit()
+        g = eval_term(SIG, alternating_term())
         t, cls, enc = encode_graph(g, SIG)
-        assert len(enc.rho) == g.n == levels + 1
+        assert len(enc.rho) == g.n == LEVELS + 1
         assert all(enc.kappa[0][v].module == frozenset({v}) for v in g.vertices)
         assert all(path[-1] is t.root for path in enc.rho.values())
 
@@ -144,6 +143,30 @@ class TestKappaLemma:
             t, cls, enc = encode_graph(g, sig)
             assert check_kappa_lemma(t, enc, sig).ok
 
+    def test_deep_term_under_two_seconds(self):
+        g = eval_term(SIG, alternating_term())
+        t, cls, enc = encode_graph(g, SIG)
+        start = time.perf_counter()
+        report = check_kappa_lemma(t, enc, SIG)
+        took = time.perf_counter() - start
+        assert report.ok, str(report)
+        assert took < 2, f"check_kappa_lemma took {took:.2f} s on {g.n} vertices"
+
+    def test_unmatched_prime_quotient_raises(self):
+        # the tree's only operation is P4 with a twin, which is not prime:
+        # its graph decomposes into a prime P4 quotient that no operation
+        # of the tree matches.  The check raises before it reads the tables.
+        twin = LabeledGraph.on_range(5, [(1, 2), (2, 1), (2, 3), (3, 2),
+                                         (3, 4), (4, 3), (3, 5), (5, 3)])
+        op = prime_op("T5", twin, check_prime=False)
+        leaves = tuple(MDecNode(frozenset({v}), NodeKind.LEAF, symbol="a")
+                       for v in range(1, 6))
+        t = MDecPrimeTree(MDecNode(frozenset(range(1, 6)), NodeKind.PRIME,
+                                   leaves, op=op))
+        _, _, enc = encode_graph(word_graph("ab"), SIG)
+        with pytest.raises(NotWeaklyRigid, match="matches no"):
+            check_kappa_lemma(t, enc)
+
     def test_suffixes_agree_with_the_chain_split(self):
         # the referee's own prefix routine against the decomposition
         rng = random.Random(12)
@@ -157,8 +180,7 @@ class TestKappaLemma:
                 case, blocks = maximal_prime_modules(g)
                 if case is NodeKind.SEQ:
                     want = {frozenset().union(*blocks[i:]) for i in range(1, len(blocks))}
-            rows = Rows(g)
-            assert {rows.ids(z) for z in _suffixes(rows, rows.mask(g.vertices))} == want
+            assert set(_suffixes(g, g.vertices)) == want
 
 
 def _corrupt(rng, t, enc, i):
@@ -384,6 +406,29 @@ class TestPredicateLibrary:
         with pytest.raises(UnknownPredicate,
                            match="^predicate 'singleton' needs binding 'x'$"):
             lib.holds("singleton", g, {"X": frozenset({1})})
+
+    @pytest.mark.parametrize("name", PredicateLibrary(SIG).names())
+    def test_holds_rejects_a_vertex_outside_the_graph(self, name):
+        # each variable in turn holds vertex 99 of a two-vertex graph
+        lib = PredicateLibrary(SIG)
+        g = word_graph("ab")
+        spec = lib.free_vars(name)
+        inside = {var: 1 if kind == "element" else frozenset({1}) for var, kind in spec}
+        for var, kind in spec:
+            b = {**inside, var: 99 if kind == "element" else frozenset({1, 99})}
+            with pytest.raises(VertexNotInGraph, match=re.escape(
+                    f"predicate {name!r}: vertex 99 of {var!r} is not in the graph")):
+                lib.holds(name, g, b)
+
+    def test_first_holds_on_a_deep_term_under_one_second(self):
+        lib = PredicateLibrary(SIG)
+        g = eval_term(SIG, alternating_term())
+        start = time.perf_counter()
+        assert lib.holds("child*", g, {"X": g.vertices, "Y": frozenset({g.n})})
+        took = time.perf_counter() - start
+        assert took < 1, f"the first holds call took {took:.2f} s on {g.n} vertices"
+        assert not lib.holds("child*", g, {"X": frozenset({g.n}), "Y": g.vertices})
+        assert lib.holds("child", g, {"X": g.vertices, "Y": frozenset({1})})
 
     def test_holds_takes_mutable_sets_as_frozensets(self):
         rng = random.Random(808)

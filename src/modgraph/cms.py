@@ -1375,6 +1375,10 @@ def tree_predicates(symbols: Iterable[str], prime_ops: Iterable[SignatureOp],
     return preds
 
 
+# tree -> signature -> tree_relations result, kept while the tree lives
+_TREE_RELATIONS: "weakref.WeakKeyDictionary[MDecTree, dict]" = weakref.WeakKeyDictionary()
+
+
 def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
                    ) -> tuple[RelationalSignature, Mapping[str, frozenset[tuple]],
                               tuple[MDecNode, ...]]:
@@ -1384,13 +1388,15 @@ def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
     and the node list in preorder.  Prime predicates cover the signature's
     operations when one is given, else the operations appearing in the tree.
     A leaf letter outside the signature's alphabet raises UnknownSymbol.
-    The result is computed once per tree and signature, kept on the tree
-    and shared by every caller, so the relations are frozen.
+    The result is computed once per tree and signature and shared by
+    every caller, so the relations are frozen.
     """
-    key = ("tree_relations", sig)
-    got = t.derived.get(key)
+    by_sig = _TREE_RELATIONS.get(t)
+    if by_sig is None:
+        by_sig = _TREE_RELATIONS[t] = {}
+    got = by_sig.get(sig)
     if got is None:
-        got = t.derived[key] = _tree_relations(t, sig)
+        got = by_sig[sig] = _tree_relations(t, sig)
     return got
 
 

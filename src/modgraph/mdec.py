@@ -390,14 +390,14 @@ class MDecTree:
     """Decomposition tree; leaves are the singletons of the vertex set.
 
     A tree is immutable once built: its preorder node list, parent map and
-    leaf map are read off once, at construction, and ``derived`` keeps
-    what other layers compute from the tree (``cms.tree_relations``),
-    keyed by what they computed it with.
+    leaf map are read off once, at construction.  Nothing enforces this;
+    a node's children re-assigned after construction are not seen by
+    ``nodes()`` or ``parents()``, nor by what other layers derive from
+    them.  Build a new tree instead.
     """
 
     root: MDecNode
     leaf_of: dict[int, MDecNode] = field(default_factory=dict)
-    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         nodes: list[MDecNode] = []

@@ -31,7 +31,8 @@ from .signature import (OpKind, Signature, SignatureOp, match_op,
                         validate_weakly_rigid_signature)
 
 PAIR = tuple[int, int]
-_NO_VERTICES: frozenset[int] = frozenset()
+# the union of any number of vertex sets, its method bound once
+_union_of: Callable[..., frozenset[int]] = frozenset().union
 
 
 def _commutative_mode(sig: Signature) -> NodeKind:
@@ -500,21 +501,19 @@ class PredicateLibrary:
             weakref.WeakKeyDictionary()
         self._ginfo: "weakref.WeakKeyDictionary[LabeledGraph, dict]" = \
             weakref.WeakKeyDictionary()
-        # the graph of the last table lookup, held weakly, and its tables
-        self._last_info: tuple = (lambda: None, None)
         self.definitions: dict[str, Definition] = {}
         self._catalog: list[str] = []
         self._define_all()
         # name -> (variable names, their values from a binding in spec
-        # order, their kinds when one is an element, decision procedure)
+        # order, whether every variable is a set, decision procedure)
         self._deciders = {}
         for name in self._catalog:
             d = self.definitions[name]
             names = d.params
             values_of = (itemgetter(*names) if len(names) > 1
                          else lambda b, v=names[0]: (b[v],))
-            kinds = d.kinds if ELEMENT in d.kinds else None
-            self._deciders[name] = (names, values_of, kinds, self._decider(name))
+            self._deciders[name] = (names, values_of, ELEMENT not in d.kinds,
+                                    self._decider(name))
 
     def _define(self, name: str, params: str, body: CmsFormula,
                 public: bool = False):
@@ -722,13 +721,9 @@ class PredicateLibrary:
         return rows
 
     def _graph_info(self, g: LabeledGraph) -> dict:
-        graph_ref, info = self._last_info
-        if graph_ref() is g:
-            return info
         info = self._ginfo.get(g)
         if info is None:
             info = self._ginfo[g] = self._tables_of(g)
-        self._last_info = (weakref.ref(g), info)
         return info
 
     def _tables_of(self, g: LabeledGraph) -> dict:
@@ -811,30 +806,30 @@ class PredicateLibrary:
         entry = self._deciders.get(name)
         if entry is None:
             raise UnknownPredicate(f"no predicate named {name!r}")
-        spec, values_of, kinds, decide = entry
+        spec, values_of, sets_only, decide = entry
         try:
             values = values_of(bindings)
         except KeyError:
             missing = next(var for var in spec if var not in bindings)
             raise UnknownPredicate(
                 f"predicate {name!r} needs binding {missing!r}") from None
-        vs = g.vertices
-        inside = (_NO_VERTICES.union(*values) <= vs if kinds is None else
-                  all(x in vs if k == ELEMENT else vs.issuperset(x)
-                      for x, k in zip(values, kinds)))
-        if not inside:
+        # every value's vertices in one union.  holds is about half of
+        # formula-agreement's work, so only a predicate with an element
+        # variable pays for wrapping each value, and mutable sets are found
+        # by hashing the values rather than by a scan of their types
+        used = (_union_of(*values) if sets_only else _union_of(
+            *(v if isinstance(v, (set, frozenset)) else (v,) for v in values)))
+        if not used <= g.vertices:
             for var, value in zip(spec, values):
                 for v in value if isinstance(value, (set, frozenset)) else (value,):
-                    if v not in vs:
+                    if v not in g.vertices:
                         raise VertexNotInGraph(f"predicate {name!r}: vertex {v!r} "
                                                f"of {var!r} is not in the graph")
         try:
-            return decide(g, *values)
-        except TypeError:
-            # a table lookup hashed a mutable set: look it up frozen
-            if not any(isinstance(v, set) for v in values):
-                raise
-            return decide(g, *(frozenset(v) if isinstance(v, set) else v for v in values))
+            hash(values)
+        except TypeError:  # table lookups hash the values: freeze mutable sets
+            values = [frozenset(v) if isinstance(v, set) else v for v in values]
+        return decide(g, *values)
 
     def _decider(self, name: str) -> Callable[..., bool]:
         """The decision procedure of one predicate, given the graph and the

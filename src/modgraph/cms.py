@@ -86,7 +86,8 @@ class _Structural:
     """Compared by structure, never by object identity: each node hashes
     its fields once at construction (child hashes are cached in turn), so
     hashing is O(1) and equal nodes built apart share every table keyed
-    on them."""
+    on them.  Comparison walks both nodes with an explicit stack, so it
+    does not recurse however deep they are."""
 
     def __post_init__(self):
         key = (type(self),) + tuple(vars(self).values())
@@ -97,9 +98,24 @@ class _Structural:
         return self._hash
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, _Structural)
-                                 and self._hash == other._hash
-                                 and self._key == other._key)
+        if not isinstance(other, _Structural):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, _Structural):
+                if not isinstance(b, _Structural) or a._hash != b._hash:
+                    return False
+                a, b = a._key, b._key
+            if isinstance(a, tuple) and isinstance(b, tuple):
+                if len(a) != len(b):
+                    return False
+                stack.extend(zip(a, b))
+            elif a != b:
+                return False
+        return True
 
 
 class CmsFormula(_Structural):
@@ -270,8 +286,7 @@ class ExistsMod(_Quantifier):
 class Definition(_Structural):
     """A named predicate: its parameters and its body, whose free variables
     are among the parameters.  A parameter's kind (element or set) is read
-    from its use in the body; ``column`` is the position of the only
-    element parameter, or None when there are none or several."""
+    from its use in the body."""
 
     name: str
     params: tuple[str, ...]
@@ -286,10 +301,7 @@ class Definition(_Structural):
             raise UnboundVariable(f"definition {self.name!r} leaves "
                                   f"{sorted(loose)} unbound")
         kinds = variable_kinds(self.body)
-        kinds = tuple(kinds.get(p) for p in self.params)
-        elems = [i for i, k in enumerate(kinds) if k == ELEMENT]
-        object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "column", elems[0] if len(elems) == 1 else None)
+        object.__setattr__(self, "kinds", tuple(kinds.get(p) for p in self.params))
 
 
 @_node
@@ -588,18 +600,6 @@ def _free(node: CmsFormula) -> tuple[str, ...]:
     return got
 
 
-def _column(q: _Quantifier) -> Optional[str]:
-    """The free variable a quantifier's memo is a bitmask over: its only
-    free element variable, or None when it has none or several."""
-    got = q.__dict__.get("_column", ())
-    if got == ():
-        kinds = variable_kinds(q)
-        elems = [v for v in _free(q) if kinds.get(v) == ELEMENT]
-        got = elems[0] if len(elems) == 1 else None
-        object.__setattr__(q, "_column", got)
-    return got
-
-
 _ELEMENT_QUANTIFIERS = (Exists, Forall, ExistsMod)
 _KIND = {Exists: "exists", Forall: "forall", ExistsMod: "mod",
          ExistsSet: "existsset", ForallSet: "forallset"}
@@ -653,19 +653,10 @@ def _shape(node) -> tuple[tuple, list]:
             nodes.append(x)
         return slot
 
-    def spec(f, sc):
-        """A called unit's memo key at a call site: the position of its
-        column, those of the other key values, and those of its arguments
-        in the order the unit takes them."""
-        if isinstance(f, Call):
-            args, c = tuple(sc[a] for a in f.args), f.defn.column
-        else:
-            free, col = _free(f), _column(f)
-            args = tuple(sc[v] for v in free)
-            c = None if col is None else free.index(col)
-        if c is None:
-            return None, args, args
-        return args[c], args[:c] + args[c + 1:], args
+    def args(f, sc):
+        """A unit's arguments at a call site, in the order it takes them,
+        which are also its memo key."""
+        return tuple(sc[v] for v in (f.args if isinstance(f, Call) else _free(f)))
 
     def walk(f, sc):
         if isinstance(f, In):
@@ -682,20 +673,20 @@ def _shape(node) -> tuple[tuple, list]:
         if isinstance(f, Implies):
             return ("imp", walk(f.left, sc), walk(f.right, sc))
         if isinstance(f, Call):
-            return ("call", slot_of(f.defn)) + spec(f, sc)
+            return ("call", slot_of(f.defn), args(f, sc))
         if _masked(f):
             return quant(f, sc, slot_of(f))
-        return ("call", slot_of(f)) + spec(f, sc)
+        return ("call", slot_of(f), args(f, sc))
 
     def quant(q, sc, slot):
         inner = dict(sc)
         inner[q.var] = bind()
         return ("quant", _KIND[type(q)], getattr(q, "q", 0), inner[q.var],
-                walk(q.body, inner), (slot,) + spec(q, sc)[:2])
+                walk(q.body, inner), (slot, args(q, sc)))
 
     if isinstance(node, Definition):
         scope = {p: bind() for p in node.params}
-        return ("def", (len(scope), node.column, walk(node.body, scope))), nodes
+        return ("def", (len(scope), walk(node.body, scope))), nodes
     scope = {v: bind() for v in _free(node)}
     if not isinstance(node, _Quantifier):
         return ("top", (len(scope), walk(node, scope))), nodes
@@ -770,34 +761,18 @@ class _Codegen:
     def tuple_expr(items) -> str:
         return "(" + "".join(f"{x}, " for x in items).rstrip(" ") + ")"
 
-    # -- memo tables: a plain value per key when the node has no column,
-    #    else two bitmasks over the column (evaluated, and true) --
+    # -- memo tables: one value per key --
 
-    def probe(self, memo: str, key: str, col: Optional[str]) -> tuple[str, str]:
-        """Emit a memo lookup; return the names of the memoized value (None
-        on a miss) and of the table entry."""
-        ent = self.let(f"{memo}.get({key})", "ent")
-        if col is None:
-            return ent, ent
-        hit = self.let(f"None if {ent} is None or not {ent}[0] >> {col} & 1 "
-                       f"else {ent}[1] >> {col} & 1", "hit")
-        return hit, ent
+    def key(self, args, scope) -> str:
+        """A memo key: the value itself for one argument, else a tuple."""
+        if len(args) == 1:
+            return scope[args[0]]
+        return self.let(self.tuple_expr(scope[i] for i in args), "key")
 
-    def store(self, memo: str, key: str, ent: str, col: Optional[str], value: str):
-        if col is None:
-            self.emit(f"{memo}[{key}] = {value}")
-            return
-        self.emit(f"if {ent} is None:")
-        self.emit(f"    {memo}[{key}] = [1 << {col}, {value} << {col}]")
-        self.emit("else:")
-        self.emit(f"    {ent}[0] |= 1 << {col}")
-        self.emit(f"    {ent}[1] |= {value} << {col}")
-
-    def key(self, rest, scope) -> str:
-        """A memo key: the value itself for one variable, else a tuple."""
-        if len(rest) == 1:
-            return scope[rest[0]]
-        return self.let(self.tuple_expr(scope[i] for i in rest), "key")
+    def probe(self, memo: str, key: str) -> str:
+        """Emit a memo lookup; return the name of the memoized value (None
+        on a miss)."""
+        return self.let(f"{memo}.get({key})", "hit")
 
     # -- units --
 
@@ -822,44 +797,41 @@ class _Codegen:
             self.emit(f"    inner = ref()._bind(NODES, {self.tuple_expr(sorted(slots))})")
             self.emit("C = inner")
 
-    def enter(self, col, rest, scope) -> tuple[str, str, Optional[str]]:
+    def enter(self, nargs: int) -> tuple[dict[int, str], str]:
         """A unit's entry: one unit of work, its own memo probe (return on a
-        hit) and the budget check."""
+        hit) and the budget check; return its scope and memo key."""
+        scope = self.take(nargs)
         self.head.append("MEMO = chk._memo_of(node)")
         self.emit("meter.work += 1")
-        c = None if col is None else scope[col]
-        key = self.key(rest, scope)
-        hit, ent = self.probe("MEMO", key, c)
+        key = self.key(range(nargs), scope)
+        hit = self.probe("MEMO", key)
         self.emit(f"if {hit} is not None:")
         self.emit(f"    return {hit}")
         self.emit("if meter.work > meter.budget:")
         self.emit("    meter.exhausted()")
-        return key, ent, c
+        return scope, key
 
     def unit(self, q, masked: bool):
-        _, kind, qmod, var, body, (_, col, rest) = q
-        scope = self.take(len(rest) + (col is not None))
-        key, ent, c = self.enter(col, rest, scope)
+        _, kind, qmod, var, body, (_, args) = q
+        scope, key = self.enter(len(args))
         if masked:
             value, work = self.quant(q, scope)
             self.emit(f"meter.work += {work}")
         else:
             value = self.loop(q, scope)
-        self.store("MEMO", key, ent, c, value)
+        self.emit(f"MEMO[{key}] = {value}")
         self.emit(f"return {value}")
 
     def define(self, d):
-        nparams, col, body = d
-        scope = self.take(nparams)
-        rest = tuple(i for i in range(nparams) if i != col)
-        key, ent, c = self.enter(col, rest, scope)
+        nparams, body = d
+        scope, key = self.enter(nparams)
         self.bind_calls(body)
         self.emit("w = 0")
         t = self.straight(body, scope, None)
         self.flush("meter.work")
         if self.dirty:
             self.emit("meter.work += w")
-        self.store("MEMO", key, ent, c, t)
+        self.emit(f"MEMO[{key}] = {t}")
         self.emit(f"return {t}")
 
     def loop(self, q, scope) -> str:
@@ -940,15 +912,14 @@ class _Codegen:
         if tag == "call":
             # the memo probe is inlined; a miss calls the unit, whose budget
             # check then sees every unit of work charged so far
-            _, slot, col, rest, args = f
+            _, slot, args = f
             self.flush("meter.work")
             t = self.tmp()
             if entry is not None:
                 self.emit(f"{t} = 0")
                 self.emit(f"if {entry}:")
                 self.depth += 1
-            hit, _ = self.probe(self.memo(slot), self.key(rest, scope),
-                                None if col is None else scope[col])
+            hit = self.probe(self.memo(slot), self.key(args, scope))
             self.emit(f"if {hit} is None:")
             if self.dirty:
                 self.emit("    meter.work += w")
@@ -985,16 +956,15 @@ class _Codegen:
     def inline(self, q, scope, entry) -> str:
         """A set-at-a-time quantifier entered from straight-line code: its
         memo probe, and on a miss its budget check and evaluation, inline."""
-        _, _, _, _, _, (slot, col, rest) = q
+        _, _, _, _, _, (slot, args) = q
         self.flush("meter.work")
         t = self.tmp()
         if entry is not None:
             self.emit(f"{t} = 0")
             self.emit(f"if {entry}:")
             self.depth += 1
-        memo, key = self.memo(slot), self.key(rest, scope)
-        c = None if col is None else scope[col]
-        hit, ent = self.probe(memo, key, c)
+        memo, key = self.memo(slot), self.key(args, scope)
+        hit = self.probe(memo, key)
         self.emit(f"if {hit} is not None:")
         self.emit(f"    {t} = {hit}")
         self.emit("    w += 1")
@@ -1007,7 +977,7 @@ class _Codegen:
         self.emit("    meter.exhausted()")
         value, work = self.quant(q, scope)
         self.emit(f"meter.work += {work}")
-        self.store(memo, key, ent, c, value)
+        self.emit(f"{memo}[{key}] = {value}")
         self.emit(f"{t} = {value}")
         self.depth -= 1
         self.dirty = True
@@ -1162,10 +1132,13 @@ class ModelChecker:
     its domain size, relation rows and memo tables on first use.  Formulas
     are looked up by structure, never by object identity.  Every
     quantifier memoizes its value on the values of its free variables, in
-    one table per checker shared by all formulas that contain it.  A
-    quantifier or definition with exactly one free element variable (its
-    column) keeps one entry per value of the others: two bitmasks over the
-    column, of the values evaluated and of those true.
+    one table per checker shared by all formulas that contain it: a dict
+    from the argument values to the value.
+
+    Memo and definition tables grow with the distinct argument values
+    seen, and they live exactly as long as the checker; to free them, drop
+    the checker.  The only cache shared across checkers is the bounded
+    cache of compiled unit shapes.
 
     Work is counted per formula node entry, memo and table hits included,
     against a deterministic budget; a check's answer and the work after it
@@ -1231,9 +1204,11 @@ class ModelChecker:
                     raise UnboundVariable(f"value of {name!r} holds {e.args[0]!r}, "
                                           "outside the domain") from None
             else:
-                if value not in self.index:
-                    raise UnboundVariable(f"value of {name!r} is outside the domain")
-                args.append(self.index[value])
+                try:
+                    args.append(self.index[value])
+                except (KeyError, TypeError):
+                    raise UnboundVariable(f"value of {name!r} is outside the "
+                                          "domain") from None
         return self._run(code, args)
 
     def check_prepared(self, formula: CmsFormula, ienv: Mapping[str, int]) -> bool:

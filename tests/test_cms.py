@@ -119,6 +119,9 @@ class TestSemantics:
             model_check(unary_structure(2), f, {"x": 99, "X": {1}})
         with pytest.raises(UnboundVariable, match="'X' holds 99, outside the domain"):
             model_check(unary_structure(2), f, {"x": 1, "X": {1, 99}})
+        for unhashable in ({1}, [1]):
+            with pytest.raises(UnboundVariable, match="'x' is outside the domain"):
+                model_check(unary_structure(2), f, {"x": unhashable, "X": {1}})
 
     def test_hand_built_predicate_errors(self):
         chk = ModelChecker(unary_structure(2))
@@ -208,6 +211,17 @@ class TestFormulaIdentity:
         assert a is not b and a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
         assert a != parse_formula(EDGE_SENTENCES[2], sig)
+
+    def test_deep_formulas_built_apart_compare_without_recursion(self):
+        def deep(atom, levels=5000):
+            f = Pred(atom, ("x",))
+            for _ in range(levels):
+                f = Not(f)
+            return Exists("x", f)
+
+        a = deep("p")
+        assert a == deep("p") and hash(a) == hash(deep("p"))
+        assert a != deep("q")
 
     def test_shadowed_variable_is_restored(self):
         # the inner quantifier rebinds x; the outer (p x) must see the free x

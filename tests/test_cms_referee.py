@@ -261,7 +261,7 @@ ABOVE = Definition("above", ("X",), ExistsSet("S", conj(Call(SUB, ("S", "X")),
 SOME = Definition("some", (), Exists("x", Pred("p", ("x",))))
 LINK = Definition("link", ("x", "y"), Or((Pred("r", ("x", "y")), Pred("r", ("y", "x")))))
 CALL_SHAPES = {
-    # a pointwise call: the table is two masks over the quantified variable
+    # a call that passes the quantified variable
     "pointwise": Exists("x", Call(SINGLE, ("X", "x"))),
     "pointwise-and-atom": Exists("x", conj(Call(SINGLE, ("X", "x")), Pred("p", ("x",)))),
     "two-pointwise-definitions": ExistsMod(2, "x", Or((Call(SINGLE, ("X", "x")),

@@ -130,7 +130,7 @@ class TestDefinitionNodes:
         again = Definition("pick", ("X", "x"), conj(In("x", "X"), Pred("p", ("x",))))
         assert again == PICK and hash(again) == hash(PICK)
         assert Call(again, ("Y", "y")) == Call(PICK, ("Y", "y"))
-        assert PICK.kinds == ("set", "element") and PICK.column == 1
+        assert PICK.kinds == ("set", "element")
 
     def test_validation(self):
         with pytest.raises(ArityMismatch):

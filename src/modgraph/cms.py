@@ -544,7 +544,7 @@ def parse_formula(text: str, sig: RelationalSignature,
             node = quantified(SET, ForallSet)
         elif kw == "existsmod":
             qtok = toks.next()
-            if not qtok[0].isdigit() or int(qtok[0]) < 2:
+            if not (qtok[0].isascii() and qtok[0].isdigit()) or int(qtok[0]) < 2:
                 _fail(qtok, "counting modulus must be an integer >= 2")
             q = int(qtok[0])
             node = quantified(ELEMENT, lambda v, b: ExistsMod(q, v, b))
@@ -1213,7 +1213,14 @@ class ModelChecker:
 
     def check_prepared(self, formula: CmsFormula, ienv: Mapping[str, int]) -> bool:
         """Like check, with the environment already in internal form
-        (element indices and set bitmasks over the domain order)."""
+        (element indices and set bitmasks over the domain order).
+
+        The environment is trusted, for speed: it must bind every free
+        variable, each element to an index in range(len(domain)) and each
+        set to a mask below 1 << len(domain).  Nothing here checks it; a
+        value out of range gives an arbitrary answer or a raw error, so
+        values from outside the program go through ``check``.
+        """
         if formula is not self._last[0]:
             got = self._tops.get(formula)
             if got is None:

@@ -6,6 +6,7 @@ Parse errors carry 1-based line numbers.
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 from typing import Optional
@@ -27,55 +28,74 @@ def _lines(text: str):
 
 
 def _int(tok: str, lineno: int, what: str) -> int:
-    if not tok.isdigit():
-        raise FormatError(lineno, f"{what} must be a positive integer, got {tok!r}")
-    return int(tok)
+    """A positive integer written in ASCII digits."""
+    if tok.isascii() and tok.isdigit():
+        i = int(tok)
+        if i:
+            return i
+    raise FormatError(lineno, f"{what} must be a positive integer, got {tok!r}")
 
 
 # ------------------------------------------------------------------- graphs
 
 def parse_graph(text: str) -> LabeledGraph:
-    """`graph <name>` / `alphabet <sym>...` / `vertex <id> <sym>` / `edge <i> <j>`."""
-    name = None
+    """`graph <name>` / `alphabet <sym>...` / `vertex <id> <sym>` / `edge <i> <j>`.
+
+    One pass over the lines, with the most common directive, edge, tested
+    first.  Every invariant of a graph is checked here, with its line
+    number, so the graph is built without ``LabeledGraph``'s own checks.
+    """
     alphabet: Optional[list[str]] = None
     labels: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
-    edge_lines: list[tuple[int, int, int]] = []
-    for lineno, toks in _lines(text):
-        head, args = toks[0], toks[1:]
-        if head == "graph":
-            name = " ".join(args)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        toks = line.split()
+        if not toks:
+            continue
+        head = toks[0]
+        if head == "edge":
+            if len(toks) != 3:
+                raise FormatError(lineno, "edge takes two vertex ids")
+            u = _int(toks[1], lineno, "vertex id")
+            v = _int(toks[2], lineno, "vertex id")
+            if u == v:
+                raise FormatError(lineno, f"self-loop at vertex {u}")
+            edges.append((u, v))
+        elif head == "vertex":
+            if len(toks) != 3:
+                raise FormatError(lineno, "vertex takes an id and a symbol")
+            vid = _int(toks[1], lineno, "vertex id")
+            if vid in labels:
+                raise FormatError(lineno, f"duplicate vertex {vid}")
+            if alphabet is None or toks[2] not in alphabet:
+                raise FormatError(lineno, f"unknown label {toks[2]!r}")
+            labels[vid] = toks[2]
         elif head == "alphabet":
+            args = toks[1:]
             if not args:
                 raise FormatError(lineno, "alphabet needs at least one symbol")
             if len(set(args)) != len(args):
                 raise FormatError(lineno, "duplicate alphabet symbols")
             alphabet = args
-        elif head == "vertex":
-            if len(args) != 2:
-                raise FormatError(lineno, "vertex takes an id and a symbol")
-            vid = _int(args[0], lineno, "vertex id")
-            if vid in labels:
-                raise FormatError(lineno, f"duplicate vertex {vid}")
-            if alphabet is None or args[1] not in alphabet:
-                raise FormatError(lineno, f"unknown label {args[1]!r}")
-            labels[vid] = args[1]
-        elif head == "edge":
-            if len(args) != 2:
-                raise FormatError(lineno, "edge takes two vertex ids")
-            u, v = (_int(a, lineno, "vertex id") for a in args)
-            if u == v:
-                raise FormatError(lineno, f"self-loop at vertex {u}")
-            edge_lines.append((lineno, u, v))
-        else:
+        elif head != "graph":
             raise FormatError(lineno, f"unknown directive {head!r}")
-    for lineno, u, v in edge_lines:
-        if u not in labels or v not in labels:
-            raise FormatError(lineno, f"edge ({u},{v}) uses an undeclared vertex")
-        edges.append((u, v))
+    if not labels.keys() >= set(itertools.chain.from_iterable(edges)):
+        _undeclared_edge(text, labels)
     if not labels:
         raise FormatError(1, "graph has no vertices")
-    return LabeledGraph.build(labels.keys(), edges, labels)
+    return LabeledGraph._trusted(frozenset(labels), frozenset(edges), labels)
+
+
+def _undeclared_edge(text: str, labels: dict[int, str]):
+    """Raise for the first edge line with an undeclared endpoint, of a text
+    that ``parse_graph`` has read through."""
+    for lineno, toks in _lines(text):
+        if toks[0] == "edge":
+            u, v = int(toks[1]), int(toks[2])
+            if u not in labels or v not in labels:
+                raise FormatError(lineno, f"edge ({u},{v}) uses an undeclared vertex")
 
 
 def graph_to_text(g: LabeledGraph, name: str = "g") -> str:
@@ -92,7 +112,7 @@ def graph_to_text(g: LabeledGraph, name: str = "g") -> str:
 
 # --------------------------------------------------------------- signatures
 
-_ARROW_RE = re.compile(r"^(\d+)->(\d+)$")
+_ARROW_RE = re.compile(r"^([0-9]+)->([0-9]+)$")
 
 
 def parse_signature(text: str) -> Signature:

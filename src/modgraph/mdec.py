@@ -533,6 +533,79 @@ def binarize(t: MDecTree) -> MDecPrimeTree:
     return MDecPrimeTree(fold_tree(t.root, _binarize_node))
 
 
+def verify_binarized(t: MDecTree, rows: Rows, ops: Sequence[SignatureOp],
+                     ) -> Optional[tuple[dict[MDecNode, int],
+                                         dict[MDecNode, MDecNode],
+                                         dict[int, MDecNode]]]:
+    """Whether t is ``binarize(_decompose(g, rows, ops))`` for the graph g of
+    rows, up to leaf symbols, the order of par and clique children and the
+    choice of admissible enumeration at prime nodes.
+
+    ops must hold one operation per isomorphism class, as a signature does.
+    Each node's mask is read from its own module, and each inner node is
+    checked against one ``split`` of that mask: par, clique and prime
+    nodes must match in kind and in child masks as a set, and a prime
+    node's quotient in t's child order must have exactly the edges of its
+    operation, one of ops; a seq node must split as its first child plus a
+    second child holding the rest of the chain, which is checked in turn
+    on the blocks already found.  Gives every node's mask, every node's
+    parent and every vertex's leaf when it is, None otherwise.
+    """
+    bit = {v: 1 << i for i, v in enumerate(rows.verts)}
+    read = bit.__getitem__
+    root = t.root
+    try:
+        full = sum(map(read, root.module))
+    except KeyError:
+        return None
+    if not full or full != (1 << len(bit)) - 1:
+        return None
+    out = rows.out
+    mask = {root: full}
+    parents: dict[MDecNode, MDecNode] = {}
+    leaves: dict[int, MDecNode] = {}
+    # comb nodes: the chain blocks their seq parent's split already gave
+    rest: dict[MDecNode, list[int]] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        m, kind, kids = mask[node], node.kind, node.children
+        if not m & (m - 1):
+            if kind is not NodeKind.LEAF or kids:
+                return None
+            leaves[rows.verts[m.bit_length() - 1]] = node
+            continue
+        try:
+            km = [sum(map(read, c.module)) for c in kids]
+        except KeyError:
+            return None
+        chain = rest.pop(node, None)
+        split, blocks = (NodeKind.SEQ, chain) if chain else rows.split(m)
+        if kind is not split:
+            return None
+        if kind is NodeKind.SEQ:
+            if len(kids) != 2 or km[0] != blocks[0] or km[1] != m & ~blocks[0]:
+                return None
+            if len(blocks) > 2:
+                rest[kids[1]] = blocks[1:]
+        elif len(kids) != len(blocks) or set(km) != set(blocks):
+            return None
+        elif kind is NodeKind.PRIME:
+            op = node.op
+            if op not in ops or op.graph.n != len(kids):
+                return None
+            reps = [(b & -b).bit_length() - 1 for b in km]
+            if {(i, j) for i, r in enumerate(reps, 1)
+                    for j, s in enumerate(reps, 1)
+                    if out[r] >> s & 1} != op.graph.edges:
+                return None
+        for c, cm in zip(kids, km):
+            mask[c] = cm
+            parents[c] = node
+        stack.extend(kids)
+    return mask, parents, leaves
+
+
 _KIND_TO_OP = {NodeKind.PAR: PAR_OP, NodeKind.SEQ: SEQ_OP, NodeKind.CLIQUE: CLIQUE_OP}
 
 

@@ -26,7 +26,8 @@ from .errors import (NotInSignature, NotWeaklyRigid, NotWeaklyRigidSignature,
                      UnknownOp, UnknownPredicate, VertexNotInGraph)
 from .graphs import LabeledGraph, is_internally_disconnected, is_module
 from .mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, Rows,
-                   _decompose, binarize, decompose, reach, reconstruct)
+                   _decompose, binarize, decompose, reach, reconstruct,
+                   verify_binarized)
 from .signature import (OpKind, Signature, SignatureOp, match_op,
                         validate_weakly_rigid_signature)
 
@@ -265,21 +266,28 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     """Cross-check the path-based kappa maps against their module-theoretic
     characterization on the graph ``reconstruct(t)``.
 
-    The node family is read off ``binarize(decompose(reconstruct(t)))``,
-    with prime quotients matched against the operations of t
-    (``cms.tree_prime_ops``): the strong modules are the nodes of the
-    decomposition, the sequential suffixes the seq comb nodes of its
-    binarization, the members holding a vertex its leaf-to-root path, and
-    a prime node's distinguished children those of the matched
-    enumeration.  Whether a member is disconnected, degenerate or
-    sequential, and which children of a sequential one are initial, is
-    decided on the graph's bitmask rows.  A prime quotient that matches no
-    operation raises NotWeaklyRigid.
+    The node family is t's own nodes, once ``mdec.verify_binarized`` finds
+    t to be the binarized decomposition of that graph, which is unique
+    (Gallai 1967): one ``Rows.split`` per inner node, of the mask read from
+    the node's module, against its children, and a prime node's quotient
+    against its operation, which must be the one of t's operations
+    (``cms.tree_prime_ops``) that matches it.  Then the strong modules are
+    t's nodes, the sequential suffixes its seq comb nodes, the members
+    holding a vertex its leaf-to-root path, and a prime node's
+    distinguished children those of its enumeration.  A tree that fails
+    the verification, such as a hand-built one, gets its family from
+    ``binarize(decompose(reconstruct(t)))`` with the quotients matched
+    against those operations, and a prime quotient that matches none
+    raises NotWeaklyRigid; either way the report is the same.  Whether a
+    member is disconnected, degenerate or sequential, and which children
+    of a sequential one are initial, is decided on the graph's bitmask
+    rows.
 
-    The family does not come from the graph alone: the decomposition that
-    builds it is the algorithm that usually built t, so a fault in it
-    could show on both sides alike.  ``tests/mdec_referee.py`` and the
-    NextClosure oracle ``mdec.all_modules`` referee that algorithm, and
+    The family does not come from the graph alone: the split it is
+    verified with is the decomposition algorithm that usually built t, so
+    a fault in it could show on both sides alike.
+    ``tests/mdec_referee.py`` and the NextClosure oracle
+    ``mdec.all_modules`` referee that algorithm, and
     ``tests/kappa_referee.py``, which takes the family from 2^n subset
     enumeration, referees this report.  Each path is walked up from its
     leaf only as far as the lemma needs, so the check runs in polynomial
@@ -287,12 +295,20 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     """
     g = reconstruct(t)
     rows = Rows(g)
-    try:
-        b = binarize(_decompose(g, rows, tree_prime_ops(t, sig)))
-    except NotInSignature as e:
-        raise NotWeaklyRigid(str(e)) from None
-    parents = b.parents()
-    mask = _node_masks(b, rows)
+    ops = tree_prime_ops(t, sig)
+    # a quotient matches the first isomorphic operation in ops, and a
+    # signature holds one per isomorphism class already
+    own = ops if sig is not None else [
+        op for k, op in enumerate(ops) if match_op(ops[:k], op.graph) is None]
+    verified = verify_binarized(t, rows, own)
+    if verified is not None:
+        mask, parents, leaf_of = verified
+    else:
+        try:
+            b = binarize(_decompose(g, rows, ops))
+        except NotInSignature as e:
+            raise NotWeaklyRigid(str(e)) from None
+        mask, parents, leaf_of = _node_masks(b, rows), b.parents(), b.leaf_of
     # the relation whose components split a disconnected set
     sep = rows.und if enc.classification.mode is NodeKind.PAR else rows.co
 
@@ -319,7 +335,7 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
 
     mismatches: list[KappaMismatch] = []
     for v in rows.verts:
-        leaf = b.leaf_of[v]
+        leaf = leaf_of[v]
         # least disconnected node containing v, if degenerate; it is a
         # strong module, as comb nodes are sequential, so connected
         lemma1 = None

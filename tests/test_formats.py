@@ -1,13 +1,18 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modgraph import cli
 from modgraph.cms import graph_signature, parse_formula
 from modgraph.errors import FormatError, FormulaSyntaxError, ModgraphError
 from modgraph.formats import (algebra_to_text, graph_to_text, parse_algebra,
                               parse_graph, parse_signature, parse_term,
                               signature_to_text, term_to_text)
 from modgraph.recognizer import validate_algebra
-from modgraph.samples import parity_algebra, spw5_signature, word_graph
+from modgraph.samples import (parity_algebra, scw5_signature, spw5_signature,
+                              word_graph, word_term)
 from modgraph.signature import OpKind, eval_term
 
 GRAPH_TEXT = """\
@@ -58,6 +63,15 @@ class TestGraphFormat:
     def test_rejects_dangling_edge(self):
         with pytest.raises(FormatError):
             parse_graph(GRAPH_TEXT + "edge 1 9\n")
+
+    def test_dangling_edge_names_the_first_line(self):
+        # an edge may name a vertex declared after it
+        text = GRAPH_TEXT + "edge 3 1  # 3 comes later\nedge 2 8\nedge 1 9\nvertex 3 a\n"
+        with pytest.raises(FormatError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == "line 8: edge (2,8) uses an undeclared vertex"
+        g = parse_graph(GRAPH_TEXT + "edge 3 1\nvertex 3 a\n")
+        assert g.edges == {(1, 2), (3, 1)} and g.labels[3] == "a"
 
 
 class TestSignatureFormat:
@@ -239,3 +253,101 @@ def test_only_package_errors_escape_parsers(kind, data):
         PARSERS[kind](text)
     except ModgraphError:
         pass
+
+
+# Integer tokens: ASCII digits only, and vertex ids and arities from 1.
+# "²" is a digit to str.isdigit that int() rejects; "٣" is one int() reads.
+BAD_INTEGERS = [
+    ("graph", "graph g\nalphabet a\nvertex ² a\n", "line 3: vertex id must be a "
+     "positive integer, got '²'"),
+    ("graph", "graph g\nalphabet a\nvertex ٣ a\n", "line 3: vertex id must be a "
+     "positive integer, got '٣'"),
+    ("graph", "graph g\nalphabet a\nvertex 0 a\n", "line 3: vertex id must be a "
+     "positive integer, got '0'"),
+    ("graph", "graph g\nalphabet a\nvertex 1 a\nedge 1 ²\n", "line 4: vertex id "
+     "must be a positive integer, got '²'"),
+    ("signature", "signature s\nalphabet a\nprime W ² : 1->2\n", "line 3: arity "
+     "must be a positive integer, got '²'"),
+    ("signature", "signature s\nalphabet a\nprime W 3 : 1->٣\n", "line 3: bad "
+     "edge token '1->٣'"),
+    ("formula", "(existsmod ² x (= x x))", "1:12: counting modulus must be an "
+     "integer >= 2"),
+    ("formula", "(existsmod ٣ x (= x x))", "1:12: counting modulus must be an "
+     "integer >= 2"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", BAD_INTEGERS)
+def test_integer_tokens_are_ascii_and_positive(kind, text, message):
+    error = FormulaSyntaxError if kind == "formula" else FormatError
+    with pytest.raises(error) as exc:
+        PARSERS[kind](text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind, text, message", BAD_INTEGERS)
+def test_integer_tokens_through_the_cli(kind, text, message, tmp_path, capsys):
+    graph = tmp_path / "g.lg"
+    graph.write_text("graph g\nalphabet a\nvertex 1 a\n")
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = {"graph": ["decompose", str(path)],
+            "signature": ["check-signature", str(path)],
+            "formula": ["modelcheck", str(path), str(graph)]}[kind]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Valid files whose mutants the parsers must reject with package errors only.
+MUTATION_SOURCES = {
+    "graph": [GRAPH_TEXT, graph_to_text(word_graph("abab")),
+              graph_to_text(eval_term(spw5_signature(),
+                                      word_term("abba")))],
+    "signature": [SIG_TEXT, signature_to_text(scw5_signature())],
+    "formula": ["(existsmod 2 x (= x x))",
+                "(forall x (exists y (or (edge x y) (edge y x) (= x y))))",
+                "(existsset X (and (existsmod 3 x (in x X))\n"
+                "  (forall y (implies (label_a y) (in y X)))))  # comment"],
+}
+_TOKEN = re.compile(r"\(|\)|[^\s()]+")
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    """One to three edits of text: a token deleted, two tokens swapped, or
+    one ASCII digit replaced by 0, ² or ٣."""
+    lines = [_TOKEN.findall(line) for line in text.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+        if not spots:
+            break
+        i, j = rng.choice(spots)
+        edit = rng.randrange(3)
+        if edit == 0:
+            del lines[i][j]
+        elif edit == 1:
+            k, m = rng.choice(spots)
+            lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
+        else:
+            digits = [(i, j, c) for i, toks in enumerate(lines)
+                      for j, tok in enumerate(toks)
+                      for c, ch in enumerate(tok) if ch in "0123456789"]
+            if digits:
+                i, j, c = rng.choice(digits)
+                tok = lines[i][j]
+                lines[i][j] = tok[:c] + rng.choice("0²٣") + tok[c + 1:]
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+def test_only_package_errors_escape_mutated_files():
+    rng = random.Random(1729)
+    escaped = []
+    for kind, sources in sorted(MUTATION_SOURCES.items()):
+        for _ in range(2000):
+            text = _mutant(rng, rng.choice(sources))
+            try:
+                PARSERS[kind](text)
+            except ModgraphError:
+                pass
+            except Exception as e:
+                escaped.append((kind, text, repr(e)))
+    assert not escaped, f"{len(escaped)} escapes, first: {escaped[0]}"

@@ -12,15 +12,17 @@ from mdec_referee import brute_force_modules, referee_decompose, referee_prime_m
 from modgraph.errors import NotAModule, NotInSignature, TooSmall
 from modgraph.generators import random_digraph, random_f_graph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
-from modgraph.mdec import (NodeKind, Rows, all_modules, binarize,
+from modgraph.cms import tree_prime_ops
+from modgraph.mdec import (MDecNode, MDecTree, NodeKind, Rows, all_modules, binarize,
                            brute_force_prime_modules, decompose, format_tree,
                            maximal_prime_modules, quotient_graph, reconstruct,
-                           shuffle_admissible, tree_prime_modules, tree_to_term)
+                           shuffle_admissible, tree_prime_modules, tree_to_term,
+                           verify_binarized)
 from modgraph.recognizer import evaluate_tree
 from modgraph.samples import (even_vertices_algebra, p3_op, scw5_signature,
                               spp3_signature, spw5_signature, w5_op, word_graph)
 from modgraph.signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature, Term,
-                                eval_term)
+                                eval_term, prime_op)
 
 
 def leaf(s):
@@ -155,6 +157,65 @@ class TestBinarize:
         t = binarize(decompose(g, SIG))
         assert len(t.root.children) == 2
         assert all(not c.children for c in t.root.children)
+
+
+def _leaf(v):
+    return MDecNode(frozenset({v}), NodeKind.LEAF, symbol="a")
+
+
+def _node(kind, kids, op=None):
+    return MDecNode(frozenset().union(*(c.module for c in kids)), kind,
+                    tuple(kids), op=op)
+
+
+# (tree root, graph) pairs, each failing exactly one of the checks; the
+# last graph is W5 with arguments 1 and 2 swapped
+_W5_SWAPPED = LabeledGraph.on_range(5, [(2, 1), (3, 1), (3, 4), (5, 4)])
+_NOT_VERIFIED = {
+    "kind": (_node(NodeKind.CLIQUE, [_leaf(1), _leaf(2)]),
+             LabeledGraph.on_range(2, [])),
+    "inner_node_on_one_vertex": (
+        _node(NodeKind.PAR, [_leaf(1), _node(NodeKind.PAR, [_leaf(2)])]),
+        LabeledGraph.on_range(2, [])),
+    "children_are_not_the_blocks": (
+        MDecNode(frozenset({1, 2, 3}), NodeKind.PAR, (_leaf(1), _leaf(2), _leaf(2))),
+        LabeledGraph.on_range(3, [])),
+    "seq_first_child": (
+        MDecNode(frozenset({1, 2}), NodeKind.SEQ, (_leaf(2), _leaf(2))),
+        LabeledGraph.on_range(2, [(1, 2)])),
+    "operation_not_given": (
+        _node(NodeKind.PRIME, [_leaf(v) for v in range(1, 6)],
+              op=prime_op("W5x", w5_op().graph)),
+        w5_op().graph),
+    "quotient_is_not_the_operation": (
+        _node(NodeKind.PRIME, [_leaf(v) for v in range(1, 6)], op=w5_op()),
+        _W5_SWAPPED),
+}
+
+
+class TestVerifyBinarized:
+    def test_accepts_the_binarized_decomposition(self):
+        rng = random.Random(13)
+        for k in range(120):
+            if k % 2:
+                g = random_f_graph(rng, SIG, max_depth=5, max_leaves=12)
+                t = binarize(decompose(g, SIG))
+                ops = SIG.prime_ops
+            else:
+                g = random_digraph(rng, rng.randint(1, 9), 0.4)
+                t = binarize(decompose(g))
+                ops = tree_prime_ops(t)
+            if k % 3 == 0:
+                t = shuffle_admissible(t, rng)
+            rows = Rows(g)
+            mask, parents, leaves = verify_binarized(t, rows, ops)
+            assert mask == {n: rows.mask(n.module) for n in t.nodes()}
+            assert parents == t.parents() and leaves == t.leaf_of
+
+    @pytest.mark.parametrize("case", sorted(_NOT_VERIFIED))
+    def test_rejects(self, case):
+        root, g = _NOT_VERIFIED[case]
+        assert verify_binarized(MDecTree(root), Rows(g), [w5_op()]) is None
 
 
 class TestReconstruct:

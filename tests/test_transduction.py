@@ -9,13 +9,14 @@ import pytest
 
 from deep_term import LEVELS, alternating_term
 from kappa_referee import _suffixes, referee_check_kappa_lemma
-from modgraph.cms import ModelChecker, graph_structure, model_check
-from modgraph.errors import (NotWeaklyRigid, NotWeaklyRigidSignature, UnknownPredicate,
-                             VertexNotInGraph)
+from modgraph import transduction
+from modgraph.cms import ModelChecker, graph_structure, model_check, tree_prime_ops
+from modgraph.errors import (ModgraphError, NotWeaklyRigid, NotWeaklyRigidSignature,
+                             UnknownPredicate, VertexNotInGraph)
 from modgraph.generators import random_digraph, random_f_graph, random_subset
-from modgraph.graphs import Alphabet, LabeledGraph, is_module
-from modgraph.mdec import (MDecNode, MDecPrimeTree, NodeKind, binarize, decompose,
-                           maximal_prime_modules, reconstruct)
+from modgraph.graphs import Alphabet, LabeledGraph, Permutation, is_module
+from modgraph.mdec import (MDecNode, MDecPrimeTree, NodeKind, Rows, binarize, decompose,
+                           maximal_prime_modules, reconstruct, verify_binarized)
 from modgraph.samples import (cycle_graph, scw5_signature, spp3_signature,
                               spw5_signature, word_graph, word_term)
 from modgraph.signature import (CLIQUE_OP, SEQ_OP, Signature, Term,
@@ -198,6 +199,65 @@ def _corrupt(rng, t, enc, i):
     return dataclasses.replace(enc, kappa=tuple(kappa)), v
 
 
+def _leaf(v):
+    return MDecNode(frozenset({v}), NodeKind.LEAF, symbol="a")
+
+
+def _unflattened_par():
+    inner = MDecNode(frozenset({1, 2}), NodeKind.PAR, (_leaf(1), _leaf(2)))
+    return MDecPrimeTree(MDecNode(frozenset({1, 2, 3}), NodeKind.PAR,
+                                  (inner, _leaf(3)))), SIG
+
+
+def _prime_order_not_admissible():
+    # a W5 node whose graph is the signature's W5 with arguments 1 and 2
+    # swapped: its child order is no admissible enumeration of W5
+    w5 = SIG.op("W5").graph
+    swap = Permutation((2, 1, 3, 4, 5))
+    op = prime_op("W5", LabeledGraph.on_range(5, [(swap(u), swap(v))
+                                                   for u, v in w5.edges]))
+    return MDecPrimeTree(MDecNode(frozenset(range(1, 6)), NodeKind.PRIME,
+                                  tuple(map(_leaf, range(1, 6))), op=op)), SIG
+
+
+def _twin_operations():
+    # with no signature the check matches quotients against the tree's own
+    # operations by name, and the first of two isomorphic ones wins: the
+    # node labelled by the second is not what decompose builds
+    w5 = SIG.op("W5").graph
+    swap = Permutation((2, 1, 3, 4, 5))
+    first = prime_op("A5", w5)
+    second = prime_op("B5", LabeledGraph.on_range(5, [(swap(u), swap(v))
+                                                      for u, v in w5.edges]))
+    nodes = tuple(MDecNode(frozenset(range(k, k + 5)), NodeKind.PRIME,
+                           tuple(map(_leaf, range(k, k + 5))), op=op)
+                  for k, op in ((1, first), (6, second)))
+    return MDecPrimeTree(MDecNode(frozenset(range(1, 11)), NodeKind.SEQ,
+                                  nodes)), None
+
+
+def _module_disagrees_with_children():
+    seq = MDecNode(frozenset({1, 2, 3}), NodeKind.SEQ, (_leaf(1), _leaf(2)))
+    return MDecPrimeTree(MDecNode(frozenset({1, 2, 3}), NodeKind.PAR,
+                                  (seq, _leaf(3)))), SIG
+
+
+_NOT_DECOMPOSITIONS = {
+    "unflattened_par": _unflattened_par,
+    "prime_order_not_admissible": _prime_order_not_admissible,
+    "module_disagrees_with_children": _module_disagrees_with_children,
+    "twin_operations": _twin_operations,
+}
+
+
+def _outcome(check, t, enc, sig):
+    """The report, or the type and message of the exception raised."""
+    try:
+        return check(t, enc, sig)
+    except ModgraphError as e:
+        return type(e), str(e)
+
+
 class TestKappaReferee:
     """The bitmask check against the frozenset check it replaced."""
 
@@ -216,6 +276,26 @@ class TestKappaReferee:
                 report = check_kappa_lemma(t, bad, sig)
                 assert (i, v) in [(m.index, m.vertex) for m in report.mismatches]
                 assert report == referee_check_kappa_lemma(t, bad, sig)
+
+    def test_valid_trees_are_not_decomposed_again(self, monkeypatch):
+        # every tree above is binarize(decompose(g)), so the check verifies
+        # it instead of building a second decomposition
+        def refuse(*args):
+            raise AssertionError("check_kappa_lemma decomposed a valid tree again")
+        monkeypatch.setattr(transduction, "_decompose", refuse)
+        self.test_reports_equal_and_corruption_is_caught()
+
+    @pytest.mark.parametrize("case", sorted(_NOT_DECOMPOSITIONS))
+    def test_trees_that_are_not_the_decomposition(self, case):
+        # each rebuilds a valid graph but is not its binarized
+        # decomposition: the check decomposes that graph, as the referee does
+        t, sig = _NOT_DECOMPOSITIONS[case]()
+        g = reconstruct(t)
+        if sig is not None:
+            assert verify_binarized(t, Rows(g), tree_prime_ops(t, sig)) is None
+        enc = encode_graph(g, SIG)[2]
+        assert _outcome(check_kappa_lemma, t, enc, sig) == \
+            _outcome(referee_check_kappa_lemma, t, enc, sig)
 
     @pytest.mark.parametrize("sig", [SIG, DUAL], ids=["spw5", "scw5"])
     def test_large_f_graphs_under_two_seconds(self, sig):

@@ -45,39 +45,51 @@ class RelationalSignature:
     predicates: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        names = [n for n, _ in self.predicates]
-        if len(set(names)) != len(names):
+        arities = dict(self.predicates)
+        if len(arities) != len(self.predicates):
             raise ValueError("duplicate predicate names")
-        if any(a < 1 for _, a in self.predicates):
+        if any(a < 1 for a in arities.values()):
             raise ValueError("predicate arities must be >= 1")
+        object.__setattr__(self, "_arities", arities)
 
     def arity(self, name: str) -> int:
-        for n, a in self.predicates:
-            if n == name:
-                return a
-        raise UnknownPredicate(f"predicate {name!r} not in signature")
+        try:
+            return self._arities[name]
+        except KeyError:
+            raise UnknownPredicate(f"predicate {name!r} not in signature") from None
 
     def has(self, name: str) -> bool:
-        return any(n == name for n, _ in self.predicates)
+        return name in self._arities
 
 
 @dataclass(frozen=True)
 class Structure:
-    """Finite domain with one relation of matching arity per predicate."""
+    """Finite domain with one relation of matching arity per predicate.
+
+    A structure keeps the relation rows its model checkers read, built on
+    first use and shared by every checker on it, so its relations must not
+    change after construction."""
 
     signature: RelationalSignature
     domain: tuple
     relations: Mapping[str, frozenset[tuple]]
 
     def __post_init__(self):
-        dom = set(self.domain)
-        if len(dom) != len(self.domain):
+        index = {e: i for i, e in enumerate(self.domain)}
+        if len(index) != len(self.domain):
             raise ValueError("domain elements must be distinct")
         for name, tuples in self.relations.items():
             arity = self.signature.arity(name)
+            if set(map(len, tuples)) <= {arity} and all(
+                    map(index.__contains__, itertools.chain.from_iterable(tuples))):
+                continue
             for tup in tuples:
-                if len(tup) != arity or any(e not in dom for e in tup):
+                if len(tup) != arity or any(e not in index for e in tup):
                     raise ValueError(f"bad tuple {tup} for predicate {name!r}")
+        # what checkers read: each element's position in the domain, and
+        # (name, arity, form) -> rows, filled by ModelChecker._table
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_rows", {})
 
 
 # ---------------------------------------------------------------- formulas
@@ -90,9 +102,10 @@ class _Structural:
     does not recurse however deep they are."""
 
     def __post_init__(self):
-        key = (type(self),) + tuple(vars(self).values())
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        fields = self.__dict__
+        key = (type(self), *fields.values())
+        fields["_key"] = key
+        fields["_hash"] = hash(key)
 
     def __hash__(self):
         return self._hash
@@ -105,16 +118,26 @@ class _Structural:
             a, b = stack.pop()
             if a is b:
                 continue
-            if isinstance(a, _Structural):
-                if not isinstance(b, _Structural) or a._hash != b._hash:
-                    return False
-                a, b = a._key, b._key
-            if isinstance(a, tuple) and isinstance(b, tuple):
-                if len(a) != len(b):
-                    return False
-                stack.extend(zip(a, b))
-            elif a != b:
+            if a._hash != b._hash:
                 return False
+            # keys start with the type, so keys of one type have one length
+            for x, y in zip(a._key, b._key):
+                if x is y:
+                    continue
+                if isinstance(x, _Structural):
+                    if not isinstance(y, _Structural):
+                        return False
+                    stack.append((x, y))
+                elif isinstance(x, tuple) and isinstance(y, tuple):
+                    if len(x) != len(y):
+                        return False
+                    for u, v in zip(x, y):
+                        if isinstance(u, _Structural) and isinstance(v, _Structural):
+                            stack.append((u, v))
+                        elif u != v:
+                            return False
+                elif x != y:
+                    return False
         return True
 
 
@@ -455,33 +478,26 @@ def _children(f: CmsFormula) -> tuple[CmsFormula, ...]:
 
 # ------------------------------------------------------------------ parser
 
-_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
+# a token; or a comment, from '#' to the end of its line (where
+# str.splitlines ends lines), which matches as the empty string
+_TOKEN_RE = re.compile(r"#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*|([()]|[^\s()#]+)")
 _KEYWORDS = {"exists", "forall", "existsset", "forallset", "existsmod",
              "and", "or", "not", "implies", "in", "="}
+_NOT_A_VARIABLE = _KEYWORDS | {"(", ")", "<eof>"}
+_QUANTIFIERS = {"exists": (ELEMENT, Exists), "forall": (ELEMENT, Forall),
+                "existsset": (SET, ExistsSet), "forallset": (SET, ForallSet),
+                "existsmod": (ELEMENT, ExistsMod)}
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.items: list[tuple[str, int, int]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0]
-            for m in _TOKEN_RE.finditer(body):
-                self.items.append((m.group(), lineno, m.start() + 1))
-        self.pos = 0
-        last = self.items[-1] if self.items else ("", 1, 1)
-        self.eof = ("<eof>", last[1], last[2] + len(last[0]))
-
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else self.eof
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-
-def _fail(tok, msg):
-    raise FormulaSyntaxError(tok[1], tok[2], msg)
+def _position(text: str, k: int) -> tuple[int, int]:
+    """Line and column of the k-th token of text; past the last token, the
+    column just after it (1:1 in a text without tokens)."""
+    spans = [m.span(1) for m in _TOKEN_RE.finditer(text) if m.group(1)]
+    if not spans:
+        return 1, 1
+    at, end = spans[min(k, len(spans) - 1)]
+    lines = (text[:at] + "x").splitlines()
+    return len(lines), len(lines[-1]) + (end - at if k >= len(spans) else 0)
 
 
 def parse_formula(text: str, sig: RelationalSignature,
@@ -489,101 +505,111 @@ def parse_formula(text: str, sig: RelationalSignature,
     """Parse the parenthesized prefix grammar against a relational signature.
 
     Variables must be bound by a quantifier or declared in free_vars
-    (mapping name -> "element" | "set").
+    (mapping name -> "element" | "set").  The parse keeps the operators
+    whose operands it is reading on an explicit stack, so it does not
+    recurse however deep the formula is; an error names its line:column.
     """
-    toks = _Tokens(text)
+    toks = _TOKEN_RE.findall(text)
+    if "#" in text:
+        toks = [t for t in toks if t]
+    toks.append("<eof>")
     scope: dict[str, str] = dict(free_vars or {})
 
-    def expect(text_):
-        tok = toks.next()
-        if tok[0] != text_:
-            _fail(tok, f"expected {text_!r}, found {tok[0]!r}")
-        return tok
+    def fail(k, msg):
+        raise FormulaSyntaxError(*_position(text, k), msg)
 
-    def var_token():
-        tok = toks.next()
-        if tok[0] in ("(", ")", "<eof>") or tok[0] in _KEYWORDS:
-            _fail(tok, "expected a variable name")
-        return tok
-
-    def use(tok, kind):
-        name = tok[0]
-        if name not in scope:
-            raise UnboundVariable(f"{tok[1]}:{tok[2]}: variable {name!r} is not bound")
-        if scope[name] != kind:
+    def variable(k, kind=None):
+        """Token k as a variable name, bound as kind unless kind is None."""
+        name = toks[k]
+        if name in _NOT_A_VARIABLE:
+            fail(k, "expected a variable name")
+        if kind is not None and scope.get(name) != kind:
+            line, col = _position(text, k)
+            got = scope.get(name)
             raise UnboundVariable(
-                f"{tok[1]}:{tok[2]}: variable {name!r} is a {scope[name]} "
-                f"variable, used as {kind}")
+                f"{line}:{col}: variable {name!r} is not bound" if got is None else
+                f"{line}:{col}: variable {name!r} is a {got} variable, used as {kind}")
         return name
 
-    def quantified(kind, build):
-        tok = var_token()
-        name = tok[0]
-        saved = scope.get(name)
-        scope[name] = kind
-        body = formula()
-        if saved is None:
-            del scope[name]
-        else:
-            scope[name] = saved
-        return build(name, body)
-
-    def formula() -> CmsFormula:
-        open_tok = toks.next()
-        if open_tok[0] != "(":
-            _fail(open_tok, "expected '('")
-        head = toks.next()
-        kw = head[0]
-        if kw == "exists":
-            node = quantified(ELEMENT, Exists)
-        elif kw == "forall":
-            node = quantified(ELEMENT, Forall)
-        elif kw == "existsset":
-            node = quantified(SET, ExistsSet)
-        elif kw == "forallset":
-            node = quantified(SET, ForallSet)
-        elif kw == "existsmod":
-            qtok = toks.next()
-            if not (qtok[0].isascii() and qtok[0].isdigit()) or int(qtok[0]) < 2:
-                _fail(qtok, "counting modulus must be an integer >= 2")
-            q = int(qtok[0])
-            node = quantified(ELEMENT, lambda v, b: ExistsMod(q, v, b))
-        elif kw == "not":
-            node = Not(formula())
-        elif kw == "implies":
-            node = Implies(formula(), formula())
-        elif kw in ("and", "or"):
-            parts = [formula()]
-            while toks.peek()[0] == "(":
-                parts.append(formula())
-            if len(parts) < 2:
-                _fail(toks.peek(), f"{kw} needs at least 2 operands")
-            node = And(tuple(parts)) if kw == "and" else Or(tuple(parts))
-        elif kw == "in":
-            node = In(use(var_token(), ELEMENT), use(var_token(), SET))
-        elif kw == "=":
-            node = Eq(use(var_token(), ELEMENT), use(var_token(), ELEMENT))
+    # operators whose operands are being read: (head, operands, binder)
+    stack: list = []
+    pos = 0
+    while True:
+        if toks[pos] != "(":
+            fail(pos, "expected '('")
+        kw = toks[pos + 1]
+        pos += 2
+        if kw in _QUANTIFIERS:
+            kind, build = _QUANTIFIERS[kw]
+            if kw == "existsmod":
+                q = toks[pos]
+                if not (q.isascii() and q.isdigit()) or int(q) < 2:
+                    fail(pos, "counting modulus must be an integer >= 2")
+                build = functools.partial(ExistsMod, int(q))
+                pos += 1
+            name = variable(pos)
+            pos += 1
+            stack.append((build, [], (name, scope.get(name))))
+            scope[name] = kind
+            continue
+        if kw in ("not", "implies", "and", "or"):
+            stack.append((kw, [], None))
+            continue
+        if kw == "in" or kw == "=":
+            left = variable(pos, ELEMENT)
+            right = variable(pos + 1, SET if kw == "in" else ELEMENT)
+            node = In(left, right) if kw == "in" else Eq(left, right)
+            pos += 2
         elif kw in ("(", ")", "<eof>"):
-            _fail(head, "expected an operator or predicate name")
+            fail(pos - 1, "expected an operator or predicate name")
         else:
             if not sig.has(kw):
-                raise UnknownPredicate(f"{head[1]}:{head[2]}: unknown predicate {kw!r}")
-            arg_toks = []
-            while toks.peek()[0] not in (")", "<eof>"):
-                arg_toks.append(var_token())
-            if len(arg_toks) != sig.arity(kw):
+                line, col = _position(text, pos - 1)
+                raise UnknownPredicate(f"{line}:{col}: unknown predicate {kw!r}")
+            start = pos
+            while toks[pos] not in (")", "<eof>"):
+                variable(pos)
+                pos += 1
+            if pos - start != sig.arity(kw):
+                line, col = _position(text, start - 1)
                 raise ArityMismatch(
-                    f"{head[1]}:{head[2]}: predicate {kw!r} expects "
-                    f"{sig.arity(kw)} arguments, got {len(arg_toks)}")
-            node = Pred(kw, tuple(use(tok, ELEMENT) for tok in arg_toks))
-        expect(")")
-        return node
-
-    result = formula()
-    trailing = toks.peek()
-    if trailing[0] != "<eof>":
-        _fail(trailing, "unexpected trailing input")
-    return result
+                    f"{line}:{col}: predicate {kw!r} expects "
+                    f"{sig.arity(kw)} arguments, got {pos - start}")
+            node = Pred(kw, tuple([variable(k, ELEMENT) for k in range(start, pos)]))
+        # close the node, then every operator it completes
+        while True:
+            if toks[pos] != ")":
+                raise FormulaSyntaxError(*_position(text, pos),
+                                         f"expected ')', found {toks[pos]!r}")
+            pos += 1
+            if not stack:
+                if toks[pos] != "<eof>":
+                    raise FormulaSyntaxError(*_position(text, pos),
+                                             "unexpected trailing input")
+                return node
+            head, parts, binder = stack[-1]
+            parts.append(node)
+            if head == "not":
+                node = Not(node)
+            elif head == "implies":
+                if len(parts) < 2:
+                    break
+                node = Implies(*parts)
+            elif head in ("and", "or"):
+                if toks[pos] == "(":
+                    break
+                if len(parts) < 2:
+                    raise FormulaSyntaxError(*_position(text, pos),
+                                             f"{head} needs at least 2 operands")
+                node = And(tuple(parts)) if head == "and" else Or(tuple(parts))
+            else:
+                name, saved = binder
+                if saved is None:
+                    del scope[name]
+                else:
+                    scope[name] = saved
+                node = head(name, node)
+            stack.pop()
 
 
 # ----------------------------------------------------------- model checking
@@ -711,6 +737,12 @@ class _Codegen:
         self.dirty = False
         self.tables: dict[tuple, str] = {}
         self.memos: set[int] = set()
+        # the open blocks, outermost first: the flag guarding each (None:
+        # none), the memo keys built in it (tuple expression -> name), and
+        # the keys built in the guarded blocks closed in it, by guard
+        self.blocks: list[tuple[Optional[str], dict, dict]] = [(None, {}, {})]
+        # flag -> the entry flag it implies
+        self.implies: dict[str, str] = {}
         kind, node = unit
         if kind == "top":
             self.top(node)
@@ -732,6 +764,16 @@ class _Codegen:
 
     def emit(self, line: str):
         self.body.append("    " * self.depth + line)
+
+    def indent(self, guard: Optional[str] = None):
+        self.depth += 1
+        self.blocks.append((guard, {}, {}))
+
+    def dedent(self):
+        self.depth -= 1
+        guard, keys, _ = self.blocks.pop()
+        if guard is not None:
+            self.blocks[-1][2].setdefault(guard, {}).update(keys)
 
     def tmp(self, prefix: str = "t") -> str:
         # no other generated name has an underscore
@@ -764,10 +806,26 @@ class _Codegen:
     # -- memo tables: one value per key --
 
     def key(self, args, scope) -> str:
-        """A memo key: the value itself for one argument, else a tuple."""
+        """A memo key: the value itself for one argument, else a tuple,
+        built once in a block and the blocks inside it."""
         if len(args) == 1:
             return scope[args[0]]
-        return self.let(self.tuple_expr(scope[i] for i in args), "key")
+        expr = self.tuple_expr(scope[i] for i in args)
+        # a key built in a closed block can be read where its guard is
+        # known to hold: under a flag that implies the guard
+        true = set()
+        for guard, _, _ in self.blocks:
+            while guard is not None and guard not in true:
+                true.add(guard)
+                guard = self.implies.get(guard)
+        for _, keys, closed in self.blocks:
+            if expr in keys:
+                return keys[expr]
+            for guard in true & closed.keys():
+                if expr in closed[guard]:
+                    return closed[guard][expr]
+        name = self.blocks[-1][1][expr] = self.let(expr, "key")
+        return name
 
     def probe(self, memo: str, key: str) -> str:
         """Emit a memo lookup; return the name of the memoized value (None
@@ -842,7 +900,7 @@ class _Codegen:
                   else f"res = {kind.startswith('forall')}")
         values = "1 << N" if kind.endswith("set") else "N"
         self.emit(f"for v{var} in range({values}):")
-        self.depth += 1
+        self.indent()
         scope = dict(scope)
         scope[var] = f"v{var}"
         t = self.straight(body, scope, None)
@@ -855,7 +913,7 @@ class _Codegen:
             self.emit(f"if {'not ' if universal else ''}{t}:")
             self.emit(f"    res = {not universal}")
             self.emit("    break")
-        self.depth -= 1
+        self.dedent()
         if kind == "mod":
             self.emit(f"res = count % {qmod} == 0")
         self.emit("meter.work += w")
@@ -906,6 +964,12 @@ class _Codegen:
     def straight(self, f, scope, entry) -> str:
         """Emit f's evaluation under the flag entry (None: always entered);
         return a name holding its truth, false wherever f is not entered."""
+        t = self._straight(f, scope, entry)
+        if entry is not None and t != entry:
+            self.implies[t] = entry
+        return t
+
+    def _straight(self, f, scope, entry) -> str:
         tag = f[0]
         if tag == "quant":
             return self.inline(f, scope, entry)
@@ -918,7 +982,7 @@ class _Codegen:
             if entry is not None:
                 self.emit(f"{t} = 0")
                 self.emit(f"if {entry}:")
-                self.depth += 1
+                self.indent(entry)
             hit = self.probe(self.memo(slot), self.key(args, scope))
             self.emit(f"if {hit} is None:")
             if self.dirty:
@@ -930,7 +994,7 @@ class _Codegen:
             self.emit("    w += 1")
             self.dirty = True
             if entry is not None:
-                self.depth -= 1
+                self.dedent()
             return t
         self.count(entry)
         guard = "" if entry is None else f"{entry} and "
@@ -962,14 +1026,14 @@ class _Codegen:
         if entry is not None:
             self.emit(f"{t} = 0")
             self.emit(f"if {entry}:")
-            self.depth += 1
+            self.indent(entry)
         memo, key = self.memo(slot), self.key(args, scope)
         hit = self.probe(memo, key)
         self.emit(f"if {hit} is not None:")
         self.emit(f"    {t} = {hit}")
         self.emit("    w += 1")
         self.emit("else:")
-        self.depth += 1
+        self.indent()
         self.emit("meter.work += w + 1" if self.dirty else "meter.work += 1")
         if self.dirty:
             self.emit("w = 0")
@@ -979,10 +1043,10 @@ class _Codegen:
         self.emit(f"meter.work += {work}")
         self.emit(f"{memo}[{key}] = {value}")
         self.emit(f"{t} = {value}")
-        self.depth -= 1
+        self.dedent()
         self.dirty = True
         if entry is not None:
-            self.depth -= 1
+            self.dedent()
         return t
 
     # -- all elements at once: truth and entry masks per node --
@@ -1080,15 +1144,25 @@ def _factory(unit: tuple) -> Callable:
     return namespace["factory"]
 
 
+@functools.lru_cache(maxsize=4096)
 def _unit(node):
-    """A node's factory with the nodes it refers to, computed once per
-    node."""
-    got = node.__dict__.get("_unit")
-    if got is None:
-        unit, nodes = _shape(node)
-        got = (_factory(unit), tuple(nodes))
-        object.__setattr__(node, "_unit", got)
-    return got
+    """A node's factory, the nodes it refers to and its parameters, looked
+    up by the node's structure: equal nodes built apart, as a sentence
+    parsed again, share one entry and run ``_shape`` once."""
+    unit, nodes = _shape(node)
+    return _factory(unit), tuple(nodes), _params(node)
+
+
+def _params(node) -> Optional[tuple[tuple[str, bool], ...]]:
+    """(name, is_set) per free variable of a formula, in sorted order; None
+    for a definition, or for a formula that uses a variable as both kinds."""
+    if not isinstance(node, CmsFormula):
+        return None
+    try:
+        kinds = variable_kinds(node)
+    except UnboundVariable:
+        return None
+    return tuple((name, kinds.get(name) == SET) for name in _free(node))
 
 
 class _Meter:
@@ -1135,10 +1209,16 @@ class ModelChecker:
     one table per checker shared by all formulas that contain it: a dict
     from the argument values to the value.
 
-    Memo and definition tables grow with the distinct argument values
-    seen, and they live exactly as long as the checker; to free them, drop
-    the checker.  The only cache shared across checkers is the bounded
-    cache of compiled unit shapes.
+    Cache policy.  Memo and definition tables grow with the distinct
+    argument values seen, and they live exactly as long as the checker; to
+    free them, drop the checker.  Compiled units are looked up by formula
+    structure in two bounded caches shared by every checker: one from a
+    quantifier, definition or checked formula to its unit, so a sentence
+    parsed again reuses the unit of the first, and one from a unit's
+    canonical shape to its compiled code.  Relation rows are built once
+    per ``Structure``, stored on it as immutable values and shared by
+    every checker on it; they live as long as the structure.  Nothing else
+    is shared.
 
     Work is counted per formula node entry, memo and table hits included,
     against a deterministic budget; a check's answer and the work after it
@@ -1154,18 +1234,19 @@ class ModelChecker:
         self.domain = tuple(structure.domain)
         self.n = len(self.domain)
         self.all = (1 << self.n) - 1
-        self.index = {e: i for i, e in enumerate(self.domain)}
+        self.index = structure._index
         self._meter = _Meter(budget)
         # units of quantifiers and definitions, and their memo tables
         self._code: dict[object, _Code] = {}
         self._memo: dict[object, dict] = {}
-        self._tables: dict[tuple, object] = {}
+        # relation rows, shared by every checker on the structure
+        self._tables: dict[tuple, object] = structure._rows
         # top-level formula -> (unit, its arguments from an environment),
         # and the last one used
         self._tops: dict[CmsFormula, tuple[_Code, Callable]] = {}
         self._last: tuple = (None, None, None)
-        # top-level formula -> (name, is_set) per free variable
-        self._params: dict[CmsFormula, tuple[tuple[str, bool], ...]] = {}
+        # top-level formula -> (its code, (name, is_set) per free variable)
+        self._checks: dict[CmsFormula, tuple[_Code, tuple]] = {}
 
     @property
     def work(self) -> int:
@@ -1182,13 +1263,14 @@ class ModelChecker:
         return mask
 
     def check(self, formula: CmsFormula, env: Optional[Mapping] = None) -> bool:
-        code = self._compile(formula)
-        params = self._params.get(formula)
-        if params is None:
-            kinds = variable_kinds(formula)
-            params = tuple((name, kinds.get(name) == SET)
-                           for name in _free(formula))
-            self._params[formula] = params
+        got = self._checks.get(formula)
+        if got is None:
+            unit = _unit(formula)
+            code = self._compile(formula, unit)
+            if unit[2] is None:
+                variable_kinds(formula)  # raises on the kind clash
+            got = self._checks[formula] = (code, unit[2])
+        code, params = got
         env = env or {}
         args = []
         for name, is_set in params:
@@ -1239,10 +1321,10 @@ class ModelChecker:
             meter.exhausted()
         return result
 
-    def _compile(self, node) -> _Code:
+    def _compile(self, node, unit: Optional[tuple] = None) -> _Code:
         code = self._code.get(node)
         if code is None:
-            factory, nodes = _unit(node)
+            factory, nodes, _ = unit or _unit(node)
             # units reach the checker through a weak reference, so they hold
             # no cycle back to it and a dropped checker is freed at once
             code = self._code[node] = factory(self, weakref.ref(self), node, nodes)
@@ -1264,7 +1346,8 @@ class ModelChecker:
     def _table(self, name: str, arity: int, form: str):
         """One predicate's relation in the form a unit reads it: a mask
         (unary), out-rows, in-rows or the diagonal (binary), or a set of
-        index tuples."""
+        index tuples.  Built once per structure and stored on it, as
+        immutable values."""
         key = (name, arity, form)
         got = self._tables.get(key)
         if got is not None:
@@ -1274,22 +1357,22 @@ class ModelChecker:
             raise ArityMismatch(f"predicate {name!r} expects {expected} "
                                 f"arguments, got {arity}")
         index = self.index
-        tuples = [tuple(index[e] for e in tup)
-                  for tup in self.structure.relations.get(name, ())]
+        tuples = self.structure.relations.get(name, ())
         if form == "tuples":
-            got = set(tuples)
+            got = frozenset(tuple(map(index.__getitem__, tup)) for tup in tuples)
         elif form in ("out", "in"):
-            got = [0] * self.n
+            rows = [0] * self.n
             for a, b in tuples:
                 if form == "out":
-                    got[a] |= 1 << b
+                    rows[index[a]] |= 1 << index[b]
                 else:
-                    got[b] |= 1 << a
+                    rows[index[b]] |= 1 << index[a]
+            got = tuple(rows)
         else:
             got = 0
             for tup in tuples:
                 if form == "mask" or tup[0] == tup[1]:
-                    got |= 1 << tup[0]
+                    got |= 1 << index[tup[0]]
         self._tables[key] = got
         return got
 
@@ -1364,14 +1447,15 @@ _TREE_RELATIONS: "weakref.WeakKeyDictionary[MDecTree, dict]" = weakref.WeakKeyDi
 def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
                    ) -> tuple[RelationalSignature, Mapping[str, frozenset[tuple]],
                               tuple[MDecNode, ...]]:
-    """Decomposition-tree predicates with nodes as the carrier.
+    """Decomposition-tree predicates in index form.
 
-    Returns the relational signature, the relations keyed by node objects,
-    and the node list in preorder.  Prime predicates cover the signature's
-    operations when one is given, else the operations appearing in the tree.
-    A leaf letter outside the signature's alphabet raises UnknownSymbol.
-    The result is computed once per tree and signature and shared by
-    every caller, so the relations are frozen.
+    Returns the relational signature, the relations over preorder indices
+    (node ``nodes[i]`` is element i) and the node list in preorder.  Prime
+    predicates cover the signature's operations when one is given, else
+    the operations appearing in the tree.  A leaf letter outside the
+    signature's alphabet raises UnknownSymbol.  The result is computed
+    once per tree and signature and shared by every caller, so the
+    relations are frozen.
     """
     by_sig = _TREE_RELATIONS.get(t)
     if by_sig is None:
@@ -1384,6 +1468,7 @@ def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
 
 def _tree_relations(t: MDecTree, sig: Optional[Signature]):
     nodes = t.nodes()
+    index = {node: i for i, node in enumerate(nodes)}
     symbols = sig.alphabet.symbols if sig is not None else sorted(
         {n.symbol for n in nodes if n.is_leaf and n.symbol is not None})
     letters = frozenset(symbols)
@@ -1392,36 +1477,34 @@ def _tree_relations(t: MDecTree, sig: Optional[Signature]):
 
     kind_label = {NodeKind.PAR: "label_par", NodeKind.CLIQUE: "label_clique",
                   NodeKind.SEQ: "label_seq"}
-    for node in nodes:
+    child = rels["child"]
+    for i, node in enumerate(nodes):
         if node.is_leaf:
             if node.symbol is not None:
                 if node.symbol not in letters:
                     raise UnknownSymbol(f"letter {node.symbol!r} is not in "
                                         "the signature's alphabet")
-                rels[label_pred(node.symbol)].add((node,))
+                rels[label_pred(node.symbol)].add((i,))
             continue
-        for c in node.children:
-            rels["child"].add((node, c))
+        kids = tuple(map(index.__getitem__, node.children))
+        child.update((i, c) for c in kids)
         if node.kind is NodeKind.SEQ:
-            rels["label_seq"].add((node,))
-            rels["first-child"].add((node, node.children[0]))
+            rels["label_seq"].add((i,))
+            rels["first-child"].add((i, kids[0]))
         elif node.kind in kind_label:
-            rels[kind_label[node.kind]].add((node,))
+            rels[kind_label[node.kind]].add((i,))
         else:
             name, sym = node.op.name, node.op.symmetry
-            rels[f"label_{name}"].add((node,))
-            for enum in sym.enumerations(node.children):
-                rels[f"children_{name}"].add((node,) + enum)
-            for i in sym.distinguished or ():
-                rels[f"dist-child_{name}"].add((node, node.children[i - 1]))
+            rels[f"label_{name}"].add((i,))
+            rels[f"children_{name}"].update((i,) + enum for enum in sym.enumerations(kids))
+            for j in sym.distinguished or ():
+                rels[f"dist-child_{name}"].add((i, kids[j - 1]))
     frozen = {name: frozenset(tuples) for name, tuples in rels.items()}
     return RelationalSignature(tuple(preds)), MappingProxyType(frozen), nodes
 
 
 def tree_structure(t: MDecTree, sig: Optional[Signature] = None) -> Structure:
-    """Relational structure of a tree; domain is 0..m-1 in preorder."""
+    """Relational structure of a tree: the domain is 0..m-1 in preorder and
+    the relations are those of ``tree_relations``, already in that form."""
     rsig, rels, nodes = tree_relations(t, sig)
-    idx = {node: i for i, node in enumerate(nodes)}
-    mapped = {name: frozenset(tuple(idx[n] for n in tup) for tup in tuples)
-              for name, tuples in rels.items()}
-    return Structure(rsig, tuple(range(len(nodes))), mapped)
+    return Structure(rsig, tuple(range(len(nodes))), rels)

@@ -81,6 +81,10 @@ def classify_nodes(t: MDecPrimeTree, sig: Signature) -> NodeClassification:
         if node.is_leaf:
             classes[node] = 0
         elif node.kind is mode:
+            if any(c.kind is mode for c in node.children):
+                raise NotWeaklyRigid(
+                    f"{mode.value} node on {sorted(node.module)} has a "
+                    f"{mode.value} child, so the tree is not a decomposition")
             classes[node] = 1 if all(c.is_leaf for c in node.children) else 2
         else:
             classes[node] = 3
@@ -394,13 +398,13 @@ def _lift_relations(t: MDecPrimeTree, enc: EncodingTables,
                     sig: Optional[Signature]) -> tuple[RelationalSignature,
                                                        dict[str, frozenset]]:
     """Transport the tree relations through the kappa fibers."""
-    rsig, rels, _ = tree_relations(t, sig)
+    rsig, rels, nodes = tree_relations(t, sig)
+    by_index = [fibers.get(n, ()) for n in nodes]
     lifted: dict[str, frozenset] = {}
     for name, tuples in rels.items():
         out = set()
         for tup in tuples:
-            for combo in itertools.product(*(fibers.get(n, ()) for n in tup)):
-                out.add(combo)
+            out.update(itertools.product(*(by_index[i] for i in tup)))
         lifted[name] = frozenset(out)
     return rsig, lifted
 
@@ -452,14 +456,14 @@ def verify_isomorphism(r: ReprStructure, t: MDecPrimeTree,
     """Check that pair -> kappa image is a predicate-preserving bijection
     between the structure and the tree."""
     rsig, rels, nodes = tree_relations(t, sig)
-    node_modules = {n.module for n in nodes}
+    modules = [n.module for n in nodes]
     image = [r.node_of[p] for p in r.domain]
-    if len(set(image)) != len(image) or set(image) != node_modules:
+    if len(set(image)) != len(image) or set(image) != set(modules):
         return False
     if set(dict(rsig.predicates)) != set(dict(r.signature.predicates)):
         return False
     for name, tuples in rels.items():
-        tree_side = {tuple(n.module for n in tup) for tup in tuples}
+        tree_side = {tuple(modules[i] for i in tup) for tup in tuples}
         repr_side = {tuple(r.node_of[p] for p in tup)
                      for tup in r.relations.get(name, frozenset())}
         if tree_side != repr_side:

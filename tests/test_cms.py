@@ -1,15 +1,20 @@
 import itertools
+import random
 
 import pytest
 
+from modgraph import cms
 from modgraph.cms import (Exists, ExistsMod, In,
                           ModelChecker, Not, Pred, RelationalSignature,
                           Structure, graph_structure, model_check,
-                          parse_formula, to_text, tree_structure)
+                          parse_formula, to_text, tree_predicates,
+                          tree_prime_ops, tree_relations, tree_structure)
 from modgraph.errors import (ArityMismatch, BudgetExceeded, FormulaSyntaxError,
                              UnboundVariable, UnknownPredicate)
-from modgraph.mdec import binarize, decompose
-from modgraph.samples import spw5_signature, word_graph, word_term
+from modgraph.generators import random_f_graph
+from modgraph.mdec import NodeKind, binarize, decompose
+from modgraph.samples import (scw5_signature, spp3_signature, spw5_signature,
+                              word_graph, word_term)
 from modgraph.signature import Term, eval_term
 
 SIG1 = RelationalSignature((("p", 1),))
@@ -65,6 +70,47 @@ class TestParser:
         text = "# even domain\n(existsmod 2 x (= x x))"
         f = parse_formula(text, SIG1)
         assert parse_formula(to_text(f), SIG1) == f
+
+    def test_deep_not_chain_parses_without_recursion(self):
+        depth = 5000
+        text = "(not " * depth + "(p x)" + ")" * depth
+        want = Pred("p", ("x",))
+        for _ in range(depth):
+            want = Not(want)
+        assert parse_formula(text, SIG1, free_vars={"x": "element"}) == want
+
+
+SIG_PR = RelationalSignature((("p", 1), ("r", 2)))
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("", FormulaSyntaxError, "1:1: expected '('"),
+    ("# only a comment", FormulaSyntaxError, "1:1: expected '('"),
+    ("(exists x (p x)) (p x)", FormulaSyntaxError, "1:18: unexpected trailing input"),
+    ("(exists x\n  (q x))", UnknownPredicate, "2:4: unknown predicate 'q'"),
+    ("(exists x\r\n  (r x))", ArityMismatch,
+     "2:4: predicate 'r' expects 2 arguments, got 1"),
+    ("(exists x # bind x\n  (and (p x)))", FormulaSyntaxError,
+     "2:13: and needs at least 2 operands"),
+    ("(exists x (p x)) # done\n)", FormulaSyntaxError, "2:1: unexpected trailing input"),
+    ("(forall x\x0c(r x x x))", ArityMismatch,
+     "2:2: predicate 'r' expects 2 arguments, got 3"),
+    ("(existsmod\n\n   q x (p x))", FormulaSyntaxError,
+     "3:4: counting modulus must be an integer >= 2"),
+    ("(exists (p x))", FormulaSyntaxError, "1:9: expected a variable name"),
+    ("(exists x (p x) # trailing", FormulaSyntaxError, "1:16: expected ')', found '<eof>'"),
+    ("(exists x (implies (p x)\r(r x)))", ArityMismatch,
+     "2:2: predicate 'r' expects 2 arguments, got 1"),
+    ("((p x))", FormulaSyntaxError, "1:2: expected an operator or predicate name"),
+    ("(exists x (p x#y))", FormulaSyntaxError, "1:15: expected ')', found '<eof>'"),
+    ("(not\r\n(p x) (p x))", UnboundVariable, "2:4: variable 'x' is not bound"),
+])
+def test_parse_error_positions(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_formula(text, SIG_PR)
+    assert type(exc.value) is error and str(exc.value) == message
+    if error is FormulaSyntaxError:
+        assert f"{exc.value.line}:{exc.value.column}:" == message.split(" ")[0]
 
 
 class TestSemantics:
@@ -289,6 +335,103 @@ class TestEncoders:
             Structure(SIG1, (1, 2), {"p": frozenset({(3,)})})
         with pytest.raises(UnknownPredicate):
             Structure(SIG1, (1, 2), {"q": frozenset()})
+        with pytest.raises(ValueError, match=r"^bad tuple \(1, 2\) for predicate 'p'$"):
+            Structure(SIG1, (1, 2), {"p": frozenset({(1, 2)})})
+        with pytest.raises(ValueError, match="distinct"):
+            Structure(SIG1, (1, 1), {"p": frozenset()})
+
+
+def node_keyed_tree_relations(t, sig):
+    """The tree predicates over node objects, read straight off their
+    definitions: the referee of the index form."""
+    nodes = t.nodes()
+    symbols = sig.alphabet.symbols if sig is not None else sorted(
+        {n.symbol for n in nodes if n.is_leaf and n.symbol is not None})
+    rels = {name: set() for name, _ in
+            tree_predicates(symbols, tree_prime_ops(t, sig))}
+    kind_label = {NodeKind.PAR: "label_par", NodeKind.CLIQUE: "label_clique",
+                  NodeKind.SEQ: "label_seq"}
+    for node in nodes:
+        if node.is_leaf:
+            if node.symbol is not None:
+                rels[f"label_{node.symbol}"].add((node,))
+            continue
+        for c in node.children:
+            rels["child"].add((node, c))
+        if node.kind is NodeKind.SEQ:
+            rels["first-child"].add((node, node.children[0]))
+        if node.kind in kind_label:
+            rels[kind_label[node.kind]].add((node,))
+            continue
+        name, sym = node.op.name, node.op.symmetry
+        rels[f"label_{name}"].add((node,))
+        for enum in sym.enumerations(node.children):
+            rels[f"children_{name}"].add((node,) + enum)
+        for i in sym.distinguished or ():
+            rels[f"dist-child_{name}"].add((node, node.children[i - 1]))
+    return rels
+
+
+def _referee_trees():
+    rng = random.Random(2024)
+    for sig in (spw5_signature(), scw5_signature(), spp3_signature()):
+        for _ in range(25):
+            g = random_f_graph(rng, sig, max_depth=4, max_leaves=rng.randint(1, 12))
+            yield binarize(decompose(g, sig)), sig
+    # a W5 node, whose first child is distinguished, under a seq node
+    sig = spw5_signature()
+    w5 = Term.node("W5", [Term.leaf("a"), Term.leaf("b")] + [Term.leaf("a")] * 3)
+    g = eval_term(sig, Term.node("seq", [w5, Term.leaf("b")]))
+    yield binarize(decompose(g, sig)), sig
+    # no signature: the operations and letters are the tree's own
+    yield binarize(decompose(g)), None
+
+
+class TestTreeRelations:
+    def test_index_form_equals_the_node_keyed_relations(self):
+        seen = set()
+        for t, sig in _referee_trees():
+            rsig, rels, nodes = tree_relations(t, sig)
+            assert nodes == t.nodes()
+            want = {name: frozenset(tuple(nodes.index(n) for n in tup) for tup in tuples)
+                    for name, tuples in node_keyed_tree_relations(t, sig).items()}
+            assert dict(rels) == want
+            assert [name for name, _ in rsig.predicates] == list(want)
+            st = tree_structure(t, sig)
+            assert st.domain == tuple(range(len(nodes)))
+            assert dict(st.relations) == want
+            seen.update(name.split("_")[0] for name, tuples in rels.items() if tuples)
+        assert {"children", "dist-child", "first-child", "label"} <= seen
+
+
+class TestCompiledUnits:
+    def test_equal_sentences_share_one_unit(self, monkeypatch):
+        shapes = []
+        shape = cms._shape
+        monkeypatch.setattr(cms, "_shape", lambda node: shapes.append(node) or shape(node))
+        cms._unit.cache_clear()
+        gs = graph_structure(word_graph("abab"))
+        text = "(existsmod 2 x (exists y (and (edge x y) (label_b y))))"
+        first, second = (parse_formula(text, gs.signature) for _ in range(2))
+        assert first == second and first is not second
+        checkers = [ModelChecker(gs) for _ in range(2)]
+        b_parents = {x for x, y in gs.relations["edge"] if (y,) in gs.relations["label_b"]}
+        want = len(b_parents) % 2 == 0
+        assert [c.check(f) for c, f in zip(checkers, (first, second))] == [want, want]
+        assert checkers[0].work == checkers[1].work
+        assert shapes == [first]
+        assert cms._unit(first) is cms._unit(second)
+
+    def test_checkers_on_one_structure_share_its_rows(self):
+        gs = graph_structure(word_graph("abab"))
+        a, b = ModelChecker(gs), ModelChecker(gs)
+        rows = a._table("edge", 2, "out")
+        assert isinstance(rows, tuple)
+        assert b._table("edge", 2, "out") is rows
+        assert isinstance(b._table("edge", 2, "tuples"), frozenset)
+        other = ModelChecker(graph_structure(word_graph("abab")))
+        assert other._table("edge", 2, "out") == rows
+        assert other._table("edge", 2, "out") is not rows
 
 
 def _reference_eval(s, f, env):

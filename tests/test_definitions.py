@@ -8,9 +8,11 @@ print and parse back to itself, and the schema must stay small.
 
 import itertools
 import random
+import re
 
 import pytest
 
+from modgraph import cms
 from modgraph.cms import (Call, Definition, Exists, In, ModelChecker,
                           Pred, RelationalSignature, Structure, _children,
                           conj, expand, graph_structure, parse_formula,
@@ -119,6 +121,28 @@ def test_expansions_print_and_parse_back():
         g = expand(f)
         assert parse_formula(to_text(g), lib.graph_signature,
                              free_vars=variable_kinds(f)) == g
+
+
+def test_library_units_build_each_memo_key_once():
+    # a memo key tuple is built once on a path through a unit: a probe
+    # whose arguments were keyed before, in an enclosing block or in one
+    # whose guard holds wherever the probe runs, reads that key
+    lib = PredicateLibrary(spw5_signature())
+    schema = lib.schema()
+    todo = list(lib.definitions.values()) + list(schema.kappa_formulas) + [
+        schema.phi, schema.theta("children_W5", (0, 3, 0, 2, 1, 0))]
+    units, keyed = set(), 0
+    while todo:
+        node = todo.pop()
+        if node in units:
+            continue
+        units.add(node)
+        shape, refs = cms._shape(node)
+        todo.extend(refs)
+        keys = re.findall(r"key_\d+ = (\(.*\))", cms._Codegen(shape).source())
+        assert len(keys) == len(set(keys)), getattr(node, "name", to_text(node))
+        keyed += bool(keys)
+    assert len(units) > 150 and keyed > 50
 
 
 SIG1 = RelationalSignature((("p", 1),))

@@ -81,6 +81,17 @@ class TestClassification:
         assert cls.mode is NodeKind.CLIQUE
         assert cls.classes[t.root] == 1
 
+    @pytest.mark.parametrize("sig", [SIG, DUAL], ids=["spw5", "scw5"])
+    def test_rejects_nested_commutative_nodes(self, sig):
+        # a decomposition never has a par (clique) node under another: the
+        # encoding has no class for it, so the tree is rejected up front
+        kind = classify_nodes(tree_of(leaf("a"), sig), sig).mode
+        inner = MDecNode(frozenset({1, 2}), kind, (_leaf(1), _leaf(2)))
+        t = MDecPrimeTree(MDecNode(frozenset({1, 2, 3}), kind, (inner, _leaf(3))))
+        message = rf"^{kind.value} node on \[1, 2, 3\] has a {kind.value} child"
+        with pytest.raises(NotWeaklyRigid, match=message):
+            classify_nodes(t, sig)
+
 
 class TestEncoding:
     def test_par_of_two_leaves(self):

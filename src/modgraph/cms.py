@@ -478,9 +478,7 @@ def _children(f: CmsFormula) -> tuple[CmsFormula, ...]:
 
 # ------------------------------------------------------------------ parser
 
-# a token; or a comment, from '#' to the end of its line (where
-# str.splitlines ends lines), which matches as the empty string
-_TOKEN_RE = re.compile(r"#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*|([()]|[^\s()#]+)")
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 _KEYWORDS = {"exists", "forall", "existsset", "forallset", "existsmod",
              "and", "or", "not", "implies", "in", "="}
 _NOT_A_VARIABLE = _KEYWORDS | {"(", ")", "<eof>"}
@@ -489,10 +487,16 @@ _QUANTIFIERS = {"exists": (ELEMENT, Exists), "forall": (ELEMENT, Forall),
                 "existsmod": (ELEMENT, ExistsMod)}
 
 
+def _uncommented(text: str) -> str:
+    """text without its comments, each from '#' to the end of its line;
+    every other token keeps its line and column."""
+    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+
+
 def _position(text: str, k: int) -> tuple[int, int]:
     """Line and column of the k-th token of text; past the last token, the
     column just after it (1:1 in a text without tokens)."""
-    spans = [m.span(1) for m in _TOKEN_RE.finditer(text) if m.group(1)]
+    spans = [m.span() for m in _TOKEN_RE.finditer(text)]
     if not spans:
         return 1, 1
     at, end = spans[min(k, len(spans) - 1)]
@@ -509,9 +513,9 @@ def parse_formula(text: str, sig: RelationalSignature,
     whose operands it is reading on an explicit stack, so it does not
     recurse however deep the formula is; an error names its line:column.
     """
-    toks = _TOKEN_RE.findall(text)
     if "#" in text:
-        toks = [t for t in toks if t]
+        text = _uncommented(text)
+    toks = _TOKEN_RE.findall(text)
     toks.append("<eof>")
     scope: dict[str, str] = dict(free_vars or {})
 
@@ -807,7 +811,7 @@ class _Codegen:
 
     def key(self, args, scope) -> str:
         """A memo key: the value itself for one argument, else a tuple,
-        built once in a block and the blocks inside it."""
+        built once on each path through the unit, per loop iteration."""
         if len(args) == 1:
             return scope[args[0]]
         expr = self.tuple_expr(scope[i] for i in args)
@@ -1145,12 +1149,26 @@ def _factory(unit: tuple) -> Callable:
 
 
 @functools.lru_cache(maxsize=4096)
+def _interned(node):
+    """The first node seen of node's structure, while the bounded cache
+    keeps it: equal nodes built apart, as a sentence parsed again, map to
+    one node, and so to one compiled unit and one memo table per checker."""
+    return node
+
+
 def _unit(node):
-    """A node's factory, the nodes it refers to and its parameters, looked
-    up by the node's structure: equal nodes built apart, as a sentence
-    parsed again, share one entry and run ``_shape`` once."""
-    unit, nodes = _shape(node)
-    return _factory(unit), tuple(nodes), _params(node)
+    """A node's factory, the interned nodes it refers to, its parameters
+    and its interned node, computed once per structure."""
+    got = node.__dict__.get("_unit")
+    if got is None:
+        canon = _interned(node)
+        got = canon.__dict__.get("_unit")
+        if got is None:
+            unit, nodes = _shape(canon)
+            got = (_factory(unit), tuple(map(_interned, nodes)), _params(canon), canon)
+            canon.__dict__["_unit"] = got
+        node.__dict__["_unit"] = got
+    return got
 
 
 def _params(node) -> Optional[tuple[tuple[str, bool], ...]]:
@@ -1212,11 +1230,13 @@ class ModelChecker:
     Cache policy.  Memo and definition tables grow with the distinct
     argument values seen, and they live exactly as long as the checker; to
     free them, drop the checker.  Compiled units are looked up by formula
-    structure in two bounded caches shared by every checker: one from a
-    quantifier, definition or checked formula to its unit, so a sentence
-    parsed again reuses the unit of the first, and one from a unit's
-    canonical shape to its compiled code.  Relation rows are built once
-    per ``Structure``, stored on it as immutable values and shared by
+    structure, through two bounded caches shared by every checker.  One
+    interns quantifiers, definitions and checked formulas: equal nodes
+    built apart map to the first one seen, which holds the unit, so a
+    sentence parsed again reuses the unit of the first, and a checker keys
+    its units and memo tables on interned nodes only.  The other maps a
+    unit's canonical shape to its compiled code.  Relation rows are built
+    once per ``Structure``, stored on it as immutable values and shared by
     every checker on it; they live as long as the structure.  Nothing else
     is shared.
 
@@ -1322,12 +1342,12 @@ class ModelChecker:
         return result
 
     def _compile(self, node, unit: Optional[tuple] = None) -> _Code:
-        code = self._code.get(node)
+        factory, nodes, _, canon = unit or _unit(node)
+        code = self._code.get(canon)
         if code is None:
-            factory, nodes, _ = unit or _unit(node)
             # units reach the checker through a weak reference, so they hold
             # no cycle back to it and a dropped checker is freed at once
-            code = self._code[node] = factory(self, weakref.ref(self), node, nodes)
+            code = self._code[canon] = factory(self, weakref.ref(self), canon, nodes)
         return code
 
     def _bind(self, nodes: Sequence, slots: Sequence[int]) -> list:

@@ -409,7 +409,7 @@ class TestCompiledUnits:
         shapes = []
         shape = cms._shape
         monkeypatch.setattr(cms, "_shape", lambda node: shapes.append(node) or shape(node))
-        cms._unit.cache_clear()
+        cms._interned.cache_clear()
         gs = graph_structure(word_graph("abab"))
         text = "(existsmod 2 x (exists y (and (edge x y) (label_b y))))"
         first, second = (parse_formula(text, gs.signature) for _ in range(2))
@@ -421,6 +421,9 @@ class TestCompiledUnits:
         assert checkers[0].work == checkers[1].work
         assert shapes == [first]
         assert cms._unit(first) is cms._unit(second)
+        # one checker keys both on one node, so they share code and memo
+        checker = ModelChecker(gs)
+        assert checker._compile(first) is checker._compile(second)
 
     def test_checkers_on_one_structure_share_its_rows(self):
         gs = graph_structure(word_graph("abab"))

@@ -1285,11 +1285,11 @@ class ModelChecker:
     def check(self, formula: CmsFormula, env: Optional[Mapping] = None) -> bool:
         got = self._checks.get(formula)
         if got is None:
-            unit = _unit(formula)
-            code = self._compile(formula, unit)
-            if unit[2] is None:
+            code = self._compile(formula)
+            params = _unit(formula)[2]
+            if params is None:
                 variable_kinds(formula)  # raises on the kind clash
-            got = self._checks[formula] = (code, unit[2])
+            got = self._checks[formula] = (code, params)
         code, params = got
         env = env or {}
         args = []
@@ -1341,8 +1341,8 @@ class ModelChecker:
             meter.exhausted()
         return result
 
-    def _compile(self, node, unit: Optional[tuple] = None) -> _Code:
-        factory, nodes, _, canon = unit or _unit(node)
+    def _compile(self, node) -> _Code:
+        factory, nodes, _, canon = _unit(node)
         code = self._code.get(canon)
         if code is None:
             # units reach the checker through a weak reference, so they hold

@@ -91,6 +91,18 @@ class Structure:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rows", {})
 
+    @classmethod
+    def _trusted(cls, signature: RelationalSignature, domain: tuple,
+                 relations: Mapping[str, frozenset[tuple]]) -> "Structure":
+        """A structure made from parts that are valid by construction,
+        without the checks of ``__post_init__``: distinct domain elements
+        and tuples of the predicates' arities over them, as
+        ``tree_relations`` builds for ``tree_structure``."""
+        s = object.__new__(cls)
+        s.__dict__.update(signature=signature, domain=domain, relations=relations,
+                          _index={e: i for i, e in enumerate(domain)}, _rows={})
+        return s
+
 
 # ---------------------------------------------------------------- formulas
 
@@ -99,7 +111,9 @@ class _Structural:
     its fields once at construction (child hashes are cached in turn), so
     hashing is O(1) and equal nodes built apart share every table keyed
     on them.  Comparison walks both nodes with an explicit stack, so it
-    does not recurse however deep they are."""
+    does not recurse however deep they are, and compares each pair of
+    nodes once, so shared subformulas and the bodies of called
+    definitions are walked once per comparison."""
 
     def __post_init__(self):
         fields = self.__dict__
@@ -114,6 +128,16 @@ class _Structural:
         if not isinstance(other, _Structural):
             return NotImplemented
         stack = [(self, other)]
+        # ids of the pairs pushed: both operands, and so every node
+        # reached from them, stay alive for the whole call
+        pushed = {(id(self), id(other))}
+
+        def push(u, v):
+            pair = (id(u), id(v))
+            if pair not in pushed:
+                pushed.add(pair)
+                stack.append((u, v))
+
         while stack:
             a, b = stack.pop()
             if a is b:
@@ -127,13 +151,13 @@ class _Structural:
                 if isinstance(x, _Structural):
                     if not isinstance(y, _Structural):
                         return False
-                    stack.append((x, y))
+                    push(x, y)
                 elif isinstance(x, tuple) and isinstance(y, tuple):
                     if len(x) != len(y):
                         return False
                     for u, v in zip(x, y):
                         if isinstance(u, _Structural) and isinstance(v, _Structural):
-                            stack.append((u, v))
+                            push(u, v)
                         elif u != v:
                             return False
                 elif x != y:
@@ -1525,6 +1549,7 @@ def _tree_relations(t: MDecTree, sig: Optional[Signature]):
 
 def tree_structure(t: MDecTree, sig: Optional[Signature] = None) -> Structure:
     """Relational structure of a tree: the domain is 0..m-1 in preorder and
-    the relations are those of ``tree_relations``, already in that form."""
+    the relations are those of ``tree_relations``, already in that form
+    and valid by construction, so they are not checked again."""
     rsig, rels, nodes = tree_relations(t, sig)
-    return Structure(rsig, tuple(range(len(nodes))), rels)
+    return Structure._trusted(rsig, tuple(range(len(nodes))), rels)

@@ -64,7 +64,8 @@ class LabeledGraph:
         """A graph made from parts that are valid by construction, without
         the checks of ``__post_init__``: for graphs derived from valid
         graphs, terms and trees (``induced``, ``compose_graph``,
-        ``eval_term``, ``reconstruct``) or checked as they are read
+        ``eval_term``, ``reconstruct``, the prime quotients of
+        ``mdec.Rows.quotient``) or checked as they are read
         (``formats.parse_graph``)."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)

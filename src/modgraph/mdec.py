@@ -55,22 +55,26 @@ class Rows:
 
     ``split(m)`` breaks the module with mask m into its maximal strong
     modules, and ``modules()`` lists every module, by mask operations on
-    these rows alone.
+    these rows alone.  ``bit`` maps each id to its bit; the rows are
+    built in one pass over the edges, each edge OR-ing one endpoint's bit
+    into the other endpoint's row, with the rows kept by id.
     """
 
-    __slots__ = ("verts", "idx", "out", "inn", "und", "co", "fwd", "bwd")
+    __slots__ = ("verts", "bit", "out", "inn", "und", "co", "fwd", "bwd")
 
     def __init__(self, g: LabeledGraph):
         self.verts = verts = g.sorted_vertices()
         n = len(verts)
-        self.idx = idx = {v: i for i, v in enumerate(verts)}
-        out = [0] * n
-        inn = [0] * n
+        self.bit = bit = {v: 1 << i for i, v in enumerate(verts)}
+        # by vertex id, in the order of verts
+        out = dict.fromkeys(verts, 0)
+        inn = out.copy()
         for (u, v) in g.edges:
-            out[idx[u]] |= 1 << idx[v]
-            inn[idx[v]] |= 1 << idx[u]
+            out[u] |= bit[v]
+            inn[v] |= bit[u]
         full = (1 << n) - 1
-        self.out, self.inn = out, inn
+        self.out = out = list(out.values())
+        self.inn = inn = list(inn.values())
         # linked either way; not linked both ways
         self.und = [o | i for o, i in zip(out, inn)]
         self.co = [full & ~(o & i) for o, i in zip(out, inn)]
@@ -88,11 +92,11 @@ class Rows:
         return frozenset(out)
 
     def mask(self, ids) -> int:
-        idx = self.idx
+        bit = self.bit
         m = 0
         try:
             for v in ids:
-                m |= 1 << idx[v]
+                m |= bit[v]
         except KeyError as e:
             raise VertexNotInGraph(f"vertex {e.args[0]} not in graph") from None
         return m
@@ -193,13 +197,17 @@ class Rows:
 
     def quotient(self, blocks: Sequence[int]) -> LabeledGraph:
         """Quotient on 1..k of a partition into modules, read off the rows
-        of the blocks' smallest vertices."""
+        of the blocks' smallest vertices.
+
+        Built without the constructor's checks: one representative per
+        block, so no self-loops, and every endpoint lies in 1..k."""
         reps = [(b & -b).bit_length() - 1 for b in blocks]
         out = self.out
-        edges = [(i + 1, j + 1)
-                 for i, r in enumerate(reps) for j, s in enumerate(reps)
+        edges = [(i, j)
+                 for i, r in enumerate(reps, 1) for j, s in enumerate(reps, 1)
                  if out[r] >> s & 1]
-        return LabeledGraph.on_range(len(blocks), edges)
+        return LabeledGraph._trusted(frozenset(range(1, len(blocks) + 1)),
+                                     frozenset(edges), None)
 
 
 def reach(start: int, m: int, rows: list[int]) -> int:
@@ -551,7 +559,7 @@ def verify_binarized(t: MDecTree, rows: Rows, ops: Sequence[SignatureOp],
     on the blocks already found.  Gives every node's mask, every node's
     parent and every vertex's leaf when it is, None otherwise.
     """
-    bit = {v: 1 << i for i, v in enumerate(rows.verts)}
+    bit = rows.bit
     read = bit.__getitem__
     root = t.root
     try:
@@ -613,6 +621,7 @@ def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
     """Rebuild the concrete graph: vertex set is exactly the union of leaves."""
     edges: set[tuple[int, int]] = set()
     labels: Optional[dict[int, str]] = {}
+    names = None if sig is None else {op.name for op in sig.ops}
     for node in t.nodes():
         if node.is_leaf:
             if node.symbol is None:
@@ -622,9 +631,9 @@ def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
                 labels[v] = node.symbol
             continue
         if node.kind is NodeKind.PRIME:
-            if sig is not None and not sig.has_op(node.op.name):
-                raise UnknownOp(f"operation {node.op.name!r} not in signature")
             op = node.op
+            if names is not None and op.name not in names:
+                raise UnknownOp(f"operation {op.name!r} not in signature")
         else:
             op = _KIND_TO_OP[node.kind]
         mods = [c.module for c in node.children]

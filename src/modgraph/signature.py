@@ -75,7 +75,7 @@ class OpSymmetry:
 
 
 # Keyed on the graph by value and held weakly: one search per live graph,
-# and an entry goes when the last equal graph does.
+# and an entry goes when the graph it was stored under does.
 _symmetries: "weakref.WeakKeyDictionary[LabeledGraph, OpSymmetry]" = \
     weakref.WeakKeyDictionary()
 
@@ -194,19 +194,47 @@ class Signature:
         return None
 
 
+# operation graph -> edge set of a quotient on 1..n -> the isomorphism
+# found for it; keyed and held like _symmetries
+_matches: "weakref.WeakKeyDictionary[LabeledGraph, dict[frozenset, Permutation]]" = \
+    weakref.WeakKeyDictionary()
+
+
 def match_op(ops: Iterable[SignatureOp], quotient: LabeledGraph,
              ) -> Optional[tuple[SignatureOp, Permutation]]:
     """The first prime op isomorphic to the quotient, with the witnessing map.
 
     The permutation maps vertices of the op graph onto vertices of the
     quotient (edge pattern carried exactly).
+
+    A quotient on 1..n is first looked up in a cache per operation graph,
+    keyed on the graph by value and held weakly like the symmetry table:
+    an entry goes when the operation graph it was stored under does.  It
+    maps the quotient's edge set to the isomorphism the search found and
+    holds hits only, so it keeps at most n!/|Aut| entries per operation
+    graph, one per labelled copy; a miss searches again.  The search is
+    deterministic in the values of the two graphs, so a cached answer is
+    the one a cold search gives.  A quotient on any other vertex set is
+    searched without the cache.
     """
+    on_range = quotient.vertices == frozenset(range(1, quotient.n + 1))
     for op in ops:
-        if op.graph.n == quotient.n:
-            sigma = find_isomorphism(op.graph, quotient, respect_labels=False,
-                                     max_vertices=None)
+        h = op.graph
+        if h.n != quotient.n:
+            continue
+        if on_range:
+            found = _matches.get(h)
+            if found is None:
+                found = _matches[h] = {}
+            sigma = found.get(quotient.edges)
             if sigma is not None:
                 return op, sigma
+        sigma = find_isomorphism(h, quotient, respect_labels=False,
+                                 max_vertices=None)
+        if sigma is not None:
+            if on_range:
+                found[quotient.edges] = sigma
+            return op, sigma
     return None
 
 

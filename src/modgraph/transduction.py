@@ -208,12 +208,12 @@ def _bits(m: int):
 
 def _node_masks(t: MDecTree, rows: Rows) -> dict[MDecNode, int]:
     """The bitmask of every node's module, children before parents."""
-    idx = rows.idx
+    bit = rows.bit
     mask: dict[MDecNode, int] = {}
     for node in reversed(t.nodes()):
         kids = node.children
         mask[node] = (sum(mask[c] for c in kids) if kids
-                      else 1 << idx[next(iter(node.module))])
+                      else bit[next(iter(node.module))])
     return mask
 
 

@@ -269,6 +269,25 @@ class TestFormulaIdentity:
         assert a == deep("p") and hash(a) == hash(deep("p"))
         assert a != deep("q")
 
+    def test_shared_subformulas_are_compared_once(self):
+        # 2^80 paths from the top, 81 distinct nodes
+        def dag(atom, levels=80):
+            f = Pred(atom, ("x",))
+            for _ in range(levels):
+                f = cms.And((f, Not(f)))
+            return Exists("x", f)
+
+        a, b = dag("p"), dag("p")
+        assert a is not b and a == b
+        assert a != dag("q")
+        # one node met twice on the left, against an equal node and an
+        # unequal one; equal stored hashes force the walk past the early exit
+        p = Pred("p", ("x",))
+        a, b = cms.And((p, p)), cms.And((Pred("p", ("x",)), Pred("q", ("x",))))
+        for x, y in ((b, a), (b.parts[1], p)):
+            x.__dict__["_hash"] = y._hash
+        assert a != b
+
     def test_shadowed_variable_is_restored(self):
         # the inner quantifier rebinds x; the outer (p x) must see the free x
         f = parse_formula("(and (exists x (p x)) (p x))", SIG1,
@@ -402,6 +421,13 @@ class TestTreeRelations:
             assert dict(st.relations) == want
             seen.update(name.split("_")[0] for name, tuples in rels.items() if tuples)
         assert {"children", "dist-child", "first-child", "label"} <= seen
+
+    def test_tree_structure_passes_the_checks_it_skips(self):
+        for t, sig in _referee_trees():
+            st = tree_structure(t, sig)
+            checked = Structure(st.signature, st.domain, st.relations)
+            assert checked == st and checked._index == st._index
+            assert st._rows == {} and type(st) is Structure
 
 
 class TestCompiledUnits:

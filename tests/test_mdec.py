@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from deep_term import LEVELS, alternating_term
 from mdec_referee import brute_force_modules, referee_decompose, referee_prime_modules
-from modgraph.errors import NotAModule, NotInSignature, TooSmall
+from modgraph.errors import NotAModule, NotInSignature, TooSmall, UnknownOp
 from modgraph.generators import random_digraph, random_f_graph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
 from modgraph.cms import tree_prime_ops
@@ -227,6 +227,14 @@ class TestReconstruct:
         g = eval_term(SIG, node("seq", leaf("a"), leaf("b"), leaf("a"), leaf("b")))
         t = decompose(g, SIG)
         assert reconstruct(t) == g == reconstruct(binarize(t))
+
+    def test_operation_not_in_the_signature(self):
+        g = eval_term(SPW5P3, node("seq", node("P3", leaf("a"), leaf("b"), leaf("a")),
+                                   leaf("b")))
+        t = decompose(g, SPW5P3)
+        assert reconstruct(t, SPW5P3) == g
+        with pytest.raises(UnknownOp, match="^operation 'P3' not in signature$"):
+            reconstruct(t, SIG)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))

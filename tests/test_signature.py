@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import itertools
+import math
 import weakref
 from random import Random
 
@@ -11,13 +14,13 @@ from modgraph.cms import tree_structure
 from modgraph.errors import ArityMismatch, NotWeaklyRigid, UnknownOp, UnknownSymbol
 from modgraph.formats import parse_term
 from modgraph.generators import random_digraph, random_term
-from modgraph.graphs import Alphabet, LabeledGraph
-from modgraph.mdec import NodeKind, binarize, decompose
+from modgraph.graphs import Alphabet, LabeledGraph, Permutation, apply_isomorphism
+from modgraph.mdec import NodeKind, binarize, decompose, format_tree
 from modgraph.samples import (W5_GRAPH, cycle_graph, p3_op, scw5_signature,
                               sp_signature, spp3_signature, spw5_signature, w5_op)
 from modgraph.signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature,
                                 Term, compose, cp_equations, eval_term,
-                                is_prime, is_weakly_rigid_op, prime_op,
+                                is_prime, is_weakly_rigid_op, match_op, prime_op,
                                 select_distinguished,
                                 validate_weakly_rigid_signature)
 
@@ -351,3 +354,98 @@ class TestSymmetryRecord:
         assert w5.enumerations("xyxyx") == [tuple("xyxyx")]
         assert w5.orbits == (frozenset({1, 5}), frozenset({2, 4}),
                              frozenset({3}))
+
+
+@pytest.fixture
+def cold_matches(monkeypatch):
+    """An empty isomorphism cache of match_op for the test."""
+    table = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(signature, "_matches", table)
+    return table
+
+
+SPW5P3 = Signature(Alphabet(("a", "b")), (SEQ_OP, PAR_OP, w5_op(), p3_op()))
+
+
+def _renamed(g, image):
+    """g with its k-th smallest vertex renamed image[k - 1]."""
+    return apply_isomorphism(g, Permutation(tuple(image)))
+
+
+def _cold_match(ops, quotient):
+    """match_op by its definition: the first operation a fresh search
+    finds isomorphic to the quotient."""
+    for op in ops:
+        if op.graph.n == quotient.n:
+            sigma = graphs.find_isomorphism(op.graph, quotient, respect_labels=False,
+                                            max_vertices=None)
+            if sigma is not None:
+                return op, sigma
+    return None
+
+
+class TestMatchCache:
+    def test_warm_answers_are_the_cold_ones(self, cold_matches, searches):
+        rng = Random(15)
+        for sig in (spw5_signature(), SPW5P3):
+            ops = sig.prime_ops
+            for op in ops:
+                k = op.graph.n
+                copies = [_renamed(op.graph, p)
+                          for p in itertools.permutations(range(1, k + 1))]
+                others = [LabeledGraph.on_range(k, random_digraph(rng, k, p).edges)
+                          for p in (0.2, 0.4, 0.6) for _ in range(20)]
+                want = [_cold_match(ops, q) for q in copies + others]
+                assert any(w is None for w in want)
+                for _ in range(2):  # the first pass fills the cache
+                    assert [match_op(ops, q) for q in copies + others] == want
+                before = searches["iso"]
+                assert [match_op(ops, q) for q in copies] == want[:len(copies)]
+                assert searches["iso"] == before
+
+    def test_one_entry_per_labelled_copy(self, cold_matches):
+        for op in (w5_op(), p3_op(), prime_op("C4", cycle_graph(4)),
+                   prime_op("C5", cycle_graph(5))):
+            k = op.graph.n
+            for p in itertools.permutations(range(1, k + 1)):
+                assert match_op([op], _renamed(op.graph, p))[0] is op
+            aut = len(op.symmetry.automorphisms) + 1
+            assert len(cold_matches[op.graph]) == math.factorial(k) // aut
+
+    def test_quotient_off_the_range_bypasses_the_cache(self, cold_matches):
+        op = w5_op()
+        q = _renamed(op.graph, (2, 1, 3, 5, 4))
+        off = apply_isomorphism(q, Permutation.identity(5), [2, 4, 6, 8, 10])
+        assert match_op([op], off) == _cold_match([op], off)
+        assert not cold_matches
+        assert match_op([op], q) == _cold_match([op], q)
+        assert len(cold_matches[op.graph]) == 1
+
+    def test_entry_goes_with_its_operation_graph(self):
+        # a graph that no other test builds, in the module's own table
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4), (2, 6)]
+        h = LabeledGraph.on_range(6, edges)
+        op = prime_op("H", h, check_prime=False)
+        q = _renamed(h, (2, 4, 1, 6, 5, 3))
+        assert match_op([op], q) == _cold_match([op], q)
+        assert signature._matches[h] == {q.edges: _cold_match([op], q)[1]}
+        del op, h
+        gc.collect()
+        assert LabeledGraph.on_range(6, edges) not in signature._matches
+
+    def test_decompose_same_tree_cold_and_warm(self, cold_matches):
+        rng = Random(1515)
+        cases = []
+        for k in range(200):
+            sig = (spw5_signature(), SPW5P3)[k % 2]
+            g = eval_term(sig, random_term(rng, sig, max_depth=5, max_leaves=20))
+            if k % 4 >= 2:  # the same graph on permuted vertex ids
+                g = _renamed(g, rng.sample(range(1, g.n + 1), g.n))
+            cases.append((g, sig))
+        cold = []
+        for g, sig in cases:
+            cold_matches.clear()
+            cold.append(format_tree(decompose(g, sig)))
+        assert sum("W5" in text or "P3" in text for text in cold) > 50
+        assert [format_tree(decompose(g, sig)) for g, sig in cases] == cold
+        assert cold_matches

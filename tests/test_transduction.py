@@ -670,6 +670,14 @@ class TestSchema:
         assert not model_check(graph_structure(g, SIG.alphabet.symbols),
                                sch.theta("label_a", (3,)), {"x1": 1})
 
+    def test_schemas_built_apart_compare_equal(self):
+        a, b = transduction_schema(SIG), transduction_schema(SIG)
+        assert a.phi is not b.phi and a.phi == b.phi
+        assert a.kappa_formula(2) is not b.kappa_formula(2)
+        assert a.kappa_formula(2) == b.kappa_formula(2)
+        assert a.kappa_formula(2) != b.kappa_formula(1)
+        assert a.phi != transduction_schema(DUAL).phi
+
     def test_theta_family_mapping(self):
         sch = transduction_schema(SIG)
         assert sch.theta_family[("child", (0, 0))] is sch.theta("child", (0, 0))

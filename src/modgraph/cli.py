@@ -72,7 +72,7 @@ def _cmd_recognize(args) -> int:
     alg = formats.parse_algebra(_read(args.algebra), sig)
     report = validate_algebra(alg)
     if not report.ok:
-        print(report, file=sys.stderr)
+        print(f"error: {report}", file=sys.stderr)
         return 2
     g = _load_graph(args.graph)
     accepted = member(g, alg)

@@ -8,9 +8,12 @@ syntax live on the canonical vertex set 1..n and carry no labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .errors import EmptySetError, SizeLimitExceeded, VertexNotInGraph
+
+if TYPE_CHECKING:
+    from .mdec import Rows
 
 DEFAULT_SEARCH_BOUND = 8
 
@@ -40,6 +43,11 @@ class LabeledGraph:
 
     Equality is set equality of (vertices, edges, labeling); isomorphism
     is a separate notion, see :func:`find_isomorphism`.
+
+    ``rows``, the bitmask adjacency that modular decomposition works on
+    (``mdec.Rows``), is built from the edges the first time it is read
+    and kept with the graph; ``signature.eval_term`` gives the graphs it
+    builds their rows from the term's structure instead.
     """
 
     vertices: frozenset[int]
@@ -60,18 +68,36 @@ class LabeledGraph:
 
     @classmethod
     def _trusted(cls, vertices: frozenset[int], edges: frozenset[tuple[int, int]],
-                 labels: Optional[Mapping[int, str]]) -> "LabeledGraph":
+                 labels: Optional[Mapping[int, str]],
+                 rows: Optional["Rows"] = None) -> "LabeledGraph":
         """A graph made from parts that are valid by construction, without
         the checks of ``__post_init__``: for graphs derived from valid
         graphs, terms and trees (``induced``, ``compose_graph``,
         ``eval_term``, ``reconstruct``, the prime quotients of
         ``mdec.Rows.quotient``) or checked as they are read
-        (``formats.parse_graph``)."""
+        (``formats.parse_graph``).  rows, when given, must be the rows of
+        these edges; they are kept as the graph's ``rows``."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)
         object.__setattr__(g, "edges", edges)
         object.__setattr__(g, "labels", labels)
+        if rows is not None:
+            object.__setattr__(g, "_rows", rows)
         return g
+
+    @property
+    def rows(self) -> "Rows":
+        """The graph's bitmask adjacency rows, built from its edges on
+        first use and kept with the graph."""
+        # set with object.__setattr__, never through the instance dict:
+        # reading __dict__ materializes it, and every attribute read and
+        # every hash of the graph then takes longer
+        try:
+            return self._rows
+        except AttributeError:
+            from .mdec import Rows
+            object.__setattr__(self, "_rows", Rows(self))
+            return self._rows
 
     @staticmethod
     def build(vertices: Iterable[int], edges: Iterable[tuple[int, int]],

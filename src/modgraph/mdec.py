@@ -1,7 +1,8 @@
 """Modular decomposition: maximal prime modules, quotients, and the trees.
 
-``decompose`` walks the tree top down with an explicit stack, on bitmask
-adjacency rows built once per call (bit i is the i-th smallest vertex id).
+``decompose`` walks the tree top down with an explicit stack, on the
+graph's bitmask adjacency rows, ``LabeledGraph.rows``, built once per
+graph (bit i is the i-th smallest vertex id).
 Each module M is split by mask operations alone, in the order of the
 cases: the components of "linked either way" inside M (par), the
 components of "not linked both ways" (clique), the strongly connected
@@ -29,6 +30,8 @@ referee of the decomposition.
 from __future__ import annotations
 
 import itertools
+import operator
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -55,32 +58,133 @@ class Rows:
 
     ``split(m)`` breaks the module with mask m into its maximal strong
     modules, and ``modules()`` lists every module, by mask operations on
-    these rows alone.  ``bit`` maps each id to its bit; the rows are
-    built in one pass over the edges, each edge OR-ing one endpoint's bit
-    into the other endpoint's row, with the rows kept by id.
+    these rows alone.  ``bit`` maps each id to its bit, and ``out[i]`` and
+    ``inn[i]`` are the out- and in-neighbours of the vertex of bit i.
+
+    A graph keeps one set of rows, ``LabeledGraph.rows``.  ``Rows(g)``
+    builds them in one pass over the edges, each edge OR-ing one
+    endpoint's bit into the other endpoint's row, the rows kept in lists
+    indexed by id when the ids are 1..n and in dicts by id otherwise.
+    Graphs whose structure is known get rows built from it with no loop
+    over the edges: ``signature.eval_term`` from the ranges of a term's
+    subterms, ``Rows.of_tree`` from the children of a tree's nodes.  Both
+    rest on one fact: a vertex's out-row (and in-row) is the disjoint
+    union of one set of siblings per ancestor, the children its ancestor's
+    operation links the child holding the vertex to.
     """
 
     __slots__ = ("verts", "bit", "out", "inn", "und", "co", "fwd", "bwd")
 
     def __init__(self, g: LabeledGraph):
-        self.verts = verts = g.sorted_vertices()
+        verts = g.sorted_vertices()
         n = len(verts)
-        self.bit = bit = {v: 1 << i for i, v in enumerate(verts)}
+        if n and verts[0] == 1 and verts[-1] == n:
+            bits = [0]
+            bits += [1 << i for i in range(n)]
+            out = [0] * (n + 1)
+            inn = out.copy()
+            for (u, v) in g.edges:
+                out[u] |= bits[v]
+                inn[v] |= bits[u]
+            del bits[0], out[0], inn[0]
+            self._fill(verts, dict(zip(verts, bits)), out, inn)
+            return
+        bit = {v: 1 << i for i, v in enumerate(verts)}
         # by vertex id, in the order of verts
         out = dict.fromkeys(verts, 0)
         inn = out.copy()
         for (u, v) in g.edges:
             out[u] |= bit[v]
             inn[v] |= bit[u]
-        full = (1 << n) - 1
-        self.out = out = list(out.values())
-        self.inn = inn = list(inn.values())
+        self._fill(verts, bit, list(out.values()), list(inn.values()))
+
+    @classmethod
+    def _of(cls, verts: list[int], out: list[int], inn: list[int],
+            bit: Optional[dict[int, int]] = None) -> "Rows":
+        """The rows with the given out- and in-rows, for the sorted ids
+        verts, without a look at any edge."""
+        rows = cls.__new__(cls)
+        if bit is None:
+            bit = {v: 1 << i for i, v in enumerate(verts)}
+        rows._fill(verts, bit, out, inn)
+        return rows
+
+    def _fill(self, verts: list[int], bit: dict[int, int],
+              out: list[int], inn: list[int]):
+        self.verts, self.bit, self.out, self.inn = verts, bit, out, inn
+        full = (1 << len(verts)) - 1
         # linked either way; not linked both ways
-        self.und = [o | i for o, i in zip(out, inn)]
-        self.co = [full & ~(o & i) for o, i in zip(out, inn)]
-        # seq relation R: u R w unless u -> w is one-way; its reverse
-        self.fwd = [full & ~(o & ~i) for o, i in zip(out, inn)]
-        self.bwd = [full & ~(i & ~o) for o, i in zip(out, inn)]
+        self.und = list(map(operator.or_, out, inn))
+        self.co = co = list(map(full.__xor__, map(operator.and_, out, inn)))
+        # seq relation R: u R w unless u -> w is one-way, rows
+        # full & ~(o & ~i) = co ^ o; its reverse
+        self.fwd = list(map(operator.xor, co, out))
+        self.bwd = list(map(operator.xor, co, inn))
+
+    @classmethod
+    def of_tree(cls, t: "MDecTree") -> Optional["Rows"]:
+        """The rows of ``reconstruct(t)``, pushed down from the masks of
+        t's children, with no graph built and no loop over edges.
+
+        Each node adds to every vertex of its i-th child the children that
+        its operation links child i to (and from); a vertex's row is what
+        its ancestors add.  This takes O(nodes + n) mask operations, after
+        one lookup per vertex of each child's module to read its mask, as
+        ``verify_binarized`` does.  None when t is not a tree of modules
+        as ``decompose`` builds them: a leaf with children or with more
+        than one vertex, an inner node whose children's modules do not
+        partition its own, or a prime node whose operation's arity is not
+        its child count.
+        """
+        root = t.root
+        verts = sorted(root.module)
+        n = len(verts)
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        read = bit.__getitem__
+        out = [0] * n
+        inn = out.copy()
+        # each entry: a node, its mask, and what its ancestors add
+        stack = [(root, (1 << n) - 1, 0, 0)]
+        while stack:
+            node, m, o, i = stack.pop()
+            kids = node.children
+            if node.kind is NodeKind.LEAF:
+                if kids or not m or m & (m - 1):
+                    return None
+                j = m.bit_length() - 1
+                out[j], inn[j] = o, i
+                continue
+            try:
+                km = [sum(map(read, c.module)) for c in kids]
+            except KeyError:
+                return None
+            seen = 0
+            for x in km:
+                if not x or x & seen:
+                    return None
+                seen |= x
+            if seen != m:
+                return None
+            k = len(km)
+            if node.kind is NodeKind.PAR:
+                add_out = add_in = [0] * k
+            elif node.kind is NodeKind.CLIQUE:
+                add_out = add_in = [m ^ x for x in km]
+            elif node.kind is NodeKind.SEQ:
+                # each child links to the children after it
+                add_in = list(itertools.accumulate(km[:-1], operator.or_, initial=0))
+                add_out = [m ^ x ^ y for x, y in zip(km, add_in)]
+            else:
+                op = node.op
+                if op is None or op.graph.n != k:
+                    return None
+                add_out, add_in = [0] * k, [0] * k
+                for (a, b) in op.graph.edges:
+                    add_out[a - 1] |= km[b - 1]
+                    add_in[b - 1] |= km[a - 1]
+            stack.extend((c, x, o | ao, i | ai)
+                         for c, x, ao, ai in zip(kids, km, add_out, add_in))
+        return cls._of(verts, out, inn, bit)
 
     def ids(self, m: int) -> frozenset[int]:
         verts = self.verts
@@ -199,13 +303,27 @@ class Rows:
         """Quotient on 1..k of a partition into modules, read off the rows
         of the blocks' smallest vertices.
 
+        Each representative's out-row, masked by the set of
+        representatives, gives that block's quotient edges, one per bit.
         Built without the constructor's checks: one representative per
         block, so no self-loops, and every endpoint lies in 1..k."""
         reps = [(b & -b).bit_length() - 1 for b in blocks]
+        sel = 0
+        for r in reps:
+            sel |= 1 << r
+        # block number by the bit_length of its representative's bit
+        at = [0] * (sel.bit_length() + 1)
+        for j, r in enumerate(reps, 1):
+            at[r + 1] = j
         out = self.out
-        edges = [(i, j)
-                 for i, r in enumerate(reps, 1) for j, s in enumerate(reps, 1)
-                 if out[r] >> s & 1]
+        edges = []
+        add = edges.append
+        for i, r in enumerate(reps, 1):
+            row = out[r] & sel
+            while row:
+                b = row & -row
+                add((i, at[b.bit_length()]))
+                row ^= b
         return LabeledGraph._trusted(frozenset(range(1, len(blocks) + 1)),
                                      frozenset(edges), None)
 
@@ -327,8 +445,17 @@ def quotient_graph(g: LabeledGraph, partition: Sequence[frozenset[int]]) -> Labe
 
 
 def _adhoc_name(q: LabeledGraph) -> str:
-    body = ",".join(f"{u}>{v}" for (u, v) in sorted(q.edges))
-    return f"prime{q.n}[{body}]"
+    """The name of the ad-hoc operation of a prime quotient q on 1..k:
+    ``prime<k>_<h>``, where h is 16 hex digits, the CRC-32 and then the
+    Adler-32 of q's k-by-k adjacency matrix, row by row, one byte (0 or
+    1) per entry.  Its size does not grow with the edges, and equal
+    quotients get equal names in every process.  Distinct quotients of
+    one size share a name only if both checksums collide."""
+    k = q.n
+    matrix = bytearray(k * k)
+    for (u, v) in q.edges:
+        matrix[u * k + v - k - 1] = 1
+    return f"prime{k}_{zlib.crc32(matrix):08x}{zlib.adler32(matrix):08x}"
 
 
 def _match_quotient(quotient: LabeledGraph, blocks: list[T],
@@ -357,7 +484,7 @@ def maximal_prime_modules(g: LabeledGraph, sig: Optional[Signature] = None,
     """
     if g.n < 2:
         raise TooSmall("decomposition step needs at least 2 vertices")
-    rows = Rows(g)
+    rows = g.rows
     kind, blocks = rows.split((1 << g.n) - 1)
     if kind is NodeKind.PRIME and sig is not None:
         try:
@@ -466,7 +593,7 @@ def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
     (NotInSignature carries the quotient otherwise); without one, unmatched
     quotients become ad-hoc operations.
     """
-    return _decompose(g, Rows(g), None if sig is None else sig.prime_ops)
+    return _decompose(g, g.rows, None if sig is None else sig.prime_ops)
 
 
 def _decompose(g: LabeledGraph, rows: Rows,
@@ -661,14 +788,14 @@ def all_modules(g: LabeledGraph) -> list[frozenset[int]]:
     Output-sensitive, not polynomial: a par node with k children alone
     gives 2^k modules.
     """
-    rows = Rows(g)
+    rows = g.rows
     return [rows.ids(m) for m in rows.modules()]
 
 
 def brute_force_prime_modules(g: LabeledGraph) -> set[frozenset[int]]:
     """Prime (strong) modules by definition: proper modules overlapping
     none, filtered from the family of ``all_modules``."""
-    rows = Rows(g)
+    rows = g.rows
     full = (1 << g.n) - 1
     return {rows.ids(x) for x in strong_modules(rows.modules()) if x != full}
 

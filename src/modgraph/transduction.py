@@ -270,21 +270,26 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     """Cross-check the path-based kappa maps against their module-theoretic
     characterization on the graph ``reconstruct(t)``.
 
-    The node family is t's own nodes, once ``mdec.verify_binarized`` finds
-    t to be the binarized decomposition of that graph, which is unique
-    (Gallai 1967): one ``Rows.split`` per inner node, of the mask read from
-    the node's module, against its children, and a prime node's quotient
-    against its operation, which must be the one of t's operations
-    (``cms.tree_prime_ops``) that matches it.  Then the strong modules are
-    t's nodes, the sequential suffixes its seq comb nodes, the members
-    holding a vertex its leaf-to-root path, and a prime node's
-    distinguished children those of its enumeration.  A tree that fails
-    the verification, such as a hand-built one, gets its family from
-    ``binarize(decompose(reconstruct(t)))`` with the quotients matched
-    against those operations, and a prime quotient that matches none
-    raises NotWeaklyRigid; either way the report is the same.  Whether a
-    member is disconnected, degenerate or sequential, and which children
-    of a sequential one are initial, is decided on the graph's bitmask
+    That graph is not built: its bitmask rows are pushed down from the
+    masks of t's children (``mdec.Rows.of_tree``), in O(nodes + n) mask
+    operations and with no loop over edges.  Only a tree whose children
+    do not partition each node's module is reconstructed, and its rows
+    built from the edges.  The node family is t's own nodes, once
+    ``mdec.verify_binarized`` finds t to be the binarized decomposition
+    of that graph, which is unique (Gallai 1967): one ``Rows.split`` per
+    inner node, of the mask read from the node's module, against its
+    children, and a prime node's quotient against its operation, which
+    must be the one of t's operations (``cms.tree_prime_ops``) that
+    matches it.  Then the strong modules are t's nodes, the sequential
+    suffixes its seq comb nodes, the members holding a vertex its
+    leaf-to-root path, and a prime node's distinguished children those of
+    its enumeration.  A tree that fails the verification, such as a
+    hand-built one, gets its family from
+    ``binarize(decompose(reconstruct(t)))`` on the same rows, with the
+    quotients matched against those operations, and a prime quotient that
+    matches none raises NotWeaklyRigid; either way the report is the
+    same.  Whether a member is disconnected, degenerate or sequential, and
+    which children of a sequential one are initial, is decided on the
     rows.
 
     The family does not come from the graph alone: the split it is
@@ -297,8 +302,7 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     leaf only as far as the lemma needs, so the check runs in polynomial
     time.
     """
-    g = reconstruct(t)
-    rows = Rows(g)
+    rows = Rows.of_tree(t) or reconstruct(t).rows
     ops = tree_prime_ops(t, sig)
     # a quotient matches the first isomorphic operation in ops, and a
     # signature holds one per isomorphism class already
@@ -309,7 +313,7 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
         mask, parents, leaf_of = verified
     else:
         try:
-            b = binarize(_decompose(g, rows, ops))
+            b = binarize(_decompose(reconstruct(t), rows, ops))
         except NotInSignature as e:
             raise NotWeaklyRigid(str(e)) from None
         mask, parents, leaf_of = _node_masks(b, rows), b.parents(), b.leaf_of
@@ -516,9 +520,7 @@ class PredicateLibrary:
         self.sig = sig
         self.mode = _commutative_mode(sig)
         self.graph_signature = graph_signature(sig.alphabet.symbols)
-        # per-graph rows and tables, kept while the graph (or an equal one) lives
-        self._grows: "weakref.WeakKeyDictionary[LabeledGraph, Rows]" = \
-            weakref.WeakKeyDictionary()
+        # per-graph tables, kept while the graph (or an equal one) lives
         self._ginfo: "weakref.WeakKeyDictionary[LabeledGraph, dict]" = \
             weakref.WeakKeyDictionary()
         self.definitions: dict[str, Definition] = {}
@@ -734,12 +736,6 @@ class PredicateLibrary:
 
     # ------------------------------------------------ algorithmic versions
 
-    def _rows(self, g: LabeledGraph) -> Rows:
-        rows = self._grows.get(g)
-        if rows is None:
-            rows = self._grows[g] = Rows(g)
-        return rows
-
     def _graph_info(self, g: LabeledGraph) -> dict:
         info = self._ginfo.get(g)
         if info is None:
@@ -747,7 +743,7 @@ class PredicateLibrary:
         return info
 
     def _tables_of(self, g: LabeledGraph) -> dict:
-        rows = self._rows(g)
+        rows = g.rows
         d = _decompose(g, rows, None)
         t = binarize(d)
         parents = t.parents()
@@ -874,14 +870,14 @@ class PredicateLibrary:
             return self._suffix_holds
         if name == "sequential":
             def sequential(g, X):
-                rows = self._rows(g)
+                rows = g.rows
                 return _sequential(rows, rows.mask(X))
             return sequential
         if name == "initial":
             def initial(g, X, Y):
                 if not Y or not Y < X:
                     return False
-                rows = self._rows(g)
+                rows = g.rows
                 return _initial(rows, rows.mask(X), rows.mask(Y))
             return initial
         if name.startswith("label_"):

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from deep_term import LEVELS, alternating_term
 from modgraph import cli, mdec
 from modgraph.formats import (algebra_to_text, graph_to_text, parse_graph,
                               signature_to_text)
+from modgraph.graphs import LabeledGraph
 from modgraph.mdec import MDecNode, NodeKind
 from modgraph.samples import parity_algebra, spw5_signature, word_graph
 from modgraph.selftest import SelfTestConfig, run_selftest
@@ -56,6 +62,20 @@ class TestVerbs:
         code, out, _ = run(capsys, "decompose", files["word4"], "--emit", "term")
         assert code == 0 and out.strip() == "(seq a b a b)"
 
+    def test_adhoc_operation_named_in_a_formula(self, capsys, tmp_path):
+        # the undirected path on 4 vertices is prime: without a signature
+        # it becomes an ad-hoc operation, whose name a formula can use
+        p4 = LabeledGraph.on_range(4, [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)])
+        graph = tmp_path / "p4.lg"
+        graph.write_text(graph_to_text(LabeledGraph(p4.vertices, p4.edges,
+                                                    dict.fromkeys(p4.vertices, "a"))))
+        formula = tmp_path / "f.cms"
+        formula.write_text("(exists x (label_prime4_a32ba4a900430007 x))  # ad-hoc\n")
+        code, out, _ = run(capsys, "decompose", str(graph))
+        assert code == 0 and out.splitlines()[0] == "prime4_a32ba4a900430007 {1,2,3,4}"
+        code, out, _ = run(capsys, "modelcheck", str(formula), str(graph), "--as", "mdectree")
+        assert code == 0 and out == "true\n"
+
     def test_check_signature_accept(self, capsys, files):
         code, out, _ = run(capsys, "check-signature", files["sig"])
         assert code == 0 and "ACCEPT" in out
@@ -77,6 +97,15 @@ class TestVerbs:
         bad.write_text(text)
         code, out, _ = run(capsys, "validate-algebra", files["seq_sig"], str(bad))
         assert code == 1 and "INVALID" in out
+
+    def test_recognize_invalid_algebra_exit_2(self, capsys, files, tmp_path):
+        text = open(files["parity"]).read().replace(
+            "op seq : q1 q0 -> q1", "op seq : q1 q0 -> q0")
+        bad = tmp_path / "bad.alg"
+        bad.write_text(text)
+        code, out, err = run(capsys, "recognize", files["seq_sig"], str(bad),
+                             files["word4"])
+        assert code == 2 and out == "" and err.startswith("error: INVALID")
 
     def test_recognize_member(self, capsys, files):
         code, out, _ = run(capsys, "recognize", files["seq_sig"],
@@ -180,7 +209,6 @@ class TestVerbs:
 
     def test_verify_transduction_on_a_deep_term(self, capsys, files, tmp_path):
         # 1,100 alternating seq/par levels, deeper than the recursion limit
-        import sys
         from modgraph.signature import eval_term
         assert LEVELS > sys.getrecursionlimit()
         path = tmp_path / "deep.lg"
@@ -188,6 +216,18 @@ class TestVerbs:
         code, out, err = run(capsys, "verify-transduction", files["sig"], str(path))
         assert code in (0, 1) and err == ""
         assert out.splitlines()[-1] == ("ISO" if code == 0 else "FAIL")
+
+
+def test_import_does_not_load_hashlib():
+    # hashlib loads OpenSSL, several MB of resident memory; ad-hoc
+    # operation names are checksums from zlib instead
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c",
+                          "import sys, modgraph.cli; print('hashlib' in sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 class TestSelftestVerb:

@@ -1,8 +1,13 @@
 import gc
 import itertools
+import os
 import random
+import re
+import subprocess
 import sys
 import time
+import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +18,9 @@ from modgraph.errors import NotAModule, NotInSignature, TooSmall, UnknownOp
 from modgraph.generators import random_digraph, random_f_graph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
 from modgraph.cms import tree_prime_ops
-from modgraph.mdec import (MDecNode, MDecTree, NodeKind, Rows, all_modules, binarize,
-                           brute_force_prime_modules, decompose, format_tree,
-                           maximal_prime_modules, quotient_graph, reconstruct,
+from modgraph.mdec import (MDecNode, MDecTree, NodeKind, Rows, _adhoc_name, all_modules,
+                           binarize, brute_force_prime_modules, decompose, fold_tree,
+                           format_tree, maximal_prime_modules, quotient_graph, reconstruct,
                            shuffle_admissible, tree_prime_modules, tree_to_term,
                            verify_binarized)
 from modgraph.recognizer import evaluate_tree
@@ -216,6 +221,164 @@ class TestVerifyBinarized:
     def test_rejects(self, case):
         root, g = _NOT_VERIFIED[case]
         assert verify_binarized(MDecTree(root), Rows(g), [w5_op()]) is None
+
+
+def _same_rows(a, b):
+    return all(getattr(a, s) == getattr(b, s) for s in Rows.__slots__)
+
+
+# terms over every kind of operation: seq, par, clique, W5 and P3
+ALL_KINDS = Signature(Alphabet(("a", "b")),
+                      (SEQ_OP, PAR_OP, CLIQUE_OP, w5_op(), p3_op()))
+
+
+class TestRowsFromStructure:
+    """Rows built from a term's ranges or a tree's child masks equal the
+    rows ``Rows(g)`` builds from the edges."""
+
+    def test_eval_term_rows(self):
+        rng = random.Random(70)
+        sigs = (ALL_KINDS, SIG, scw5_signature(), spp3_signature())
+        for k in range(400):
+            sig = sigs[k % len(sigs)]
+            g = eval_term(sig, random_term(rng, sig, max_depth=6,
+                                           max_leaves=rng.randint(1, 24)))
+            assert _same_rows(g.rows, Rows(g))
+
+    def test_tree_rows(self):
+        rng = random.Random(71)
+        for k in range(300):
+            if k % 2:
+                g = random_f_graph(rng, ALL_KINDS, max_depth=5, max_leaves=16)
+            else:
+                g = random_digraph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5)))
+            d = decompose(g)
+            b = binarize(d)
+            for t in (d, b, shuffle_admissible(d, rng), shuffle_admissible(b, rng)):
+                assert _same_rows(Rows.of_tree(t), Rows(g))
+
+    def test_deep_term(self):
+        g = eval_term(SIG, alternating_term())
+        edge_rows = Rows(g)
+        assert _same_rows(g.rows, edge_rows)
+        assert _same_rows(Rows.of_tree(binarize(decompose(g, SIG))), edge_rows)
+
+    def test_hand_built_trees(self):
+        # trees verify_binarized rejects: a tree of modules gets the rows of
+        # its reconstruction; one whose children do not partition a node
+        # gets None
+        built = set()
+        for case, (root, _) in _NOT_VERIFIED.items():
+            t = MDecTree(root)
+            rows = Rows.of_tree(t)
+            if rows is not None:
+                built.add(case)
+                assert _same_rows(rows, Rows(reconstruct(t)))
+        assert built == set(_NOT_VERIFIED) - {"children_are_not_the_blocks",
+                                              "seq_first_child"}
+        # children that miss a vertex of their node's module: reconstruct
+        # still links vertex 3 through that module, which no leaf reaches
+        gap = MDecNode(frozenset({2, 3}), NodeKind.PAR, (_leaf(2),))
+        t = MDecTree(MDecNode(frozenset({1, 2, 3}), NodeKind.SEQ, (_leaf(1), gap)))
+        assert Rows(reconstruct(t)).inn[2] == 1
+        assert Rows.of_tree(t) is None
+
+    def test_unflattened_trees(self):
+        # nesting the first two children of a par, clique or seq node in a
+        # node of the same kind keeps the graph and fails verification
+        rng = random.Random(76)
+        rejected = 0
+        for k in range(200):
+            g = random_f_graph(rng, ALL_KINDS, max_depth=5, max_leaves=16)
+            d = decompose(g)
+
+            def unflatten(node, kids):
+                if (node.kind in (NodeKind.PAR, NodeKind.CLIQUE, NodeKind.SEQ)
+                        and len(kids) > 2 and rng.random() < 0.7):
+                    kids = [_node(node.kind, kids[:2])] + kids[2:]
+                return MDecNode(node.module, node.kind, tuple(kids), node.symbol, node.op)
+
+            t = MDecTree(fold_tree(d.root, unflatten))
+            assert reconstruct(t) == g
+            assert _same_rows(Rows.of_tree(t), Rows(g))
+            rejected += verify_binarized(t, Rows(g), tree_prime_ops(t)) is None
+        assert rejected > 50
+
+    def test_graph_rows_are_kept(self):
+        g = random_digraph(random.Random(72), 8)
+        assert g.rows is g.rows
+        assert decompose(g).root.module == g.vertices and g.rows is g.rows
+
+    def test_sparse_ids_split_like_their_relabelling(self):
+        # ids other than 1..n take the dict path of the edge build; every
+        # digraph on four vertices, on the ids 2, 5, 9 and 40
+        ids = (2, 5, 9, 40)
+        pairs = [(u, v) for u in range(1, 5) for v in range(1, 5) if u != v]
+        for bits in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+            dense = LabeledGraph.on_range(4, edges)
+            sparse = LabeledGraph.build(ids, [(ids[u - 1], ids[v - 1])
+                                              for u, v in edges])
+            a, b = Rows(dense), Rows(sparse)
+            assert b.verts == list(ids)
+            assert (a.out, a.inn) == (b.out, b.inn)
+            assert a.split(15) == b.split(15)
+            assert a.modules() == b.modules()
+
+
+class TestAdhocNames:
+    NAME = re.compile(r"prime([0-9]+)_[0-9a-f]{16}")
+
+    @staticmethod
+    def _names(t):
+        return [(n.op.name, n.op.graph) for n in t.nodes() if n.kind is NodeKind.PRIME]
+
+    def test_format(self):
+        # P4 in both directions: the CRC-32 and then the Adler-32 of its
+        # adjacency matrix, row by row, one byte per entry
+        q = LabeledGraph.on_range(4, [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)])
+        matrix = bytes((u, v) in q.edges for u in range(1, 5) for v in range(1, 5))
+        name = f"prime4_{zlib.crc32(matrix):08x}{zlib.adler32(matrix):08x}"
+        assert _adhoc_name(q) == name == "prime4_a32ba4a900430007"
+        assert decompose(q).root.op.name == name
+
+    def test_length_does_not_grow_with_the_edges(self):
+        rng = random.Random(73)
+        for n in (4, 12, 40):
+            for p in (0.2, 0.5, 0.9):
+                g = random_digraph(rng, n, p)
+                for name, q in self._names(decompose(g)):
+                    assert self.NAME.fullmatch(name)
+                    assert len(name) == len(f"prime{q.n}_") + 16
+
+    def test_distinct_quotients_get_distinct_names(self):
+        rng = random.Random(74)
+        named = {}
+        for _ in range(400):
+            g = random_digraph(rng, rng.randint(4, 8), rng.choice((0.3, 0.5, 0.7)))
+            for name, q in self._names(decompose(g)):
+                named.setdefault(name, set()).add(q.edges)
+        assert len(named) > 300
+        assert all(len(qs) == 1 for qs in named.values())
+
+    def test_equal_quotients_get_equal_names_in_other_processes(self):
+        code = ("import random\n"
+                "from modgraph.generators import random_digraph\n"
+                "from modgraph.mdec import NodeKind, decompose\n"
+                "rng = random.Random(75)\n"
+                "for _ in range(20):\n"
+                "    t = decompose(random_digraph(rng, 9, 0.4))\n"
+                "    print(*[n.op.name for n in t.nodes() if n.kind is NodeKind.PRIME])\n")
+        rng = random.Random(75)
+        want = "".join(" ".join(name for name, _ in self._names(
+            decompose(random_digraph(rng, 9, 0.4)))) + "\n" for _ in range(20))
+        root = Path(__file__).resolve().parent.parent
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=seed)
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout == want
 
 
 class TestReconstruct:

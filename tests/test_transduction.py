@@ -269,6 +269,10 @@ def _outcome(check, t, enc, sig):
         return type(e), str(e)
 
 
+def _same_rows(a, b):
+    return all(getattr(a, s) == getattr(b, s) for s in Rows.__slots__)
+
+
 class TestKappaReferee:
     """The bitmask check against the frozenset check it replaced."""
 
@@ -296,12 +300,41 @@ class TestKappaReferee:
         monkeypatch.setattr(transduction, "_decompose", refuse)
         self.test_reports_equal_and_corruption_is_caught()
 
+    def test_verified_trees_need_no_graph(self, monkeypatch):
+        # a tree that passes verification is checked on the rows pushed
+        # down from its child masks, which equal the graph's: neither
+        # reconstruct nor the edge-built Rows is called
+        rng = random.Random(42)
+        cases = []
+        for k in range(60):
+            sig = (SIG, DUAL)[k % 2]
+            g = random_f_graph(rng, sig, max_depth=5, max_leaves=rng.randint(1, 14))
+            t, cls, enc = encode_graph(g, sig)
+            assert _same_rows(Rows.of_tree(t), Rows(g))
+            if k % 3 == 0 and g.n > 1:
+                enc = _corrupt(rng, t, enc, k // 3 % 3 + 1)[0]
+            cases.append((t, enc, sig, referee_check_kappa_lemma(t, enc, sig)))
+
+        def refuse(*args):
+            raise AssertionError("check_kappa_lemma built a graph or its edge rows")
+        monkeypatch.setattr(transduction, "reconstruct", refuse)
+        monkeypatch.setattr(Rows, "__init__", refuse)
+        for t, enc, sig, want in cases:
+            assert check_kappa_lemma(t, enc, sig) == want
+
     @pytest.mark.parametrize("case", sorted(_NOT_DECOMPOSITIONS))
     def test_trees_that_are_not_the_decomposition(self, case):
         # each rebuilds a valid graph but is not its binarized
         # decomposition: the check decomposes that graph, as the referee does
         t, sig = _NOT_DECOMPOSITIONS[case]()
         g = reconstruct(t)
+        # the rows pushed down from t's child masks are g's, except where
+        # t's children do not partition a node
+        rows = Rows.of_tree(t)
+        if case == "module_disagrees_with_children":
+            assert rows is None
+        else:
+            assert _same_rows(rows, Rows(g))
         if sig is not None:
             assert verify_binarized(t, Rows(g), tree_prime_ops(t, sig)) is None
         enc = encode_graph(g, SIG)[2]

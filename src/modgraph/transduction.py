@@ -91,10 +91,10 @@ def classify_nodes(t: MDecPrimeTree, sig: Signature) -> NodeClassification:
     return NodeClassification(t, mode, classes)
 
 
-def _distinguished_children(node: MDecNode) -> frozenset[MDecNode]:
+def _distinguished_children(node: MDecNode) -> tuple[MDecNode, ...]:
     if node.kind is NodeKind.SEQ:
-        return frozenset([node.children[0]])
-    return frozenset(node.children[i - 1] for i in node.op.symmetry.distinguished)
+        return node.children[:1]
+    return tuple([node.children[i - 1] for i in node.op.symmetry.distinguished])
 
 
 @dataclass
@@ -102,7 +102,11 @@ class EncodingTables:
     """The leaf sets nu/mu and the leaf-to-node maps kappa, plus root paths.
 
     kappa[i] inverts mu[i] fiberwise: kappa[i][v] == y iff v in mu[i][y].
-    rho[v] is the node path from the leaf of v up to the root.
+    rho[v] is the node path from the leaf of v up to the root.  The tables
+    are keyed by the tree's ``MDecNode`` objects; a node's preorder index,
+    its element in ``cms.tree_relations`` and ``tree_structure``, is its
+    position in ``tree.nodes()``.  nu and mu hold nodes children first,
+    kappa and rho vertices in the order of ``tree.leaf_of``.
     """
 
     classification: NodeClassification
@@ -126,65 +130,67 @@ class EncodingTables:
 
 
 def compute_encoding(t: MDecPrimeTree, cls: NodeClassification) -> EncodingTables:
-    """Fill nu/mu by their defining clauses and kappa by walking root paths.
+    """Fill nu/mu by their defining clauses, bottom up, and kappa and rho in
+    one pass down the tree: a subtree inherits its root path and the
+    kappa_3/kappa_2 images of its leaves from its parent, and a class-3
+    node overrides them below its distinguished children.
 
     The fiber condition linking the two is checked before returning; a
     failure would mean the construction itself is broken.
     """
+    classes = cls.classes
     nu: dict[MDecNode, frozenset[int]] = {}
     mu: tuple[dict[MDecNode, frozenset[int]], ...] = ({}, {}, {}, {})
-    dist: dict[MDecNode, frozenset[MDecNode]] = {}
+    dist: dict[MDecNode, tuple[MDecNode, ...]] = {}
+    nu_of = nu.__getitem__
 
     for node in reversed(t.nodes()):  # children before parents
-        i = cls.classes[node]
+        i, kids = classes[node], node.children
         if i == 0:
-            (v,) = node.module
-            nu[node] = mu[0][node] = frozenset([v])
+            (v,) = m = node.module
+            nu[node] = mu[0][node] = m
         elif i == 1:
-            kids = frozenset(v for c in node.children for v in c.module)
-            nu[node] = mu[1][node] = kids
+            nu[node] = mu[1][node] = _union_of(*[c.module for c in kids])
         elif i == 2:
-            nu[node] = frozenset().union(*(nu[c] for c in node.children))
-            inner = [c for c in node.children if not c.is_leaf]
-            mu[2][node] = frozenset().union(*(mu[3][c] for c in inner))
+            nu[node] = _union_of(*map(nu_of, kids))
+            mu[2][node] = _union_of(*[mu[3][c] for c in kids if not c.is_leaf])
         else:
-            dist[node] = _distinguished_children(node)
-            non_dist = [c for c in node.children if c not in dist[node]]
-            nu[node] = frozenset().union(*(nu[c] for c in non_dist))
-            mu[3][node] = frozenset().union(*(nu[c] for c in dist[node]))
+            d = dist[node] = _distinguished_children(node)
+            nu[node] = _union_of(*[nu_of(c) for c in kids if c not in d])
+            mu[3][node] = _union_of(*map(nu_of, d))
 
-    parents = t.parents()
+    # node -> (its path up to the root, the kappa_3 and kappa_2 images of
+    # the leaves below it), parents first
+    down = {t.root: ((t.root,), None, None)}
+    for node in t.nodes():
+        path, k3, k2 = down[node]
+        d = dist.get(node, ())
+        up = path[1] if len(path) > 1 and classes[path[1]] == 2 else None
+        for c in node.children:
+            down[c] = ((c,) + path, node, up) if c in d else ((c,) + path, k3, k2)
+
     kappa: tuple[dict[int, MDecNode], ...] = ({}, {}, {}, {})
     rho: dict[int, tuple[MDecNode, ...]] = {}
     for v, leaf in t.leaf_of.items():
-        path = [leaf]
-        while path[-1] in parents:
-            path.append(parents[path[-1]])
-        rho[v] = tuple(path)
+        path, k3, k2 = down[leaf]
+        rho[v] = path
         kappa[0][v] = leaf
-        if len(path) > 1:
-            parent = path[1]
-            if cls.classes[parent] == 1:
-                kappa[1][v] = parent
-        for child, node in zip(path, path[1:]):
-            if cls.classes[node] == 3 and child in dist[node]:
-                kappa[3][v] = node
-                pos = path.index(node)
-                if pos + 1 < len(path) and cls.classes[path[pos + 1]] == 2:
-                    kappa[2][v] = path[pos + 1]
-                break
+        if len(path) > 1 and classes[path[1]] == 1:
+            kappa[1][v] = path[1]
+        if k3 is not None:
+            kappa[3][v] = k3
+            if k2 is not None:
+                kappa[2][v] = k2
 
     for i in range(4):
         fibers: dict[MDecNode, set[int]] = {}
         for v, node in kappa[i].items():
             fibers.setdefault(node, set()).add(v)
-        expected = {node: set(vs) for node, vs in mu[i].items()}
-        if fibers != expected:
+        if fibers != mu[i]:  # a set equals the frozenset of the same vertices
             raise AssertionError(
                 f"kappa_{i} fibers disagree with mu_{i}; encoding is broken")
-    for node, s in nu.items():
-        if not s:
-            raise AssertionError("empty nu set")
+    if not all(nu.values()):
+        raise AssertionError("empty nu set")
     return EncodingTables(cls, nu, mu, kappa, rho)
 
 
@@ -385,6 +391,10 @@ class ReprStructure:
     Domain elements are pairs (vertex, i) with kappa_i defined on the
     vertex; node_of maps each pair to the module of its kappa image.  For
     the restricted variant, reps holds the representative sets X_0..X_3.
+    The relations are the index tuples of ``cms.tree_relations`` (node
+    ``nodes[j]`` is index j, in preorder) with each index replaced by the
+    pairs whose kappa image is that node: one pair per node after
+    ``build_repr``, so each relation has as many tuples as the tree's.
     """
 
     signature: RelationalSignature
@@ -397,19 +407,25 @@ class ReprStructure:
         return a[1] == b[1] and self.node_of[a] == self.node_of[b]
 
 
-def _lift_relations(t: MDecPrimeTree, enc: EncodingTables,
-                    fibers: dict[MDecNode, list[PAIR]],
+def _lift_relations(t: MDecPrimeTree, fibers: dict[MDecNode, list[PAIR]],
                     sig: Optional[Signature]) -> tuple[RelationalSignature,
                                                        dict[str, frozenset]]:
-    """Transport the tree relations through the kappa fibers."""
+    """Transport the tree relations through the kappa fibers: each index
+    tuple of ``cms.tree_relations`` becomes every tuple of pairs drawn
+    from the lists of its node indices, one list per index."""
     rsig, rels, nodes = tree_relations(t, sig)
-    by_index = [fibers.get(n, ()) for n in nodes]
+    at = [fibers.get(n, ()) for n in nodes]
     lifted: dict[str, frozenset] = {}
-    for name, tuples in rels.items():
-        out = set()
-        for tup in tuples:
-            out.update(itertools.product(*(by_index[i] for i in tup)))
-        lifted[name] = frozenset(out)
+    for name, arity in rsig.predicates:
+        tuples = rels[name]
+        if arity == 1:
+            lifted[name] = frozenset([(p,) for a, in tuples for p in at[a]])
+        elif arity == 2:
+            lifted[name] = frozenset([(p, q) for a, b in tuples
+                                      for p in at[a] for q in at[b]])
+        else:
+            lifted[name] = frozenset([lift for tup in tuples for lift in
+                                      itertools.product(*map(at.__getitem__, tup))])
     return rsig, lifted
 
 
@@ -422,7 +438,7 @@ def build_repr0(t: MDecPrimeTree, enc: EncodingTables,
         for v, node in enc.kappa[i].items():
             fibers.setdefault(node, []).append((v, i))
             node_of[(v, i)] = node.module
-    rsig, lifted = _lift_relations(t, enc, fibers, sig)
+    rsig, lifted = _lift_relations(t, fibers, sig)
     domain = tuple(sorted(node_of))
     return ReprStructure(rsig, domain, lifted, node_of)
 
@@ -438,18 +454,19 @@ def build_repr(t: MDecPrimeTree, enc: EncodingTables,
     reps: list[set[int]] = [set(), set(), set(), set()]
     fibers: dict[MDecNode, list[PAIR]] = {}
     node_of: dict[PAIR, frozenset[int]] = {}
-    for i in range(4):
-        inverse: dict[MDecNode, set[int]] = {}
-        for v, node in enc.kappa[i].items():
-            inverse.setdefault(node, set()).add(v)
-        for node, fiber in inverse.items():
-            v = rule(frozenset(fiber))
+    for i, kappa in enumerate(enc.kappa):
+        inverse: dict[MDecNode, list[int]] = {}
+        for v, node in kappa.items():
+            inverse.setdefault(node, []).append(v)
+        for node, vs in inverse.items():
+            fiber = frozenset(vs)
+            v = rule(fiber)
             if v not in fiber:
                 raise ValueError("representative rule left the fiber")
             reps[i].add(v)
             fibers.setdefault(node, []).append((v, i))
             node_of[(v, i)] = node.module
-    rsig, lifted = _lift_relations(t, enc, fibers, sig)
+    rsig, lifted = _lift_relations(t, fibers, sig)
     domain = tuple(sorted(node_of))
     return ReprStructure(rsig, domain, lifted, node_of,
                          reps=tuple(frozenset(r) for r in reps))
@@ -458,19 +475,41 @@ def build_repr(t: MDecPrimeTree, enc: EncodingTables,
 def verify_isomorphism(r: ReprStructure, t: MDecPrimeTree,
                        sig: Optional[Signature] = None) -> bool:
     """Check that pair -> kappa image is a predicate-preserving bijection
-    between the structure and the tree."""
+    between the structure and the tree.
+
+    Each pair is mapped once, through the module ``node_of`` gives it, to
+    the preorder index of the tree node with that module (``None`` off the
+    tree).  The test passes when the domain's images are distinct and
+    cover every node, the structure has the tree's predicate names, and
+    each relation, mapped to index tuples, equals the tree's frozenset in
+    ``cms.tree_relations``.  A pair in a relation that ``node_of`` lacks
+    raises KeyError.
+
+    For a structure that ``build_repr`` built from this same tree, the
+    relation comparison holds by construction: its relations are the
+    tree's index tuples with each node replaced by its one pair, so they
+    map back to the tuples they came from.  On such a structure the real
+    test is that the representatives map one to one onto the nodes; the
+    relation comparison catches structures changed after they were
+    built, or built from another tree.
+    """
     rsig, rels, nodes = tree_relations(t, sig)
-    modules = [n.module for n in nodes]
-    image = [r.node_of[p] for p in r.domain]
-    if len(set(image)) != len(image) or set(image) != set(modules):
+    # every module to its node's preorder index, and every pair to the
+    # index of its module (None off the tree)
+    index = {n.module: i for i, n in enumerate(nodes)}
+    at = {p: index.get(m) for p, m in r.node_of.items()}
+    image = [at[p] for p in r.domain]
+    if None in image or len(set(image)) != len(image) or len(image) != len(index):
         return False
     if set(dict(rsig.predicates)) != set(dict(r.signature.predicates)):
         return False
+    # nodes sharing a module, as in hand-built trees, compare as one
+    canon = None if len(index) == len(nodes) else [index[n.module] for n in nodes]
     for name, tuples in rels.items():
-        tree_side = {tuple(modules[i] for i in tup) for tup in tuples}
-        repr_side = {tuple(r.node_of[p] for p in tup)
-                     for tup in r.relations.get(name, frozenset())}
-        if tree_side != repr_side:
+        if canon is not None:
+            tuples = {tuple(map(canon.__getitem__, tup)) for tup in tuples}
+        lifted = r.relations.get(name, frozenset())
+        if {tuple(map(at.__getitem__, tup)) for tup in lifted} != tuples:
             return False
     return True
 
@@ -1017,11 +1056,12 @@ class TransductionSchema:
             return ExistsSet("M", conj(k(ivec[0], xs[0], "M"), ExistsSet(
                 "N", conj(k(ivec[1], xs[1], "N"), rel))))
         if name.startswith("children_"):
+            # each existsset Mj encloses only its own kappa conjunct and what
+            # follows it, so the checker fixes Mj before it guesses M(j+1)
             sets = [f"M{j}" for j in range(1, arity + 1)]
-            out = conj(*(k(ivec[j], xs[j], sets[j]) for j in range(arity)),
-                       c(name, *sets))
-            for s in reversed(sets):
-                out = ExistsSet(s, out)
+            out = c(name, *sets)
+            for j in reversed(range(arity)):
+                out = ExistsSet(sets[j], conj(k(ivec[j], xs[j], sets[j]), out))
             return out
         raise UnknownPredicate(f"no tree predicate named {name!r}")
 

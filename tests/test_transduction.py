@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import random
 import re
 import sys
@@ -8,9 +9,12 @@ import time
 import pytest
 
 from deep_term import LEVELS, alternating_term
+from encoding_referee import (referee_build_repr, referee_build_repr0,
+                              referee_compute_encoding, referee_verify_isomorphism)
 from kappa_referee import _suffixes, referee_check_kappa_lemma
 from modgraph import transduction
-from modgraph.cms import ModelChecker, graph_structure, model_check, tree_prime_ops
+from modgraph.cms import (ModelChecker, RelationalSignature, graph_structure, model_check,
+                          tree_prime_ops)
 from modgraph.errors import (ModgraphError, NotWeaklyRigid, NotWeaklyRigidSignature,
                              UnknownPredicate, VertexNotInGraph)
 from modgraph.generators import random_digraph, random_f_graph, random_subset
@@ -24,8 +28,8 @@ from modgraph.signature import (CLIQUE_OP, SEQ_OP, Signature, Term,
 from modgraph.transduction import (PredicateLibrary, build_repr,
                                    build_repr0, check_kappa_lemma,
                                    classify_nodes, compute_encoding,
-                                   encode_graph, transduction_schema,
-                                   verify_isomorphism)
+                                   encode_graph, min_vertex_rule,
+                                   transduction_schema, verify_isomorphism)
 
 SIG = spw5_signature()
 DUAL = scw5_signature()
@@ -163,6 +167,18 @@ class TestKappaLemma:
         took = time.perf_counter() - start
         assert report.ok, str(report)
         assert took < 2, f"check_kappa_lemma took {took:.2f} s on {g.n} vertices"
+
+    def test_deep_term_encoding_under_one_second(self):
+        # encode, rebuild and verify on the 1,101-vertex alternating term
+        g = eval_term(SIG, alternating_term())
+        t = binarize(decompose(g, SIG))
+        cls = classify_nodes(t, SIG)
+        start = time.perf_counter()
+        enc = compute_encoding(t, cls)
+        ok = verify_isomorphism(build_repr(t, enc, sig=SIG), t, sig=SIG)
+        took = time.perf_counter() - start
+        assert ok
+        assert took < 1, f"encode, build_repr and verify took {took:.2f} s on {g.n} vertices"
 
     def test_unmatched_prime_quotient_raises(self):
         # the tree's only operation is P4 with a twin, which is not prime:
@@ -429,6 +445,147 @@ class TestVerifyIsomorphism:
             g = random_f_graph(rng, SIG, max_depth=4, max_leaves=9)
             t, cls, enc = encode_graph(g, SIG)
             assert verify_isomorphism(build_repr(t, enc, max, sig=SIG), t, sig=SIG)
+
+
+def _tables(enc):
+    """The encoding's tables as item lists, so that order counts too."""
+    return [list(d.items()) for d in (enc.nu, *enc.mu, *enc.kappa, enc.rho)]
+
+
+def _verdict(verify, rep, t, sig):
+    """The verdict, or the type and message of the lookup error raised."""
+    try:
+        return verify(rep, t, sig=sig)
+    except KeyError as e:
+        return type(e), str(e)
+
+
+def _mutants(rng, t, rep):
+    """Structures one change away from rep: a tuple dropped from or added to
+    each relation, a pair remapped to a set that is not a node, two pairs
+    swapped or sharing a node, a pair missing from the domain or replaced
+    by one outside it, a relation or a predicate missing, and a tuple
+    holding a pair outside the structure."""
+    pairs, node_of, rels = list(rep.domain), rep.node_of, rep.relations
+    out = []
+    for name, arity in rep.signature.predicates:
+        tuples = rels.get(name, frozenset())
+        if tuples:
+            drop = rng.choice(sorted(tuples))
+            out.append(dataclasses.replace(rep, relations={**rels, name: tuples - {drop}}))
+        extra = tuple(rng.choice(pairs) for _ in range(arity))
+        out.append(dataclasses.replace(rep, relations={**rels, name: tuples | {extra}}))
+    modules = {n.module for n in t.nodes()}
+    verts = sorted(t.root.module)
+    off = [frozenset({0}), frozenset(verts[:2]), frozenset(verts[1:])]
+    p = rng.choice(pairs)
+    for m in off:
+        if m not in modules:
+            out.append(dataclasses.replace(rep, node_of={**node_of, p: m}))
+    if len(pairs) > 1:
+        p, q = rng.sample(pairs, 2)
+        out.append(dataclasses.replace(rep, node_of={**node_of, q: node_of[p]}))
+        out.append(dataclasses.replace(
+            rep, node_of={**node_of, p: node_of[q], q: node_of[p]}))
+    # a pair left out of the domain, and a pair whose node passes to a new
+    # pair outside it, in node_of and in every relation
+    p = rng.choice(pairs)
+    out.append(dataclasses.replace(rep, domain=tuple(x for x in pairs if x != p)))
+    new = (p[0], 9)
+    out.append(dataclasses.replace(
+        rep, node_of={**node_of, p: frozenset({0}), new: node_of[p]},
+        relations={name: frozenset(tuple(new if x == p else x for x in tup)
+                                   for tup in tuples)
+                   for name, tuples in rels.items()}))
+    name = rng.choice(sorted(rels))
+    out.append(dataclasses.replace(
+        rep, relations={k: v for k, v in rels.items() if k != name}))
+    out.append(dataclasses.replace(rep, signature=RelationalSignature(tuple(
+        pred for pred in rep.signature.predicates if pred[0] != name))))
+    out.append(dataclasses.replace(
+        rep, relations={**rels, "child": rels["child"] | {((0, 0), pairs[0])}}))
+    return out
+
+
+class TestEncodingReferee:
+    """The index-based encoding, lifting and isomorphism test against the
+    frozenset stages they replaced."""
+
+    def _agree(self, rng, t, sig, cls=None):
+        cls = cls or classify_nodes(t, sig)
+        enc = compute_encoding(t, cls)
+        assert _tables(enc) == _tables(referee_compute_encoding(t, cls))
+        reps = []
+        for rule in (min_vertex_rule, max):
+            rep = build_repr(t, enc, rule, sig=sig)
+            assert rep == referee_build_repr(t, enc, rule, sig=sig)
+            assert verify_isomorphism(rep, t, sig=sig)
+            assert referee_verify_isomorphism(rep, t, sig=sig)
+            reps.append(rep)
+        rep0 = build_repr0(t, enc, sig=sig)
+        assert rep0 == referee_build_repr0(t, enc, sig=sig)
+        reps.append(rep0)
+        for rep in reps:
+            for bad in _mutants(rng, t, rep):
+                assert (_verdict(verify_isomorphism, bad, t, sig) ==
+                        _verdict(referee_verify_isomorphism, bad, t, sig))
+        return enc
+
+    def test_seeded_f_graphs(self):
+        rng = random.Random(53)
+        for k in range(160):
+            sig = (SIG, DUAL)[k % 2]
+            g = random_f_graph(rng, sig, max_depth=5, max_leaves=rng.randint(1, 12))
+            t = binarize(decompose(g, sig))
+            enc = self._agree(rng, t, sig)
+            if g.n > 1:
+                # tables whose kappa no longer inverts mu: nodes with no
+                # pair or with several, lifted by the general product
+                bad = _corrupt(rng, t, enc, rng.randint(0, 3))[0]
+                for rule in (min_vertex_rule, max):
+                    rep = build_repr(t, bad, rule, sig=sig)
+                    assert rep == referee_build_repr(t, bad, rule, sig=sig)
+                    assert (verify_isomorphism(rep, t, sig=sig) ==
+                            referee_verify_isomorphism(rep, t, sig=sig))
+                assert build_repr0(t, bad, sig=sig) == referee_build_repr0(t, bad, sig=sig)
+
+    def test_a_broken_classification_fails_the_fiber_check(self):
+        # the root of (par a b) has only leaf children, so it is class 1;
+        # called class 2, its mu_2 set is empty and no kappa_2 reaches it
+        t = tree_of(node("par", leaf("a"), leaf("b")))
+        cls = classify_nodes(t, SIG)
+        bad = dataclasses.replace(cls, classes={**cls.classes, t.root: 2})
+        for encode in (compute_encoding, referee_compute_encoding):
+            with pytest.raises(AssertionError, match="kappa_2 fibers disagree"):
+                encode(t, bad)
+
+    def test_a_rule_leaving_the_fiber(self):
+        t = tree_of(node("par", leaf("a"), leaf("b")))
+        enc = compute_encoding(t, classify_nodes(t, SIG))
+        for build in (build_repr, referee_build_repr):
+            with pytest.raises(ValueError, match="left the fiber"):
+                build(t, enc, lambda fiber: max(fiber) + 1, sig=SIG)
+
+    def test_deep_term(self):
+        t = binarize(decompose(eval_term(SIG, alternating_term()), SIG))
+        self._agree(random.Random(54), t, SIG)
+
+    def test_nodes_sharing_a_module(self):
+        # a hand-built par node with one child has its child's module; the
+        # two nodes compare as one, as they did when compared as modules
+        inner = MDecNode(frozenset({2}), NodeKind.PAR, (_leaf(2),))
+        t = MDecPrimeTree(MDecNode(frozenset({1, 2}), NodeKind.SEQ, (_leaf(1), inner)))
+        cls = classify_nodes(t, SIG)
+        enc = compute_encoding(t, cls)
+        assert _tables(enc) == _tables(referee_compute_encoding(t, cls))
+        rep = build_repr(t, enc, sig=SIG)
+        assert rep == referee_build_repr(t, enc, sig=SIG)
+        one = dataclasses.replace(rep, domain=tuple(p for p in rep.domain if p != (2, 1)))
+        assert not verify_isomorphism(rep, t, sig=SIG)
+        assert verify_isomorphism(one, t, sig=SIG)
+        for r in _mutants(random.Random(55), t, one):
+            assert (_verdict(verify_isomorphism, r, t, SIG) ==
+                    _verdict(referee_verify_isomorphism, r, t, SIG))
 
 
 class TestPredicateLibrary:
@@ -702,6 +859,26 @@ class TestSchema:
         assert chk.check(f, {"x1": 1}) and not chk.check(f, {"x1": 2})
         assert not model_check(graph_structure(g, SIG.alphabet.symbols),
                                sch.theta("label_a", (3,)), {"x1": 1})
+
+    def test_theta_children_w5_within_the_default_budget(self):
+        # (prime W5 a a a a a): x1 stands for the root through kappa_3, the
+        # rest for the leaves.  Each check runs on a fresh checker, so each
+        # answer fits the default budget on its own
+        sch = transduction_schema(SIG)
+        g = eval_term(SIG, node("W5", *[leaf("a")] * 5))
+        t, cls, enc = encode_graph(g, SIG)
+        rep = build_repr(t, enc, sig=SIG)
+        ivec = (3, 0, 0, 0, 0, 0)
+        f = sch.theta("children_W5", ivec)
+        rel = rep.relations["children_W5"]
+        true = sorted(rel)
+        assert true and all(tuple(i for _, i in tup) == ivec for tup in true)
+        by_index = [[p for p in rep.domain if p[1] == i] for i in ivec]
+        false = sorted(set(itertools.product(*by_index)) - rel)
+        structure = graph_structure(g, SIG.alphabet.symbols)
+        for tup in true + random.Random(61).sample(false, 16):
+            env = {f"x{j}": v for j, (v, _) in enumerate(tup, 1)}
+            assert model_check(structure, f, env) == (tup in rel), tup
 
     def test_schemas_built_apart_compare_equal(self):
         a, b = transduction_schema(SIG), transduction_schema(SIG)

@@ -19,6 +19,7 @@ graphs and decomposition trees into relational structures.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import re
@@ -38,6 +39,9 @@ DEFAULT_BUDGET = 10 ** 8
 
 ELEMENT = "element"
 SET = "set"
+
+# the most terms of one generated sum
+_SUM_TERMS = 100
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,31 @@ class Structure:
 
 # ---------------------------------------------------------------- formulas
 
+def _walk(gen):
+    """Run a walk written as a generator, without recursion.  Where the
+    walk would call itself it yields the generator of that call, and is
+    sent back the call's return value; the suspended walks wait on an
+    explicit stack, so a walk goes as deep as its formula does and runs
+    in the order the recursion would."""
+    stack, value = [gen], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
+def _each(walks):
+    """The results of the walks, in order, as a walk."""
+    done = []
+    for walk in walks:
+        done.append((yield walk))
+    return done
+
+
 class _Structural:
     """Compared by structure, never by object identity: each node hashes
     its fields once at construction (child hashes are cached in turn), so
@@ -164,22 +193,35 @@ class _Structural:
                     return False
         return True
 
+    def __repr__(self):
+        return _walk(_repr(self))
+
+
+def _repr(node: _Structural):
+    """The dataclass repr of node, as a walk."""
+    fields = []
+    for name in node.__dataclass_fields__:
+        value = node.__dict__[name]
+        if isinstance(value, tuple) and value and isinstance(value[0], _Structural):
+            items = yield _each(map(_repr, value))
+            text = f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+        else:
+            text = (yield _repr(value)) if isinstance(value, _Structural) else repr(value)
+        fields.append(f"{name}={text}")
+    return f"{type(node).__qualname__}({', '.join(fields)})"
+
 
 class CmsFormula(_Structural):
     """A formula node."""
 
     def free_vars(self) -> frozenset[str]:
-        raise NotImplementedError
-
-    def kinds(self, out: dict[str, str]):
-        """Accumulate variable kinds, complaining about mixed usage."""
-        raise NotImplementedError
+        return frozenset(_variables(self)[0])
 
     def __str__(self):
         return to_text(self)
 
 
-_node = dataclass(frozen=True, eq=False)
+_node = dataclass(frozen=True, eq=False, repr=False)
 
 
 @_node
@@ -187,25 +229,11 @@ class In(CmsFormula):
     elem: str
     sett: str
 
-    def free_vars(self):
-        return frozenset((self.elem, self.sett))
-
-    def kinds(self, out):
-        _note_kind(out, self.elem, ELEMENT)
-        _note_kind(out, self.sett, SET)
-
 
 @_node
 class Eq(CmsFormula):
     left: str
     right: str
-
-    def free_vars(self):
-        return frozenset((self.left, self.right))
-
-    def kinds(self, out):
-        _note_kind(out, self.left, ELEMENT)
-        _note_kind(out, self.right, ELEMENT)
 
 
 @_node
@@ -213,47 +241,20 @@ class Pred(CmsFormula):
     name: str
     args: tuple[str, ...]
 
-    def free_vars(self):
-        return frozenset(self.args)
-
-    def kinds(self, out):
-        for a in self.args:
-            _note_kind(out, a, ELEMENT)
-
 
 @_node
 class Not(CmsFormula):
     body: CmsFormula
-
-    def free_vars(self):
-        return self.body.free_vars()
-
-    def kinds(self, out):
-        self.body.kinds(out)
 
 
 @_node
 class And(CmsFormula):
     parts: tuple[CmsFormula, ...]
 
-    def free_vars(self):
-        return frozenset().union(*(p.free_vars() for p in self.parts))
-
-    def kinds(self, out):
-        for p in self.parts:
-            p.kinds(out)
-
 
 @_node
 class Or(CmsFormula):
     parts: tuple[CmsFormula, ...]
-
-    def free_vars(self):
-        return frozenset().union(*(p.free_vars() for p in self.parts))
-
-    def kinds(self, out):
-        for p in self.parts:
-            p.kinds(out)
 
 
 @_node
@@ -261,32 +262,11 @@ class Implies(CmsFormula):
     left: CmsFormula
     right: CmsFormula
 
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
-
-    def kinds(self, out):
-        self.left.kinds(out)
-        self.right.kinds(out)
-
 
 class _Quantifier(CmsFormula):
     var: str
     body: CmsFormula
     _kind = ELEMENT
-
-    def free_vars(self):
-        return self.body.free_vars() - {self.var}
-
-    def kinds(self, out):
-        inner: dict[str, str] = {}
-        self.body.kinds(inner)
-        if self.var in inner and inner[self.var] != self._kind:
-            raise UnboundVariable(
-                f"variable {self.var!r} used as {inner[self.var]} under a "
-                f"{self._kind} quantifier")
-        inner.pop(self.var, None)
-        for name, kind in inner.items():
-            _note_kind(out, name, kind)
 
 
 @_node
@@ -329,7 +309,13 @@ class ExistsMod(_Quantifier):
         super().__post_init__()
 
 
-@dataclass(frozen=True, eq=False)
+# keyword -> quantifier, and back
+_QUANTIFIERS = {"exists": Exists, "forall": Forall, "existsset": ExistsSet,
+                "forallset": ForallSet, "existsmod": ExistsMod}
+_KEYWORD = {q: kw for kw, q in _QUANTIFIERS.items()}
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Definition(_Structural):
     """A named predicate: its parameters and its body, whose free variables
     are among the parameters.  A parameter's kind (element or set) is read
@@ -343,12 +329,14 @@ class Definition(_Structural):
         super().__post_init__()
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"definition {self.name!r} repeats a parameter")
-        loose = self.body.free_vars() - set(self.params)
+        free, clash = _variables(self.body)
+        loose = free.keys() - set(self.params)
         if loose:
             raise UnboundVariable(f"definition {self.name!r} leaves "
                                   f"{sorted(loose)} unbound")
-        kinds = variable_kinds(self.body)
-        object.__setattr__(self, "kinds", tuple(kinds.get(p) for p in self.params))
+        if clash is not None:
+            raise UnboundVariable(clash)
+        object.__setattr__(self, "kinds", tuple(free.get(p) for p in self.params))
 
 
 @_node
@@ -365,125 +353,20 @@ class Call(CmsFormula):
                                 f"{len(self.args)}")
         super().__post_init__()
 
-    def free_vars(self):
-        return frozenset(self.args)
-
-    def kinds(self, out):
-        for a, kind in zip(self.args, self.defn.kinds):
-            if kind is not None:
-                _note_kind(out, a, kind)
-
-
-def _note_kind(out: dict[str, str], name: str, kind: str):
-    prev = out.setdefault(name, kind)
-    if prev != kind:
-        raise UnboundVariable(f"variable {name!r} used both as {prev} and {kind}")
-
 
 def conj(*parts: CmsFormula) -> CmsFormula:
-    flat: list[CmsFormula] = []
-    for p in parts:
-        flat.extend(p.parts if isinstance(p, And) else (p,))
-    return flat[0] if len(flat) == 1 else And(tuple(flat))
+    return _flat(And, parts)
 
 
 def disj(*parts: CmsFormula) -> CmsFormula:
+    return _flat(Or, parts)
+
+
+def _flat(junction, parts) -> CmsFormula:
     flat: list[CmsFormula] = []
     for p in parts:
-        flat.extend(p.parts if isinstance(p, Or) else (p,))
-    return flat[0] if len(flat) == 1 else Or(tuple(flat))
-
-
-def variable_kinds(f: CmsFormula) -> dict[str, str]:
-    """Kinds of the free variables (element vs set), by usage."""
-    out: dict[str, str] = {}
-    f.kinds(out)
-    return out
-
-
-def to_text(f: CmsFormula) -> str:
-    if isinstance(f, In):
-        return f"(in {f.elem} {f.sett})"
-    if isinstance(f, Eq):
-        return f"(= {f.left} {f.right})"
-    if isinstance(f, Pred):
-        return "(" + " ".join((f.name,) + f.args) + ")"
-    if isinstance(f, Not):
-        return f"(not {to_text(f.body)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(to_text(p) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(to_text(p) for p in f.parts) + ")"
-    if isinstance(f, Implies):
-        return f"(implies {to_text(f.left)} {to_text(f.right)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {to_text(f.body)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var} {to_text(f.body)})"
-    if isinstance(f, ExistsSet):
-        return f"(existsset {f.var} {to_text(f.body)})"
-    if isinstance(f, ForallSet):
-        return f"(forallset {f.var} {to_text(f.body)})"
-    if isinstance(f, ExistsMod):
-        return f"(existsmod {f.q} {f.var} {to_text(f.body)})"
-    if isinstance(f, Call):
-        return "(" + " ".join((f.defn.name,) + f.args) + ")"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def expand(f: CmsFormula) -> CmsFormula:
-    """f in plain counting-MSO: every call replaced by its definition's
-    body, with the parameters renamed to the arguments and every bound
-    variable of the body to a fresh name, so nothing is captured."""
-    taken: set[str] = set()
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        if isinstance(g, Call):
-            taken.update(g.args)
-        elif isinstance(g, (In, Eq, Pred)):
-            taken.update(g.free_vars())
-        else:
-            if isinstance(g, _Quantifier):
-                taken.add(g.var)
-            todo.extend(_children(g))
-    count = 0
-
-    def fresh(kind: str) -> str:
-        nonlocal count
-        while True:
-            count += 1
-            name = f"{'P' if kind == SET else 'p'}{count}"
-            if name not in taken:
-                return name
-
-    def inline(g: CmsFormula, ren: dict[str, str], renaming: bool) -> CmsFormula:
-        # ren maps free names to their names in the result; binders are
-        # renamed apart inside definition bodies and kept outside them
-        if isinstance(g, In):
-            return In(ren.get(g.elem, g.elem), ren.get(g.sett, g.sett))
-        if isinstance(g, Eq):
-            return Eq(ren.get(g.left, g.left), ren.get(g.right, g.right))
-        if isinstance(g, Pred):
-            return Pred(g.name, tuple(ren.get(a, a) for a in g.args))
-        if isinstance(g, Call):
-            d = g.defn
-            inner = {p: ren.get(a, a) for p, a in zip(d.params, g.args)}
-            return inline(d.body, inner, True)
-        if isinstance(g, Not):
-            return Not(inline(g.body, ren, renaming))
-        if isinstance(g, (And, Or)):
-            return type(g)(tuple(inline(p, ren, renaming) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(inline(g.left, ren, renaming),
-                           inline(g.right, ren, renaming))
-        var = fresh(g._kind) if renaming else g.var
-        body = inline(g.body, {**ren, g.var: var}, renaming)
-        if isinstance(g, ExistsMod):
-            return ExistsMod(g.q, var, body)
-        return type(g)(var, body)
-
-    return inline(f, {}, False)
+        flat.extend(p.parts if isinstance(p, junction) else (p,))
+    return flat[0] if len(flat) == 1 else junction(tuple(flat))
 
 
 def _children(f: CmsFormula) -> tuple[CmsFormula, ...]:
@@ -500,15 +383,162 @@ def _children(f: CmsFormula) -> tuple[CmsFormula, ...]:
     return ()
 
 
+def _uses(f) -> tuple[tuple[str, Optional[str]], ...]:
+    """The variables an atom or a call takes, each with the kind of its
+    use: None for a call argument whose parameter the body never uses."""
+    if isinstance(f, In):
+        return ((f.elem, ELEMENT), (f.sett, SET))
+    if isinstance(f, Eq):
+        return ((f.left, ELEMENT), (f.right, ELEMENT))
+    if isinstance(f, Pred):
+        return tuple((a, ELEMENT) for a in f.args)
+    return tuple(zip(f.args, f.defn.kinds))
+
+
+def _variables(f: CmsFormula) -> tuple[dict[str, Optional[str]], Optional[str]]:
+    """f's free variables, each with the kind of its uses (None when only
+    call arguments of unused parameters take it), and the first use of a
+    variable as both kinds in depth-first order, as a message (None if
+    there is none).
+
+    The uses under each open quantifier are gathered apart, on an
+    explicit stack, and checked against its kind when it closes.  While
+    no use clashes, the free uses are kept on f and on every quantifier
+    closed below it, so each is walked once; they are shared and must
+    not be changed."""
+    got = f.__dict__.get("_vars")
+    if got is not None:
+        return got, None
+    clash = None
+    # the free uses under each open quantifier, the root's first
+    scopes: list[dict[str, Optional[str]]] = [{}]
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, tuple):
+            # the quantifier closes
+            q, = g
+            free = scopes.pop()
+            used = free.pop(q.var, None)
+            if used is not None and used != q._kind and clash is None:
+                clash = f"variable {q.var!r} used as {used} under a {q._kind} quantifier"
+            if clash is None:
+                q.__dict__["_vars"] = free
+            uses = free.items()
+        elif "_vars" in g.__dict__:
+            uses = g._vars.items()
+        elif isinstance(g, _Quantifier):
+            scopes.append({})
+            todo += ((g,), g.body)
+            continue
+        elif isinstance(g, (In, Eq, Pred, Call)):
+            uses = _uses(g)
+        else:
+            todo.extend(reversed(_children(g)))
+            continue
+        out = scopes[-1]
+        for name, kind in uses:
+            prev = out.get(name)
+            if prev is None:
+                if kind is not None:
+                    # kinded uses stay in the order first met
+                    out.pop(name, None)
+                out[name] = kind
+            elif kind is not None and kind != prev and clash is None:
+                clash = f"variable {name!r} used both as {prev} and {kind}"
+    if clash is None:
+        f.__dict__["_vars"] = scopes[0]
+    return scopes[0], clash
+
+
+def variable_kinds(f: CmsFormula) -> dict[str, str]:
+    """Kinds of the free variables (element vs set), by usage."""
+    free, clash = _variables(f)
+    if clash is not None:
+        raise UnboundVariable(clash)
+    return {name: kind for name, kind in free.items() if kind is not None}
+
+
+def to_text(f: CmsFormula) -> str:
+    return _walk(_text(f))
+
+
+def _text(f):
+    if isinstance(f, In):
+        return f"(in {f.elem} {f.sett})"
+    if isinstance(f, Eq):
+        return f"(= {f.left} {f.right})"
+    if isinstance(f, (Pred, Call)):
+        name = f.defn.name if isinstance(f, Call) else f.name
+        return "(" + " ".join((name,) + f.args) + ")"
+    if isinstance(f, Not):
+        return f"(not {(yield _text(f.body))})"
+    if isinstance(f, (And, Or)):
+        parts = yield _each(map(_text, f.parts))
+        return f"({'and' if isinstance(f, And) else 'or'} {' '.join(parts)})"
+    if isinstance(f, Implies):
+        return f"(implies {(yield _text(f.left))} {(yield _text(f.right))})"
+    if isinstance(f, _Quantifier):
+        head = _KEYWORD[type(f)] + (f" {f.q}" if isinstance(f, ExistsMod) else "")
+        return f"({head} {f.var} {(yield _text(f.body))})"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def expand(f: CmsFormula) -> CmsFormula:
+    """f in plain counting-MSO: every call replaced by its definition's
+    body, with the parameters renamed to the arguments and every bound
+    variable of the body to a fresh name, so nothing is captured."""
+    taken: set[str] = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, (In, Eq, Pred, Call)):
+            taken.update(name for name, _ in _uses(g))
+        else:
+            if isinstance(g, _Quantifier):
+                taken.add(g.var)
+            todo.extend(_children(g))
+    counter = itertools.count(1)
+
+    def fresh(kind: str) -> str:
+        names = (f"{'P' if kind == SET else 'p'}{k}" for k in counter)
+        return next(name for name in names if name not in taken)
+
+    def inline(g: CmsFormula, ren: dict[str, str], renaming: bool):
+        # ren maps free names to their names in the result; binders are
+        # renamed apart inside definition bodies and kept outside them
+        if isinstance(g, In):
+            return In(ren.get(g.elem, g.elem), ren.get(g.sett, g.sett))
+        if isinstance(g, Eq):
+            return Eq(ren.get(g.left, g.left), ren.get(g.right, g.right))
+        if isinstance(g, Pred):
+            return Pred(g.name, tuple(ren.get(a, a) for a in g.args))
+        if isinstance(g, Call):
+            d = g.defn
+            inner = {p: ren.get(a, a) for p, a in zip(d.params, g.args)}
+            return (yield inline(d.body, inner, True))
+        if isinstance(g, Not):
+            return Not((yield inline(g.body, ren, renaming)))
+        if isinstance(g, (And, Or)):
+            parts = yield _each(inline(p, ren, renaming) for p in g.parts)
+            return type(g)(tuple(parts))
+        if isinstance(g, Implies):
+            return Implies((yield inline(g.left, ren, renaming)),
+                           (yield inline(g.right, ren, renaming)))
+        var = fresh(g._kind) if renaming else g.var
+        body = yield inline(g.body, {**ren, g.var: var}, renaming)
+        if isinstance(g, ExistsMod):
+            return ExistsMod(g.q, var, body)
+        return type(g)(var, body)
+
+    return _walk(inline(f, {}, False))
+
+
 # ------------------------------------------------------------------ parser
 
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
-_KEYWORDS = {"exists", "forall", "existsset", "forallset", "existsmod",
-             "and", "or", "not", "implies", "in", "="}
-_NOT_A_VARIABLE = _KEYWORDS | {"(", ")", "<eof>"}
-_QUANTIFIERS = {"exists": (ELEMENT, Exists), "forall": (ELEMENT, Forall),
-                "existsset": (SET, ExistsSet), "forallset": (SET, ForallSet),
-                "existsmod": (ELEMENT, ExistsMod)}
+_NOT_A_VARIABLE = {*_QUANTIFIERS, "and", "or", "not", "implies", "in", "=",
+                   "(", ")", "<eof>"}
 
 
 def _uncommented(text: str) -> str:
@@ -568,7 +598,7 @@ def parse_formula(text: str, sig: RelationalSignature,
         kw = toks[pos + 1]
         pos += 2
         if kw in _QUANTIFIERS:
-            kind, build = _QUANTIFIERS[kw]
+            build = _QUANTIFIERS[kw]
             if kw == "existsmod":
                 q = toks[pos]
                 if not (q.isascii() and q.isdigit()) or int(q) < 2:
@@ -578,7 +608,7 @@ def parse_formula(text: str, sig: RelationalSignature,
             name = variable(pos)
             pos += 1
             stack.append((build, [], (name, scope.get(name))))
-            scope[name] = kind
+            scope[name] = _QUANTIFIERS[kw]._kind
             continue
         if kw in ("not", "implies", "and", "or"):
             stack.append((kw, [], None))
@@ -646,33 +676,25 @@ _Code = Callable[..., bool]
 
 
 def _free(node: CmsFormula) -> tuple[str, ...]:
-    """Sorted free variables of a node, computed once per node."""
-    got = node.__dict__.get("_free")
-    if got is None:
-        got = tuple(sorted(node.free_vars()))
-        object.__setattr__(node, "_free", got)
-    return got
+    """Sorted free variables of a node."""
+    return tuple(sorted(_variables(node)[0]))
 
 
 _ELEMENT_QUANTIFIERS = (Exists, Forall, ExistsMod)
-_KIND = {Exists: "exists", Forall: "forall", ExistsMod: "mod",
-         ExistsSet: "existsset", ForallSet: "forallset"}
 
 
 def _set_at_a_time(f: CmsFormula, var: str) -> bool:
     """Whether f can be evaluated as bitmasks over the values of var: atoms
     (none of arity 3 or more on var) and connectives only."""
-    if isinstance(f, (In, Eq)):
-        return True
-    if isinstance(f, Pred):
-        return len(f.args) < 3 or var not in f.args
-    if isinstance(f, Not):
-        return _set_at_a_time(f.body, var)
-    if isinstance(f, (And, Or)):
-        return all(_set_at_a_time(p, var) for p in f.parts)
-    if isinstance(f, Implies):
-        return _set_at_a_time(f.left, var) and _set_at_a_time(f.right, var)
-    return False
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, (Not, And, Or, Implies)):
+            todo.extend(_children(g))
+        elif (isinstance(g, Pred) and len(g.args) >= 3 and var in g.args
+              or not isinstance(g, (In, Eq, Pred))):
+            return False
+    return True
 
 
 def _masked(f: CmsFormula) -> bool:
@@ -720,31 +742,31 @@ def _shape(node) -> tuple[tuple, list]:
         if isinstance(f, Pred):
             return ("pred", f.name, tuple(sc[a] for a in f.args))
         if isinstance(f, Not):
-            return ("not", walk(f.body, sc))
+            return ("not", (yield walk(f.body, sc)))
         if isinstance(f, (And, Or)):
-            return ("and" if isinstance(f, And) else "or",
-                    tuple(walk(p, sc) for p in f.parts))
+            parts = yield _each(walk(p, sc) for p in f.parts)
+            return ("and" if isinstance(f, And) else "or", tuple(parts))
         if isinstance(f, Implies):
-            return ("imp", walk(f.left, sc), walk(f.right, sc))
+            return ("imp", (yield walk(f.left, sc)), (yield walk(f.right, sc)))
         if isinstance(f, Call):
             return ("call", slot_of(f.defn), args(f, sc))
         if _masked(f):
-            return quant(f, sc, slot_of(f))
+            return (yield quant(f, sc, slot_of(f)))
         return ("call", slot_of(f), args(f, sc))
 
     def quant(q, sc, slot):
         inner = dict(sc)
         inner[q.var] = bind()
-        return ("quant", _KIND[type(q)], getattr(q, "q", 0), inner[q.var],
-                walk(q.body, inner), (slot, args(q, sc)))
+        return ("quant", _KEYWORD[type(q)], getattr(q, "q", 0), inner[q.var],
+                (yield walk(q.body, inner)), (slot, args(q, sc)))
 
     if isinstance(node, Definition):
         scope = {p: bind() for p in node.params}
-        return ("def", (len(scope), walk(node.body, scope))), nodes
+        return ("def", (len(scope), _walk(walk(node.body, scope)))), nodes
     scope = {v: bind() for v in _free(node)}
     if not isinstance(node, _Quantifier):
-        return ("top", (len(scope), walk(node, scope))), nodes
-    return ("mask" if _masked(node) else "loop", quant(node, scope, None)), nodes
+        return ("top", (len(scope), _walk(walk(node, scope)))), nodes
+    return ("mask" if _masked(node) else "loop", _walk(quant(node, scope, None))), nodes
 
 
 class _Codegen:
@@ -901,7 +923,7 @@ class _Codegen:
         _, kind, qmod, var, body, (_, args) = q
         scope, key = self.enter(len(args))
         if masked:
-            value, work = self.quant(q, scope)
+            value, work = _walk(self.quant(q, scope))
             self.emit(f"meter.work += {work}")
         else:
             value = self.loop(q, scope)
@@ -911,29 +933,35 @@ class _Codegen:
     def define(self, d):
         nparams, body = d
         scope, key = self.enter(nparams)
-        self.bind_calls(body)
+        t = self.whole(body, scope)
+        self.emit(f"MEMO[{key}] = {t}")
+        self.emit(f"return {t}")
+
+    def whole(self, f, scope) -> str:
+        """Emit a def or top unit's body f as straight-line code, its work
+        charged at the end; return the name of its truth."""
+        self.bind_calls(f)
         self.emit("w = 0")
-        t = self.straight(body, scope, None)
+        t = _walk(self.straight(f, scope, None))
         self.flush("meter.work")
         if self.dirty:
             self.emit("meter.work += w")
-        self.emit(f"MEMO[{key}] = {t}")
-        self.emit(f"return {t}")
+        return t
 
     def loop(self, q, scope) -> str:
         _, kind, qmod, var, body, _ = q
         self.bind_calls(body)
         self.emit("w = 0")
-        self.emit("count = 0" if kind == "mod"
+        self.emit("count = 0" if kind == "existsmod"
                   else f"res = {kind.startswith('forall')}")
         values = "1 << N" if kind.endswith("set") else "N"
         self.emit(f"for v{var} in range({values}):")
         self.indent()
         scope = dict(scope)
         scope[var] = f"v{var}"
-        t = self.straight(body, scope, None)
+        t = _walk(self.straight(body, scope, None))
         self.flush("w")
-        if kind == "mod":
+        if kind == "existsmod":
             self.emit(f"if {t}:")
             self.emit("    count += 1")
         else:
@@ -942,21 +970,14 @@ class _Codegen:
             self.emit(f"    res = {not universal}")
             self.emit("    break")
         self.dedent()
-        if kind == "mod":
+        if kind == "existsmod":
             self.emit(f"res = count % {qmod} == 0")
         self.emit("meter.work += w")
         return "res"
 
     def top(self, unit):
         nfree, f = unit
-        scope = self.take(nfree)
-        self.bind_calls(f)
-        self.emit("w = 0")
-        t = self.straight(f, scope, None)
-        self.flush("meter.work")
-        if self.dirty:
-            self.emit("meter.work += w")
-        self.emit(f"return {t}")
+        self.emit(f"return {self.whole(f, self.take(nfree))}")
 
     # -- one element at a time: straight-line code, one flag per node --
 
@@ -989,18 +1010,18 @@ class _Codegen:
         return (f"{self.tuple_expr(scope[a] for a in args)} in "
                 f"{self.table(name, len(args), 'tuples')}")
 
-    def straight(self, f, scope, entry) -> str:
+    def straight(self, f, scope, entry):
         """Emit f's evaluation under the flag entry (None: always entered);
         return a name holding its truth, false wherever f is not entered."""
-        t = self._straight(f, scope, entry)
+        t = yield self._straight(f, scope, entry)
         if entry is not None and t != entry:
             self.implies[t] = entry
         return t
 
-    def _straight(self, f, scope, entry) -> str:
+    def _straight(self, f, scope, entry):
         tag = f[0]
         if tag == "quant":
-            return self.inline(f, scope, entry)
+            return (yield self.inline(f, scope, entry))
         if tag == "call":
             # the memo probe is inlined; a miss calls the unit, whose budget
             # check then sees every unit of work charged so far
@@ -1029,23 +1050,23 @@ class _Codegen:
         if tag in ("in", "eq", "pred"):
             return self.let(f"{guard}({self.atom(f, scope)})")
         if tag == "not":
-            return self.let(f"{guard}not {self.straight(f[1], scope, entry)}")
+            return self.let(f"{guard}not {(yield self.straight(f[1], scope, entry))}")
         if tag == "and":
             e = entry
             for part in f[1]:
-                e = self.straight(part, scope, e)
+                e = yield self.straight(part, scope, e)
             return e
         if tag == "or":
             e = entry
             for part in f[1]:
-                t = self.straight(part, scope, e)
+                t = yield self.straight(part, scope, e)
                 e = self.let(f"not {t}" if e is None else f"{e} and not {t}")
             return self.let(f"{guard}not {e}")
-        left = self.straight(f[1], scope, entry)
-        right = self.straight(f[2], scope, left)
+        left = yield self.straight(f[1], scope, entry)
+        right = yield self.straight(f[2], scope, left)
         return self.let(f"{guard}(not {left} or {right})")
 
-    def inline(self, q, scope, entry) -> str:
+    def inline(self, q, scope, entry):
         """A set-at-a-time quantifier entered from straight-line code: its
         memo probe, and on a miss its budget check and evaluation, inline."""
         _, _, _, _, _, (slot, args) = q
@@ -1067,7 +1088,7 @@ class _Codegen:
             self.emit("w = 0")
         self.emit("if meter.work > meter.budget:")
         self.emit("    meter.exhausted()")
-        value, work = self.quant(q, scope)
+        value, work = yield self.quant(q, scope)
         self.emit(f"meter.work += {work}")
         self.emit(f"{memo}[{key}] = {value}")
         self.emit(f"{t} = {value}")
@@ -1079,7 +1100,7 @@ class _Codegen:
 
     # -- all elements at once: truth and entry masks per node --
 
-    def quant(self, q, scope) -> tuple[str, str]:
+    def quant(self, q, scope):
         """Emit the evaluation of a set-at-a-time quantifier; return the
         names of its value and of the work its body charges (one unit per
         node entry, up to the element that decides it, as an
@@ -1088,9 +1109,9 @@ class _Codegen:
         inner = dict(scope)
         inner[var] = None
         entries: list[str] = []
-        truth = self.mask(body, inner, "ALL", entries)
+        truth = yield self.mask(body, inner, "ALL", entries)
         value = self.tmp("val")
-        if kind == "mod":
+        if kind == "existsmod":
             pre = "ALL"
             self.emit(f"{value} = ({truth} & ALL).bit_count() % {qmod} == 0")
         else:
@@ -1100,14 +1121,18 @@ class _Codegen:
             self.emit(f"{value} = {witness} != 0" if kind == "exists"
                       else f"{value} = not {witness}")
         terms = []
-        for e in dict.fromkeys(entries):
-            n = entries.count(e)
+        for e, n in collections.Counter(entries).items():
             if pre == "ALL":
                 term = "N" if e == "ALL" else f"{e}.bit_count()"
             else:
                 term = f"{pre}.bit_count()" if e == "ALL" else f"({e} & {pre}).bit_count()"
             terms.append(term if n == 1 else f"{n} * {term}")
-        return value, self.let(" + ".join(terms), "wk")
+        # a long sum is split into statements of _SUM_TERMS terms: Python's
+        # compiler recurses once per term of one expression
+        work = self.let(" + ".join(terms[:_SUM_TERMS]), "wk")
+        for i in range(_SUM_TERMS, len(terms), _SUM_TERMS):
+            self.emit(f"{work} += " + " + ".join(terms[i:i + _SUM_TERMS]))
+        return value, work
 
     def mask_atom(self, f, scope) -> str:
         """A mask over the quantified variable (marked None in scope)."""
@@ -1138,7 +1163,7 @@ class _Codegen:
                 return f"{self.table(name, 2, 'in')}[{scope[b]}]"
         return f"(ALL if {self.atom(f, scope)} else 0)"
 
-    def mask(self, f, scope, entry, entries) -> str:
+    def mask(self, f, scope, entry, entries):
         """Emit f's truth mask, given the mask of the elements at which it
         is entered; record the entry mask of f and of every node below."""
         entries.append(entry)
@@ -1147,28 +1172,29 @@ class _Codegen:
             atom = self.mask_atom(f, scope)
             return atom if atom.isidentifier() else self.let(atom)
         if tag == "not":
-            return self.let(f"{entry} & ~{self.mask(f[1], scope, entry, entries)}")
+            return self.let(f"{entry} & ~{(yield self.mask(f[1], scope, entry, entries))}")
         if tag == "and":
             e = entry
             for part in f[1]:
-                e = self.let(f"{e} & {self.mask(part, scope, e, entries)}", "e")
+                e = self.let(f"{e} & {(yield self.mask(part, scope, e, entries))}", "e")
             return e
         if tag == "or":
             e = entry
             for part in f[1]:
-                e = self.let(f"{e} & ~{self.mask(part, scope, e, entries)}", "e")
+                e = self.let(f"{e} & ~{(yield self.mask(part, scope, e, entries))}", "e")
             return self.let(f"{entry} & ~{e}")
-        left = self.mask(f[1], scope, entry, entries)
-        right = self.mask(f[2], scope, self.let(f"{entry} & {left}", "e"), entries)
+        left = yield self.mask(f[1], scope, entry, entries)
+        right = yield self.mask(f[2], scope, self.let(f"{entry} & {left}", "e"), entries)
         return self.let(f"{entry} & (~{left} | {right})")
 
 
 @functools.lru_cache(maxsize=4096)
-def _factory(unit: tuple) -> Callable:
-    """The compiled factory of a unit's canonical form, shared by every
-    formula of that form, up to the renaming of variables."""
+def _factory(kind: str, source: str) -> Callable:
+    """The compiled factory of a unit's source, shared by every formula of
+    one canonical form, up to the renaming of variables.  Keyed on the
+    text, which compares without recursion, not on the nested form."""
     namespace: dict = {}
-    exec(compile(_Codegen(unit).source(), f"<cms {unit[0]} unit>", "exec"), namespace)
+    exec(compile(source, f"<cms {kind} unit>", "exec"), namespace)
     return namespace["factory"]
 
 
@@ -1189,7 +1215,8 @@ def _unit(node):
         got = canon.__dict__.get("_unit")
         if got is None:
             unit, nodes = _shape(canon)
-            got = (_factory(unit), tuple(map(_interned, nodes)), _params(canon), canon)
+            got = (_factory(unit[0], _Codegen(unit).source()),
+                   tuple(map(_interned, nodes)), _params(canon), canon)
             canon.__dict__["_unit"] = got
         node.__dict__["_unit"] = got
     return got
@@ -1198,13 +1225,10 @@ def _unit(node):
 def _params(node) -> Optional[tuple[tuple[str, bool], ...]]:
     """(name, is_set) per free variable of a formula, in sorted order; None
     for a definition, or for a formula that uses a variable as both kinds."""
-    if not isinstance(node, CmsFormula):
+    if not isinstance(node, CmsFormula) or _variables(node)[1] is not None:
         return None
-    try:
-        kinds = variable_kinds(node)
-    except UnboundVariable:
-        return None
-    return tuple((name, kinds.get(name) == SET) for name in _free(node))
+    free = _variables(node)[0]
+    return tuple((name, free[name] == SET) for name in sorted(free))
 
 
 class _Meter:
@@ -1259,10 +1283,20 @@ class ModelChecker:
     built apart map to the first one seen, which holds the unit, so a
     sentence parsed again reuses the unit of the first, and a checker keys
     its units and memo tables on interned nodes only.  The other maps a
-    unit's canonical shape to its compiled code.  Relation rows are built
-    once per ``Structure``, stored on it as immutable values and shared by
-    every checker on it; they live as long as the structure.  Nothing else
-    is shared.
+    unit's generated source to its compiled code, so formulas of one
+    canonical form share the code; the text compares without recursion,
+    however deep the form.  Relation rows are built once per
+    ``Structure``, stored on it as immutable values and shared by every
+    checker on it; they live as long as the structure.  Nothing else is
+    shared.
+
+    Depth.  No walk of a formula recurses: printing, expansion, the kinds
+    and free variables, the canonical form and the code generator keep
+    their pending work on explicit stacks, so a formula of any depth of
+    connectives gets an answer.  The generated units still call one
+    another at run time, one Python frame per unit, so a formula whose
+    quantifiers nest deeper than the recursion limit raises
+    ``RecursionError``.
 
     Work is counted per formula node entry, memo and table hits included,
     against a deterministic budget; a check's answer and the work after it

@@ -183,6 +183,20 @@ class TestVerbs:
         assert code == 0 and err == ""
         assert parse_graph(out).n == 2001
 
+    def test_modelcheck_deep_formula(self, capsys, files, tmp_path):
+        # 5,000 nested nots, deeper than the recursion limit
+        path = tmp_path / "deep.cms"
+        path.write_text("(exists x " + "(not " * 5000 + "(label_a x)" + ")" * 5001 + "\n")
+        code, out, err = run(capsys, "modelcheck", str(path), files["word3"])
+        assert code == 0 and out.strip() == "true" and err == ""
+
+    def test_modelcheck_deep_quantifier_nesting_exit_2(self, capsys, files, tmp_path):
+        # each quantifier is a unit that calls the next: 5,000 nested calls
+        path = tmp_path / "deep.cms"
+        path.write_text("(exists x " * 5000 + "(label_a x)" + ")" * 5000 + "\n")
+        code, out, err = run(capsys, "modelcheck", str(path), files["word3"])
+        assert code == 2 and out == "" and err == "error: input nests too deeply\n"
+
     @pytest.mark.parametrize("verb", ["verify-transduction", "modelcheck", "recognize"])
     def test_foreign_letter_exit_2(self, capsys, files, tmp_path, verb):
         # the graph has a letter b; the signature's alphabet is {a}

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from modgraph import cms
-from modgraph.cms import (Exists, ExistsMod, In,
-                          ModelChecker, Not, Pred, RelationalSignature,
-                          Structure, graph_structure, model_check,
+from modgraph.cms import (And, Exists, ExistsMod, Forall, Implies, In,
+                          ModelChecker, Not, Or, Pred, RelationalSignature,
+                          Structure, expand, graph_structure, model_check,
                           parse_formula, to_text, tree_predicates,
-                          tree_prime_ops, tree_relations, tree_structure)
+                          tree_prime_ops, tree_relations, tree_structure,
+                          variable_kinds)
 from modgraph.errors import (ArityMismatch, BudgetExceeded, FormulaSyntaxError,
                              UnboundVariable, UnknownPredicate)
 from modgraph.generators import random_f_graph
@@ -78,6 +79,17 @@ class TestParser:
         for _ in range(depth):
             want = Not(want)
         assert parse_formula(text, SIG1, free_vars={"x": "element"}) == want
+        # every other walk of the formula layer goes as deep, without recursion
+        assert to_text(want) == str(want) == text
+        assert parse_formula(to_text(want), SIG1, free_vars={"x": "element"}) == want
+        assert repr(want) == "Not(body=" * depth + "Pred(name='p', args=('x',))" + ")" * depth
+        assert expand(want) == want
+        assert variable_kinds(want) == {"x": "element"} and want.free_vars() == {"x"}
+        # an even number of nots: the chain holds where (p x) holds
+        s = unary_structure(3, members=[2])
+        assert [model_check(s, want, {"x": v}) for v in (1, 2, 3)] == [False, True, False]
+        assert [model_check(s, Not(want), {"x": v}) for v in (1, 2, 3)] == [True, False, True]
+        assert model_check(s, Exists("x", want)) and not model_check(s, Forall("x", want))
 
 
 SIG_PR = RelationalSignature((("p", 1), ("r", 2)))
@@ -259,15 +271,52 @@ class TestFormulaIdentity:
         assert a != parse_formula(EDGE_SENTENCES[2], sig)
 
     def test_deep_formulas_built_apart_compare_without_recursion(self):
-        def deep(atom, levels=5000):
-            f = Pred(atom, ("x",))
+        def deep(atom, levels=5000, var="x"):
+            f = Pred(atom, (var,))
             for _ in range(levels):
                 f = Not(f)
-            return Exists("x", f)
+            return Exists(var, f)
 
         a = deep("p")
         assert a == deep("p") and hash(a) == hash(deep("p"))
         assert a != deep("q")
+        # alpha-renamed: equal canonical forms, so one compiled unit, found
+        # by its source text on one checker
+        b = deep("p", var="y")
+        assert a != b
+        chk = ModelChecker(unary_structure(3, members=[1, 2, 3]))
+        assert chk.check(a) and chk.check(b)
+        assert not chk.check(deep("p", levels=4999, var="y"))
+        assert cms._unit(a)[0] is cms._unit(b)[0]
+
+    def test_deep_alternating_chain_on_both_evaluation_paths(self):
+        # and, or, implies and not in turn over two atoms, 5,000 levels:
+        # set-at-a-time under a quantifier, straight-line code with x free
+        sig = RelationalSignature((("p", 1), ("r", 2)))
+        atoms = (Pred("p", ("x",)), Pred("r", ("x", "x")))
+        f = atoms[0]
+        for k in range(5000):
+            atom = atoms[k // 4 % 2]
+            f = (And((f, atom)), Or((f, atom)), Implies(f, atom), Not(f))[k % 4]
+
+        def holds(p, r):
+            # the chain on one element, bottom up
+            value, truth = p, (p, r)
+            for k in range(5000):
+                atom = truth[k // 4 % 2]
+                value = (value and atom, value or atom, not value or atom,
+                         not value)[k % 4]
+            return value
+
+        for p, r in (({1, 2}, {1, 3}), ({2}, {2, 4}), (set(), {1, 2, 3, 4})):
+            s = Structure(sig, (1, 2, 3, 4), {"p": frozenset((v,) for v in p),
+                                              "r": frozenset((v, v) for v in r)})
+            want = [holds(v in p, v in r) for v in (1, 2, 3, 4)]
+            chk = ModelChecker(s)
+            assert [chk.check(f, {"x": v}) for v in (1, 2, 3, 4)] == want
+            assert chk.check(Exists("x", f)) == any(want)
+            assert chk.check(Forall("x", f)) == all(want)
+            assert chk.check(ExistsMod(2, "x", f)) == (sum(want) % 2 == 0)
 
     def test_shared_subformulas_are_compared_once(self):
         # 2^80 paths from the top, 81 distinct nodes

@@ -717,7 +717,8 @@ def _shape(node) -> tuple[tuple, list]:
     a "loop" unit any other quantifier and a "top" unit a formula that is
     neither.  Their canonical forms hold the set-at-a-time quantifiers
     they enter ("quant", inlined), and "call" the units of the other
-    quantifiers and the tables of the definitions they call."""
+    quantifiers and the tables of the definitions they call.  The walk
+    is a generator run by ``_walk``, so the form may nest to any depth."""
     nodes: list = []
     slots: dict = {}
     bind = itertools.count().__next__
@@ -775,7 +776,9 @@ class _Codegen:
     Identifiers in the source are generated; formula variables appear only
     as positions, predicate names only as string literals.  A unit takes
     the values of its free variables, in sorted order (a definition's
-    parameters, in their order), as arguments."""
+    parameters, in their order), as arguments.  The walks over the form
+    (``straight``, ``inline``, ``quant``, ``mask``) are generators run by
+    ``_walk``: what they return is what ``_walk`` returns for them."""
 
     def __init__(self, unit: tuple):
         self.head: list[str] = []

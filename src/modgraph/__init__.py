@@ -28,9 +28,8 @@ from .cms import (CmsFormula, ModelChecker, RelationalSignature, Structure,
                   graph_structure, model_check, parse_formula, tree_structure)
 from .transduction import (EncodingTables, NodeClassification, PredicateLibrary,
                            ReprStructure, TransductionSchema, build_repr,
-                           build_repr0, check_kappa_lemma, classify_nodes,
-                           compute_encoding, encode_graph, transduction_schema,
-                           verify_isomorphism)
+                           check_kappa_lemma, classify_nodes, compute_encoding,
+                           encode_graph, transduction_schema, verify_isomorphism)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -194,19 +194,25 @@ class _Structural:
         return True
 
     def __repr__(self):
-        return _walk(_repr(self))
+        return _walk(_repr(self, set()))
 
 
-def _repr(node: _Structural):
-    """The dataclass repr of node, as a walk."""
+def _repr(node: _Structural, seen: set):
+    """The dataclass repr of node, as a walk, except that a definition
+    equal to one printed already prints as ``Definition(name=..., ...)``."""
+    if isinstance(node, Definition):
+        if node in seen:
+            return f"Definition(name={node.name!r}, ...)"
+        seen.add(node)
     fields = []
     for name in node.__dataclass_fields__:
         value = node.__dict__[name]
         if isinstance(value, tuple) and value and isinstance(value[0], _Structural):
-            items = yield _each(map(_repr, value))
+            items = yield _each(_repr(v, seen) for v in value)
             text = f"({', '.join(items)}{',' if len(items) == 1 else ''})"
         else:
-            text = (yield _repr(value)) if isinstance(value, _Structural) else repr(value)
+            text = ((yield _repr(value, seen)) if isinstance(value, _Structural)
+                    else repr(value))
         fields.append(f"{name}={text}")
     return f"{type(node).__qualname__}({', '.join(fields)})"
 

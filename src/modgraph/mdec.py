@@ -580,11 +580,6 @@ class MDecPrimeTree(MDecTree):
                 if node.children[0].kind is NodeKind.SEQ:
                     raise ValueError("first child of a seq node must not be seq")
 
-    def first_child(self, node: MDecNode) -> MDecNode:
-        if node.kind is not NodeKind.SEQ:
-            raise ValueError("first-child is designated on seq nodes only")
-        return node.children[0]
-
 
 def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
     """Modular decomposition of a labeled graph, top down without recursion.

@@ -1,8 +1,9 @@
 """Executable leaf-encoding of decomposition trees inside their graphs.
 
 Every inner tree node gets represented by one of its leaves through four
-partial maps kappa_0..kappa_3 from leaves to nodes; restricting the lifted
-structure to one representative leaf per node rebuilds the tree.  The
+partial maps kappa_0..kappa_3 from leaves to nodes; one representative
+leaf per node and map gives the tree's nodes as leaf pairs, and the theta
+formulas define the tree's relations on those pairs in the graph.  The
 module also carries the second-order predicate library that expresses the
 whole construction in the logic of the underlying graph, together with a
 matching algorithmic implementation of every predicate, so each side can
@@ -12,7 +13,6 @@ be checked against the other.
 from __future__ import annotations
 
 import functools
-import itertools
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
@@ -21,9 +21,9 @@ from typing import Callable, Mapping, Optional, Sequence
 from .cms import (ELEMENT, And, Call, CmsFormula, Definition, Eq, Exists,
                   ExistsSet, Forall, ForallSet, Implies, In, Not, Or, Pred,
                   RelationalSignature, conj, disj, graph_signature, label_pred,
-                  tree_predicates, tree_prime_ops, tree_relations)
+                  tree_predicates, tree_prime_ops)
 from .errors import (NotInSignature, NotWeaklyRigid, NotWeaklyRigidSignature,
-                     UnknownOp, UnknownPredicate, VertexNotInGraph)
+                     UnknownOp, UnknownPredicate, UnknownSymbol, VertexNotInGraph)
 from .graphs import LabeledGraph, is_internally_disconnected, is_module
 from .mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, Rows,
                    _decompose, binarize, decompose, reach, reconstruct,
@@ -70,6 +70,7 @@ def classify_nodes(t: MDecPrimeTree, sig: Signature) -> NodeClassification:
     _require_weakly_rigid(sig)
     mode = _commutative_mode(sig)
     forbidden = NodeKind.CLIQUE if mode is NodeKind.PAR else NodeKind.PAR
+    letters = sig.alphabet.symbols
     classes: dict[MDecNode, int] = {}
     for node in t.nodes():
         if node.kind is forbidden:
@@ -79,6 +80,9 @@ def classify_nodes(t: MDecPrimeTree, sig: Signature) -> NodeClassification:
         if node.kind is NodeKind.PRIME and not sig.has_op(node.op.name):
             raise UnknownOp(f"operation {node.op.name!r} not in signature")
         if node.is_leaf:
+            if node.symbol is not None and node.symbol not in letters:
+                raise UnknownSymbol(f"letter {node.symbol!r} is not in the "
+                                    "signature's alphabet")
             classes[node] = 0
         elif node.kind is mode:
             if any(c.kind is mode for c in node.children):
@@ -386,61 +390,20 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
 
 @dataclass
 class ReprStructure:
-    """Leaf-pair structure over the tree signature.
+    """The representative leaf pairs of a tree's nodes.
 
-    Domain elements are pairs (vertex, i) with kappa_i defined on the
-    vertex; node_of maps each pair to the module of its kappa image.  For
-    the restricted variant, reps holds the representative sets X_0..X_3.
-    The relations are the index tuples of ``cms.tree_relations`` (node
-    ``nodes[j]`` is index j, in preorder) with each index replaced by the
-    pairs whose kappa image is that node: one pair per node after
-    ``build_repr``, so each relation has as many tuples as the tree's.
+    Domain elements are pairs (vertex, i), one for each node in the image
+    of kappa_i, whose vertex is the representative that the rule chose
+    from the node's kappa_i fiber; reps holds the representative sets
+    X_0..X_3, and node_of maps each pair to the module of its node.  The
+    tree's relations are not stored: the theta formulas of
+    ``TransductionSchema`` define them on the graph, and
+    ``tests/theta_referee.py`` checks them against ``cms.tree_relations``.
     """
 
-    signature: RelationalSignature
     domain: tuple[PAIR, ...]
-    relations: dict[str, frozenset[tuple[PAIR, ...]]]
     node_of: dict[PAIR, frozenset[int]]
-    reps: Optional[tuple[frozenset[int], ...]] = None
-
-    def equivalent(self, a: PAIR, b: PAIR) -> bool:
-        return a[1] == b[1] and self.node_of[a] == self.node_of[b]
-
-
-def _lift_relations(t: MDecPrimeTree, fibers: dict[MDecNode, list[PAIR]],
-                    sig: Optional[Signature]) -> tuple[RelationalSignature,
-                                                       dict[str, frozenset]]:
-    """Transport the tree relations through the kappa fibers: each index
-    tuple of ``cms.tree_relations`` becomes every tuple of pairs drawn
-    from the lists of its node indices, one list per index."""
-    rsig, rels, nodes = tree_relations(t, sig)
-    at = [fibers.get(n, ()) for n in nodes]
-    lifted: dict[str, frozenset] = {}
-    for name, arity in rsig.predicates:
-        tuples = rels[name]
-        if arity == 1:
-            lifted[name] = frozenset([(p,) for a, in tuples for p in at[a]])
-        elif arity == 2:
-            lifted[name] = frozenset([(p, q) for a, b in tuples
-                                      for p in at[a] for q in at[b]])
-        else:
-            lifted[name] = frozenset([lift for tup in tuples for lift in
-                                      itertools.product(*map(at.__getitem__, tup))])
-    return rsig, lifted
-
-
-def build_repr0(t: MDecPrimeTree, enc: EncodingTables,
-                sig: Optional[Signature] = None) -> ReprStructure:
-    """The unrestricted leaf-pair structure: usually many pairs per node."""
-    fibers: dict[MDecNode, list[PAIR]] = {}
-    node_of: dict[PAIR, frozenset[int]] = {}
-    for i in range(4):
-        for v, node in enc.kappa[i].items():
-            fibers.setdefault(node, []).append((v, i))
-            node_of[(v, i)] = node.module
-    rsig, lifted = _lift_relations(t, fibers, sig)
-    domain = tuple(sorted(node_of))
-    return ReprStructure(rsig, domain, lifted, node_of)
+    reps: tuple[frozenset[int], ...]
 
 
 def min_vertex_rule(fiber: frozenset[int]) -> int:
@@ -450,9 +413,10 @@ def min_vertex_rule(fiber: frozenset[int]) -> int:
 def build_repr(t: MDecPrimeTree, enc: EncodingTables,
                rule: Callable[[frozenset[int]], int] = min_vertex_rule,
                sig: Optional[Signature] = None) -> ReprStructure:
-    """Restriction to one representative leaf per node, chosen by the rule."""
+    """One representative leaf per node and kappa map, chosen by the rule
+    from the node's kappa_i fiber.  The tables carry the tree, so t is
+    accepted and unused, and so is sig."""
     reps: list[set[int]] = [set(), set(), set(), set()]
-    fibers: dict[MDecNode, list[PAIR]] = {}
     node_of: dict[PAIR, frozenset[int]] = {}
     for i, kappa in enumerate(enc.kappa):
         inverse: dict[MDecNode, list[int]] = {}
@@ -464,54 +428,29 @@ def build_repr(t: MDecPrimeTree, enc: EncodingTables,
             if v not in fiber:
                 raise ValueError("representative rule left the fiber")
             reps[i].add(v)
-            fibers.setdefault(node, []).append((v, i))
             node_of[(v, i)] = node.module
-    rsig, lifted = _lift_relations(t, fibers, sig)
-    domain = tuple(sorted(node_of))
-    return ReprStructure(rsig, domain, lifted, node_of,
-                         reps=tuple(frozenset(r) for r in reps))
+    return ReprStructure(tuple(sorted(node_of)), node_of,
+                         tuple(frozenset(r) for r in reps))
 
 
 def verify_isomorphism(r: ReprStructure, t: MDecPrimeTree,
                        sig: Optional[Signature] = None) -> bool:
-    """Check that pair -> kappa image is a predicate-preserving bijection
-    between the structure and the tree.
+    """Check that pair -> kappa image is a bijection onto the tree's nodes.
 
-    Each pair is mapped once, through the module ``node_of`` gives it, to
-    the preorder index of the tree node with that module (``None`` off the
-    tree).  The test passes when the domain's images are distinct and
-    cover every node, the structure has the tree's predicate names, and
-    each relation, mapped to index tuples, equals the tree's frozenset in
-    ``cms.tree_relations``.  A pair in a relation that ``node_of`` lacks
-    raises KeyError.
+    Each pair of the domain is mapped, through the module ``node_of``
+    gives it, to the preorder index of the tree node with that module
+    (``None`` off the tree).  The test passes when the images are
+    distinct and cover every node.  Nodes that share a module, possible
+    only in hand-built trees, compare as one.  A domain pair that
+    ``node_of`` lacks raises KeyError.  sig is accepted and unused.
 
-    For a structure that ``build_repr`` built from this same tree, the
-    relation comparison holds by construction: its relations are the
-    tree's index tuples with each node replaced by its one pair, so they
-    map back to the tuples they came from.  On such a structure the real
-    test is that the representatives map one to one onto the nodes; the
-    relation comparison catches structures changed after they were
-    built, or built from another tree.
+    The bijection is all there is to check here: the relations on the
+    pairs are the theta formulas of ``TransductionSchema``, run on the
+    graph, and ``tests/theta_referee.py`` checks them against the tree's.
     """
-    rsig, rels, nodes = tree_relations(t, sig)
-    # every module to its node's preorder index, and every pair to the
-    # index of its module (None off the tree)
-    index = {n.module: i for i, n in enumerate(nodes)}
-    at = {p: index.get(m) for p, m in r.node_of.items()}
-    image = [at[p] for p in r.domain]
-    if None in image or len(set(image)) != len(image) or len(image) != len(index):
-        return False
-    if set(dict(rsig.predicates)) != set(dict(r.signature.predicates)):
-        return False
-    # nodes sharing a module, as in hand-built trees, compare as one
-    canon = None if len(index) == len(nodes) else [index[n.module] for n in nodes]
-    for name, tuples in rels.items():
-        if canon is not None:
-            tuples = {tuple(map(canon.__getitem__, tup)) for tup in tuples}
-        lifted = r.relations.get(name, frozenset())
-        if {tuple(map(at.__getitem__, tup)) for tup in lifted} != tuples:
-            return False
-    return True
+    index = {n.module: i for i, n in enumerate(t.nodes())}
+    image = [index.get(r.node_of[p]) for p in r.domain]
+    return None not in image and len(set(image)) == len(image) == len(index)
 
 
 # --------------------------------------------------------- formula library
@@ -953,31 +892,6 @@ class PredicateLibrary:
         return TransductionSchema(self)
 
 
-class _ThetaMap(Mapping):
-    """Lazy map (tree predicate, index vector) -> formula; each formula is
-    built once, so a key gives the same object every time."""
-
-    def __init__(self, schema: "TransductionSchema"):
-        self._schema = schema
-        self._cache: dict[tuple, CmsFormula] = {}
-
-    def __getitem__(self, key):
-        name, ivec = key
-        ivec = tuple(ivec)
-        if (name, ivec) not in self._cache:
-            self._cache[(name, ivec)] = self._schema._build_theta(name, ivec)
-        return self._cache[(name, ivec)]
-
-    def __iter__(self):
-        for name, arity in self._schema.tree_signature.predicates:
-            for ivec in itertools.product(range(4), repeat=arity):
-                yield (name, ivec)
-
-    def __len__(self):
-        return sum(4 ** arity for _, arity in
-                   self._schema.tree_signature.predicates)
-
-
 class TransductionSchema:
     """The defining formulas of the graph-to-tree transduction.
 
@@ -1004,7 +918,8 @@ class TransductionSchema:
                                     for i in range(4))
         self.psi = tuple(In("x", p) for p in self.params)
         self.phi = self._build_phi()
-        self.theta_family = _ThetaMap(self)
+        # (tree predicate, index vector) -> its theta, built once
+        self._theta: dict[tuple, CmsFormula] = {}
 
     def kappa_formula(self, i: int) -> CmsFormula:
         """M = kappa_i(x) with free element variable x and free set variable M."""
@@ -1066,7 +981,13 @@ class TransductionSchema:
         raise UnknownPredicate(f"no tree predicate named {name!r}")
 
     def theta(self, name: str, ivec: Sequence[int]) -> CmsFormula:
-        return self.theta_family[(name, tuple(ivec))]
+        """The theta formula of a tree predicate and index vector; a key
+        gives the same object every time."""
+        key = (name, tuple(ivec))
+        f = self._theta.get(key)
+        if f is None:
+            f = self._theta[key] = self._build_theta(*key)
+        return f
 
 
 def transduction_schema(sig: Signature) -> TransductionSchema:

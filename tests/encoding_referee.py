@@ -1,20 +1,17 @@
-"""Referee of the leaf encoding: ``compute_encoding``, the relation lifting
-of ``build_repr``/``build_repr0`` and ``verify_isomorphism``.
+"""Referee of the leaf encoding: ``compute_encoding``, ``build_repr`` and
+``verify_isomorphism``.
 
 The three stages written on frozenset modules and ``MDecNode`` keys: kappa
-by a walk from each leaf up to the root, relations lifted by one
-``itertools.product`` per tree tuple, and the isomorphism test on tuples
-of modules.  Tests require the index-based stages of
+by a walk from each leaf up to the root, representatives from sets, and
+the isomorphism test on modules.  Tests require the index-based stages of
 ``modgraph.transduction`` to give identical tables, structures and
 verdicts.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional
 
-from modgraph.cms import RelationalSignature, tree_relations
 from modgraph.mdec import MDecNode, MDecPrimeTree, NodeKind
 from modgraph.signature import Signature
 from modgraph.transduction import (PAIR, EncodingTables, NodeClassification,
@@ -87,38 +84,10 @@ def referee_compute_encoding(t: MDecPrimeTree,
     return EncodingTables(cls, nu, mu, kappa, rho)
 
 
-def _lift_relations(t: MDecPrimeTree, fibers: dict[MDecNode, list[PAIR]],
-                    sig: Optional[Signature],
-                    ) -> tuple[RelationalSignature, dict[str, frozenset]]:
-    """Transport the tree relations through the kappa fibers."""
-    rsig, rels, nodes = tree_relations(t, sig)
-    by_index = [fibers.get(n, ()) for n in nodes]
-    lifted: dict[str, frozenset] = {}
-    for name, tuples in rels.items():
-        out = set()
-        for tup in tuples:
-            out.update(itertools.product(*(by_index[i] for i in tup)))
-        lifted[name] = frozenset(out)
-    return rsig, lifted
-
-
-def referee_build_repr0(t: MDecPrimeTree, enc: EncodingTables,
-                        sig: Optional[Signature] = None) -> ReprStructure:
-    fibers: dict[MDecNode, list[PAIR]] = {}
-    node_of: dict[PAIR, frozenset[int]] = {}
-    for i in range(4):
-        for v, node in enc.kappa[i].items():
-            fibers.setdefault(node, []).append((v, i))
-            node_of[(v, i)] = node.module
-    rsig, lifted = _lift_relations(t, fibers, sig)
-    return ReprStructure(rsig, tuple(sorted(node_of)), lifted, node_of)
-
-
 def referee_build_repr(t: MDecPrimeTree, enc: EncodingTables,
                        rule: Callable[[frozenset[int]], int] = min_vertex_rule,
                        sig: Optional[Signature] = None) -> ReprStructure:
     reps: list[set[int]] = [set(), set(), set(), set()]
-    fibers: dict[MDecNode, list[PAIR]] = {}
     node_of: dict[PAIR, frozenset[int]] = {}
     for i in range(4):
         inverse: dict[MDecNode, set[int]] = {}
@@ -129,29 +98,15 @@ def referee_build_repr(t: MDecPrimeTree, enc: EncodingTables,
             if v not in fiber:
                 raise ValueError("representative rule left the fiber")
             reps[i].add(v)
-            fibers.setdefault(node, []).append((v, i))
             node_of[(v, i)] = node.module
-    rsig, lifted = _lift_relations(t, fibers, sig)
-    return ReprStructure(rsig, tuple(sorted(node_of)), lifted, node_of,
-                         reps=tuple(frozenset(r) for r in reps))
+    return ReprStructure(tuple(sorted(node_of)), node_of,
+                         tuple(frozenset(r) for r in reps))
 
 
 def referee_verify_isomorphism(r: ReprStructure, t: MDecPrimeTree,
                                sig: Optional[Signature] = None) -> bool:
     """pair -> module of its kappa image is a bijection onto the tree's
-    modules that carries every relation onto the tree's, compared as
-    tuples of modules."""
-    rsig, rels, nodes = tree_relations(t, sig)
-    modules = [n.module for n in nodes]
+    modules."""
     image = [r.node_of[p] for p in r.domain]
-    if len(set(image)) != len(image) or set(image) != set(modules):
-        return False
-    if set(dict(rsig.predicates)) != set(dict(r.signature.predicates)):
-        return False
-    for name, tuples in rels.items():
-        tree_side = {tuple(modules[i] for i in tup) for tup in tuples}
-        repr_side = {tuple(r.node_of[p] for p in tup)
-                     for tup in r.relations.get(name, frozenset())}
-        if tree_side != repr_side:
-            return False
-    return True
+    return (len(set(image)) == len(image)
+            and set(image) == {n.module for n in t.nodes()})

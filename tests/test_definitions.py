@@ -182,3 +182,25 @@ class TestDefinitionNodes:
         f = Exists("x", conj(In("x", "Y"), Call(inner, ("Y",))))
         g = expand(f)
         assert to_text(g) == "(exists x (and (in x Y) (exists p1 (in p1 Y))))"
+
+    def test_repr_prints_each_definition_body_once(self):
+        # a formula with no call keeps the dataclass repr
+        plain = conj(In("x", "X"), Pred("p", ("x",)))
+        assert repr(Exists("x", plain)) == (
+            "Exists(var='x', body=And(parts=(In(elem='x', sett='X'), "
+            "Pred(name='p', args=('x',)))))")
+        # a definition equal to one printed already is named only
+        again = Definition("pick", ("X", "x"), plain)
+        f = conj(Call(PICK, ("X", "x")), Call(again, ("Y", "y")))
+        body = ("Definition(name='pick', params=('X', 'x'), body=And(parts=("
+                "In(elem='x', sett='X'), Pred(name='p', args=('x',)))))")
+        assert repr(f) == (
+            f"And(parts=(Call(defn={body}, args=('X', 'x')), "
+            "Call(defn=Definition(name='pick', ...), args=('Y', 'y'))))")
+        assert repr(PICK) == body
+        # the schema's phi calls kappa_0..kappa_3 through many definitions
+        phi = repr(transduction_schema(spw5_signature()).phi)
+        assert len(phi) < 40_000
+        names = PredicateLibrary(spw5_signature()).definitions
+        assert all(phi.count(f"Definition(name={name!r}, params=") <= 1
+                   for name in names)

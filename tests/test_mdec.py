@@ -150,7 +150,7 @@ class TestBinarize:
         inner = root.children[1]
         assert inner.kind is NodeKind.SEQ
         assert [sorted(c.module) for c in inner.children] == [[2], [3]]
-        assert t.first_child(root).module == frozenset({1})
+        assert root.children[0].module == frozenset({1})
 
     def test_no_seq_unchanged(self):
         g = eval_term(SIG, node("par", leaf("a"), leaf("b")))

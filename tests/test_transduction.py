@@ -9,14 +9,14 @@ import time
 import pytest
 
 from deep_term import LEVELS, alternating_term
-from encoding_referee import (referee_build_repr, referee_build_repr0,
-                              referee_compute_encoding, referee_verify_isomorphism)
+from encoding_referee import (referee_build_repr, referee_compute_encoding,
+                              referee_verify_isomorphism)
 from kappa_referee import _suffixes, referee_check_kappa_lemma
 from modgraph import transduction
-from modgraph.cms import (ModelChecker, RelationalSignature, graph_structure, model_check,
-                          tree_prime_ops)
+from modgraph.cms import (ModelChecker, graph_structure, model_check, tree_prime_ops,
+                          tree_relations)
 from modgraph.errors import (ModgraphError, NotWeaklyRigid, NotWeaklyRigidSignature,
-                             UnknownPredicate, VertexNotInGraph)
+                             UnknownPredicate, UnknownSymbol, VertexNotInGraph)
 from modgraph.generators import random_digraph, random_f_graph, random_subset
 from modgraph.graphs import Alphabet, LabeledGraph, Permutation, is_module
 from modgraph.mdec import (MDecNode, MDecPrimeTree, NodeKind, Rows, binarize, decompose,
@@ -25,11 +25,11 @@ from modgraph.samples import (cycle_graph, scw5_signature, spp3_signature,
                               spw5_signature, word_graph, word_term)
 from modgraph.signature import (CLIQUE_OP, SEQ_OP, Signature, Term,
                                 eval_term, prime_op)
-from modgraph.transduction import (PredicateLibrary, build_repr,
-                                   build_repr0, check_kappa_lemma,
-                                   classify_nodes, compute_encoding,
-                                   encode_graph, min_vertex_rule,
+from modgraph.transduction import (PredicateLibrary, ReprStructure, build_repr,
+                                   check_kappa_lemma, classify_nodes,
+                                   compute_encoding, encode_graph, min_vertex_rule,
                                    transduction_schema, verify_isomorphism)
+from theta_referee import f_graph_shapes, graphs_with_a_prime_node, theta_disagreements
 
 SIG = spw5_signature()
 DUAL = scw5_signature()
@@ -78,6 +78,12 @@ class TestClassification:
         t = tree_of(node("clique", leaf("a"), leaf("b")), sig=both)
         with pytest.raises(NotWeaklyRigid):
             classify_nodes(t, SIG)
+
+    def test_rejects_a_foreign_letter(self):
+        # the tree of "ab" has a leaf b; the signature's alphabet is {a}
+        t = tree_of(node("seq", leaf("a"), leaf("b")))
+        with pytest.raises(UnknownSymbol, match="^letter 'b' is not in the signature's"):
+            classify_nodes(t, spw5_signature(("a",)))
 
     def test_dual_mode_clique_classes(self):
         t = tree_of(node("clique", leaf("a"), leaf("b")), sig=DUAL)
@@ -376,24 +382,29 @@ class TestKappaReferee:
         assert max(sizes) == 60
 
 
+def _all_pairs(enc):
+    """Every leaf pair (v, i) with kappa_i defined on v."""
+    return {(v, i) for i in range(4) for v in enc.kappa[i]}
+
+
 class TestRepr:
     def test_leaf_domain(self):
         t = tree_of(leaf("a"))
         enc = compute_encoding(t, classify_nodes(t, SIG))
-        assert build_repr0(t, enc, sig=SIG).domain == ((1, 0),)
+        assert _all_pairs(enc) == {(1, 0)}
 
     def test_par_domain_and_equivalence(self):
         t = tree_of(node("par", leaf("a"), leaf("b")))
         enc = compute_encoding(t, classify_nodes(t, SIG))
-        r0 = build_repr0(t, enc, sig=SIG)
-        assert r0.domain == ((1, 0), (1, 1), (2, 0), (2, 1))
-        assert r0.equivalent((1, 1), (2, 1))
-        assert not r0.equivalent((1, 0), (2, 0))
+        assert _all_pairs(enc) == {(1, 0), (1, 1), (2, 0), (2, 1)}
+        # (1, 1) and (2, 1) stand for one node, (1, 0) and (2, 0) for two
+        assert enc.kappa[1][1] is enc.kappa[1][2]
+        assert enc.kappa[0][1] is not enc.kappa[0][2]
 
     def test_word_ab_domain(self):
         t = tree_of(node("seq", leaf("a"), leaf("b")))
         enc = compute_encoding(t, classify_nodes(t, SIG))
-        assert build_repr0(t, enc, sig=SIG).domain == ((1, 0), (1, 3), (2, 0))
+        assert _all_pairs(enc) == {(1, 0), (1, 3), (2, 0)}
 
     def test_representatives_default_rule(self):
         t = tree_of(node("par", leaf("a"), leaf("b")))
@@ -421,15 +432,22 @@ class TestVerifyIsomorphism:
         t = tree_of(node("seq", leaf("a"), leaf("b"), leaf("a")))
         enc = compute_encoding(t, classify_nodes(t, SIG))
         rep = build_repr(t, enc, sig=SIG)
-        pairs = set(rep.relations["child"])
-        pairs.pop()
-        rep.relations["child"] = frozenset(pairs)
-        assert not verify_isomorphism(rep, t, sig=SIG)
+        p, q = rep.domain[:2]
+        # two pairs on one node, or a pair on a set that is no node
+        for node_of in ({**rep.node_of, q: rep.node_of[p]},
+                        {**rep.node_of, p: frozenset({1, 2})}):
+            bad = dataclasses.replace(rep, node_of=node_of)
+            assert not verify_isomorphism(bad, t, sig=SIG)
 
     def test_repr0_is_not_isomorphic_when_fibers_merge(self):
+        # every pair of every kappa fiber, not one per node: (1, 1) and
+        # (2, 1) both stand for the root
         t = tree_of(node("par", leaf("a"), leaf("b")))
         enc = compute_encoding(t, classify_nodes(t, SIG))
-        assert not verify_isomorphism(build_repr0(t, enc, sig=SIG), t, sig=SIG)
+        node_of = {(v, i): enc.kappa[i][v].module for v, i in _all_pairs(enc)}
+        every = ReprStructure(tuple(sorted(node_of)), node_of,
+                              tuple(frozenset(k) for k in enc.kappa))
+        assert not verify_isomorphism(every, t, sig=SIG)
 
     def test_randomized_both_modes(self):
         rng = random.Random(37)
@@ -461,20 +479,12 @@ def _verdict(verify, rep, t, sig):
 
 
 def _mutants(rng, t, rep):
-    """Structures one change away from rep: a tuple dropped from or added to
-    each relation, a pair remapped to a set that is not a node, two pairs
-    swapped or sharing a node, a pair missing from the domain or replaced
-    by one outside it, a relation or a predicate missing, and a tuple
-    holding a pair outside the structure."""
-    pairs, node_of, rels = list(rep.domain), rep.node_of, rep.relations
+    """Structures one change away from rep: a pair remapped to a set that is
+    not a node, two pairs swapped or sharing a node, a pair missing from
+    the domain or replaced by one outside it, and a domain pair that
+    node_of lacks."""
+    pairs, node_of = list(rep.domain), rep.node_of
     out = []
-    for name, arity in rep.signature.predicates:
-        tuples = rels.get(name, frozenset())
-        if tuples:
-            drop = rng.choice(sorted(tuples))
-            out.append(dataclasses.replace(rep, relations={**rels, name: tuples - {drop}}))
-        extra = tuple(rng.choice(pairs) for _ in range(arity))
-        out.append(dataclasses.replace(rep, relations={**rels, name: tuples | {extra}}))
     modules = {n.module for n in t.nodes()}
     verts = sorted(t.root.module)
     off = [frozenset({0}), frozenset(verts[:2]), frozenset(verts[1:])]
@@ -487,29 +497,19 @@ def _mutants(rng, t, rep):
         out.append(dataclasses.replace(rep, node_of={**node_of, q: node_of[p]}))
         out.append(dataclasses.replace(
             rep, node_of={**node_of, p: node_of[q], q: node_of[p]}))
-    # a pair left out of the domain, and a pair whose node passes to a new
-    # pair outside it, in node_of and in every relation
+    # a pair left out of the domain, a pair whose node passes to a new pair
+    # outside it, and a new pair in the domain with no node
     p = rng.choice(pairs)
     out.append(dataclasses.replace(rep, domain=tuple(x for x in pairs if x != p)))
-    new = (p[0], 9)
     out.append(dataclasses.replace(
-        rep, node_of={**node_of, p: frozenset({0}), new: node_of[p]},
-        relations={name: frozenset(tuple(new if x == p else x for x in tup)
-                                   for tup in tuples)
-                   for name, tuples in rels.items()}))
-    name = rng.choice(sorted(rels))
-    out.append(dataclasses.replace(
-        rep, relations={k: v for k, v in rels.items() if k != name}))
-    out.append(dataclasses.replace(rep, signature=RelationalSignature(tuple(
-        pred for pred in rep.signature.predicates if pred[0] != name))))
-    out.append(dataclasses.replace(
-        rep, relations={**rels, "child": rels["child"] | {((0, 0), pairs[0])}}))
+        rep, node_of={**node_of, p: frozenset({0}), (p[0], 9): node_of[p]}))
+    out.append(dataclasses.replace(rep, domain=(*pairs, (0, 0))))
     return out
 
 
 class TestEncodingReferee:
-    """The index-based encoding, lifting and isomorphism test against the
-    frozenset stages they replaced."""
+    """The index-based encoding, representatives and isomorphism test
+    against the frozenset stages they replaced."""
 
     def _agree(self, rng, t, sig, cls=None):
         cls = cls or classify_nodes(t, sig)
@@ -522,9 +522,6 @@ class TestEncodingReferee:
             assert verify_isomorphism(rep, t, sig=sig)
             assert referee_verify_isomorphism(rep, t, sig=sig)
             reps.append(rep)
-        rep0 = build_repr0(t, enc, sig=sig)
-        assert rep0 == referee_build_repr0(t, enc, sig=sig)
-        reps.append(rep0)
         for rep in reps:
             for bad in _mutants(rng, t, rep):
                 assert (_verdict(verify_isomorphism, bad, t, sig) ==
@@ -540,14 +537,13 @@ class TestEncodingReferee:
             enc = self._agree(rng, t, sig)
             if g.n > 1:
                 # tables whose kappa no longer inverts mu: nodes with no
-                # pair or with several, lifted by the general product
+                # pair or with several
                 bad = _corrupt(rng, t, enc, rng.randint(0, 3))[0]
                 for rule in (min_vertex_rule, max):
                     rep = build_repr(t, bad, rule, sig=sig)
                     assert rep == referee_build_repr(t, bad, rule, sig=sig)
                     assert (verify_isomorphism(rep, t, sig=sig) ==
                             referee_verify_isomorphism(rep, t, sig=sig))
-                assert build_repr0(t, bad, sig=sig) == referee_build_repr0(t, bad, sig=sig)
 
     def test_a_broken_classification_fails_the_fiber_check(self):
         # the root of (par a b) has only leaf children, so it is class 1;
@@ -839,6 +835,8 @@ class TestSchema:
         g = eval_term(SIG, node("seq", leaf("a"), leaf("b")))
         t, cls, enc = encode_graph(g, SIG)
         rep = build_repr(t, enc, sig=SIG)
+        _, rels, nodes = tree_relations(t, SIG)
+        index = {n.module: k for k, n in enumerate(nodes)}
         env = {f"X{i}": rep.reps[i] for i in range(4)}
         chk = ModelChecker(graph_structure(g, SIG.alphabet.symbols))
         for (i, j) in ((0, 0), (3, 0), (3, 3), (0, 3)):
@@ -847,7 +845,8 @@ class TestSchema:
                 for (w, jw) in rep.domain:
                     if iv != i or jw != j:
                         continue
-                    want = ((v, iv), (w, jw)) in rep.relations["child"]
+                    want = (index[rep.node_of[(v, iv)]],
+                            index[rep.node_of[(w, jw)]]) in rels["child"]
                     got = chk.check(f, dict(env, x1=v, x2=w))
                     assert got == want
 
@@ -870,7 +869,11 @@ class TestSchema:
         rep = build_repr(t, enc, sig=SIG)
         ivec = (3, 0, 0, 0, 0, 0)
         f = sch.theta("children_W5", ivec)
-        rel = rep.relations["children_W5"]
+        # the tree's tuples, each node index replaced by its pair
+        _, rels, nodes = tree_relations(t, SIG)
+        index = {n.module: k for k, n in enumerate(nodes)}
+        pair_of = {index[m]: p for p, m in rep.node_of.items()}
+        rel = {tuple(map(pair_of.__getitem__, tup)) for tup in rels["children_W5"]}
         true = sorted(rel)
         assert true and all(tuple(i for _, i in tup) == ivec for tup in true)
         by_index = [[p for p in rep.domain if p[1] == i] for i in ivec]
@@ -890,9 +893,48 @@ class TestSchema:
 
     def test_theta_family_mapping(self):
         sch = transduction_schema(SIG)
-        assert sch.theta_family[("child", (0, 0))] is sch.theta("child", (0, 0))
+        assert sch.theta("child", (0, 3)) is sch.theta("child", [0, 3])
+        assert sch.theta("child", (0, 3)) is not sch.theta("child", (3, 0))
         with pytest.raises((UnknownPredicate, ValueError)):
             sch.theta("child", (0, 9))
+
+
+class TestThetaReferee:
+    """The transduction's formulas, run on graphs, against the tree."""
+
+    @pytest.mark.parametrize("sig", [SIG, DUAL], ids=["spw5", "scw5"])
+    def test_psi_and_theta_define_the_tree(self, sig):
+        # every shape on 1..5 vertices, and graphs of 6 or 7 with a W5 node
+        rng = random.Random(19)
+        graphs = f_graph_shapes(sig, 5, rng)
+        assert len(graphs) == 72  # 71 series-parallel orders and W5
+        graphs += graphs_with_a_prime_node(sig, 4, range(6, 8), rng)
+        sch = transduction_schema(sig)
+        for g in graphs:
+            assert theta_disagreements(sch, g, rng) == [], sorted(g.edges)
+
+    @pytest.mark.parametrize("sig", [SIG, DUAL], ids=["spw5", "scw5"])
+    def test_phi_accepts_exactly_the_transversals(self, sig):
+        # every assignment of X0..X3 on every shape on 1..3 vertices
+        sch = transduction_schema(sig)
+        graphs = f_graph_shapes(sig, 3, random.Random(20))
+        assert len(graphs) == 8
+        for g in graphs:
+            t, cls, enc = encode_graph(g, sig)
+            chk = ModelChecker(graph_structure(g, sig.alphabet.symbols))
+            transversals = []
+            for kappa in enc.kappa:
+                fibers: dict = {}
+                for v, n in kappa.items():
+                    fibers[n] = fibers.get(n, 0) | chk.to_mask([v])
+                inside = sum(fibers.values())
+                transversals.append({x for x in range(1 << g.n) if not x & ~inside
+                                     and all((x & f).bit_count() == 1
+                                             for f in fibers.values())})
+            for xs in itertools.product(range(1 << g.n), repeat=4):
+                want = all(x in ok for x, ok in zip(xs, transversals))
+                assert chk.check_prepared(sch.phi, dict(zip(sch.params, xs))) == want, \
+                    (sorted(g.edges), xs)
 
 
 def _all_subsets(verts):

@@ -71,9 +71,18 @@ class Rows:
     rest on one fact: a vertex's out-row (and in-row) is the disjoint
     union of one set of siblings per ancestor, the children its ancestor's
     operation links the child holding the vertex to.
+
+    ``split`` remembers its answer for each mask it was asked about, in a
+    dict on the rows that lives as long as they do: the rows never change
+    once built, so a remembered answer is the one a fresh split gives.
+    The answer is a tuple of the kind and a tuple of the blocks, so that
+    no caller can change it.  A tree built by ``decompose`` carries the
+    rows it was split on (``MDecTree.rows``), and the kappa check
+    verifies the tree against them, reading each split ``decompose``
+    made.
     """
 
-    __slots__ = ("verts", "bit", "out", "inn", "und", "co", "fwd", "bwd")
+    __slots__ = ("verts", "bit", "out", "inn", "und", "co", "fwd", "bwd", "_splits")
 
     def __init__(self, g: LabeledGraph):
         verts = g.sorted_vertices()
@@ -120,6 +129,7 @@ class Rows:
         # full & ~(o & ~i) = co ^ o; its reverse
         self.fwd = list(map(operator.xor, co, out))
         self.bwd = list(map(operator.xor, co, inn))
+        self._splits: dict[int, tuple[NodeKind, tuple[int, ...]]] = {}
 
     @classmethod
     def of_tree(cls, t: "MDecTree") -> Optional["Rows"]:
@@ -243,22 +253,28 @@ class Rows:
                     break
         return found
 
-    def split(self, m: int) -> tuple[NodeKind, list[int]]:
+    def split(self, m: int) -> tuple[NodeKind, tuple[int, ...]]:
         """The node kind of module m and its maximal strong modules.
 
         par and clique blocks come by smallest vertex, seq blocks in chain
-        order, prime blocks by smallest vertex.
+        order, prime blocks by smallest vertex.  Remembered per mask.
         """
+        found = self._splits.get(m)
+        if found is None:
+            found = self._splits[m] = self._split(m)
+        return found
+
+    def _split(self, m: int) -> tuple[NodeKind, tuple[int, ...]]:
         blocks = _components(m, self.und)
         if len(blocks) > 1:
-            return NodeKind.PAR, blocks
+            return NodeKind.PAR, tuple(blocks)
         blocks = _components(m, self.co)
         if len(blocks) > 1:
-            return NodeKind.CLIQUE, blocks
+            return NodeKind.CLIQUE, tuple(blocks)
         blocks = _chain(m, self.fwd, self.bwd)
         if len(blocks) > 1:
-            return NodeKind.SEQ, blocks
-        return NodeKind.PRIME, self._prime_blocks(m)
+            return NodeKind.SEQ, tuple(blocks)
+        return NodeKind.PRIME, tuple(self._prime_blocks(m))
 
     def _prime_blocks(self, m: int) -> list[int]:
         """Maximal proper modules of a prime node, from P(m, v), v = min m.
@@ -529,10 +545,17 @@ class MDecTree:
     a node's children re-assigned after construction are not seen by
     ``nodes()`` or ``parents()``, nor by what other layers derive from
     them.  Build a new tree instead.
+
+    ``rows`` are the rows of the graph the tree was split from: ``decompose``
+    sets them and ``binarize`` passes them on, and a hand-built tree has
+    None.  They are a hint, not a claim: ``transduction.check_kappa_lemma``
+    first verifies the tree against them, and on a tree that fails, or
+    has none, it takes the rows of ``reconstruct(t)`` instead.
     """
 
     root: MDecNode
     leaf_of: dict[int, MDecNode] = field(default_factory=dict)
+    rows: Optional[Rows] = field(default=None, repr=False)
 
     def __post_init__(self):
         nodes: list[MDecNode] = []
@@ -594,7 +617,7 @@ def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
 def _decompose(g: LabeledGraph, rows: Rows,
                ops: Optional[Sequence[SignatureOp]]) -> MDecTree:
     """``decompose`` on the rows of g, prime quotients matched against ops
-    (ad-hoc operations when ops is None)."""
+    (ad-hoc operations when ops is None); the tree carries the rows."""
     if g.n == 0:
         raise TooSmall("cannot decompose the empty graph")
     verts, labels = rows.verts, g.labels
@@ -623,7 +646,7 @@ def _decompose(g: LabeledGraph, rows: Rows,
     for node, kids in reversed(inner):
         node.children = tuple(kids)
         node.module = frozenset().union(*(c.module for c in kids))
-    return MDecTree(top[0])
+    return MDecTree(top[0], rows=rows)
 
 
 def fold_tree(root: MDecNode, combine: Callable[[MDecNode, list[T]], T]) -> T:
@@ -659,8 +682,9 @@ def _binarize_node(node: MDecNode, kids: list[MDecNode]) -> MDecNode:
 
 
 def binarize(t: MDecTree) -> MDecPrimeTree:
-    """Replace each seq node with >= 3 children by a right comb of seq nodes."""
-    return MDecPrimeTree(fold_tree(t.root, _binarize_node))
+    """Replace each seq node with >= 3 children by a right comb of seq nodes;
+    the result carries t's rows."""
+    return MDecPrimeTree(fold_tree(t.root, _binarize_node), rows=t.rows)
 
 
 def verify_binarized(t: MDecTree, rows: Rows, ops: Sequence[SignatureOp],

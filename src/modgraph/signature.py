@@ -9,6 +9,7 @@ graphs with >= 3 vertices give everything else.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import weakref
@@ -181,7 +182,17 @@ class Signature:
         raise UnknownOp(f"operation {name!r} not in signature")
 
     def has_op(self, name: str) -> bool:
-        return any(op.name == name for op in self.ops)
+        return name in self._op_names
+
+    # a signature is frozen, so what is derived from it is derived once
+    @functools.cached_property
+    def _op_names(self) -> frozenset[str]:
+        return frozenset(op.name for op in self.ops)
+
+    @functools.cached_property
+    def rigidity(self) -> "WeakRigidityReport":
+        """``validate_weakly_rigid_signature(self)``, computed on first use."""
+        return validate_weakly_rigid_signature(self)
 
     @property
     def prime_ops(self) -> tuple[SignatureOp, ...]:

@@ -28,8 +28,7 @@ from .graphs import LabeledGraph, is_internally_disconnected, is_module
 from .mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, Rows,
                    _decompose, binarize, decompose, reach, reconstruct,
                    verify_binarized)
-from .signature import (OpKind, Signature, SignatureOp, match_op,
-                        validate_weakly_rigid_signature)
+from .signature import OpKind, Signature, SignatureOp, match_op
 
 PAIR = tuple[int, int]
 # the union of any number of vertex sets, its method bound once
@@ -61,7 +60,7 @@ class NodeClassification:
 
 
 def _require_weakly_rigid(sig: Signature):
-    report = validate_weakly_rigid_signature(sig)
+    report = sig.rigidity
     if not report.accepted:
         raise NotWeaklyRigidSignature(str(report))
 
@@ -71,26 +70,29 @@ def classify_nodes(t: MDecPrimeTree, sig: Signature) -> NodeClassification:
     mode = _commutative_mode(sig)
     forbidden = NodeKind.CLIQUE if mode is NodeKind.PAR else NodeKind.PAR
     letters = sig.alphabet.symbols
+    leaf, prime = NodeKind.LEAF, NodeKind.PRIME
     classes: dict[MDecNode, int] = {}
     for node in t.nodes():
-        if node.kind is forbidden:
+        kind = node.kind
+        if kind is forbidden:
             raise NotWeaklyRigid(
                 f"tree contains a {forbidden.value} node, so the graph is not "
                 "generated by this signature")
-        if node.kind is NodeKind.PRIME and not sig.has_op(node.op.name):
-            raise UnknownOp(f"operation {node.op.name!r} not in signature")
-        if node.is_leaf:
+        if kind is leaf:
             if node.symbol is not None and node.symbol not in letters:
                 raise UnknownSymbol(f"letter {node.symbol!r} is not in the "
                                     "signature's alphabet")
             classes[node] = 0
-        elif node.kind is mode:
-            if any(c.kind is mode for c in node.children):
+        elif kind is mode:
+            kinds = {c.kind for c in node.children}
+            if mode in kinds:
                 raise NotWeaklyRigid(
                     f"{mode.value} node on {sorted(node.module)} has a "
                     f"{mode.value} child, so the tree is not a decomposition")
-            classes[node] = 1 if all(c.is_leaf for c in node.children) else 2
+            classes[node] = 1 if kinds <= {leaf} else 2
         else:
+            if kind is prime and not sig.has_op(node.op.name):
+                raise UnknownOp(f"operation {node.op.name!r} not in signature")
             classes[node] = 3
     return NodeClassification(t, mode, classes)
 
@@ -280,21 +282,28 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     """Cross-check the path-based kappa maps against their module-theoretic
     characterization on the graph ``reconstruct(t)``.
 
-    That graph is not built: its bitmask rows are pushed down from the
-    masks of t's children (``mdec.Rows.of_tree``), in O(nodes + n) mask
-    operations and with no loop over edges.  Only a tree whose children
-    do not partition each node's module is reconstructed, and its rows
-    built from the edges.  The node family is t's own nodes, once
-    ``mdec.verify_binarized`` finds t to be the binarized decomposition
-    of that graph, which is unique (Gallai 1967): one ``Rows.split`` per
-    inner node, of the mask read from the node's module, against its
-    children, and a prime node's quotient against its operation, which
-    must be the one of t's operations (``cms.tree_prime_ops``) that
-    matches it.  Then the strong modules are t's nodes, the sequential
-    suffixes its seq comb nodes, the members holding a vertex its
-    leaf-to-root path, and a prime node's distinguished children those of
-    its enumeration.  A tree that fails the verification, such as a
-    hand-built one, gets its family from
+    That graph is not built.  A tree from ``decompose`` carries the rows
+    it was split from (``MDecTree.rows``), and the check first verifies t
+    against them: once ``mdec.verify_binarized`` finds t to be the
+    binarized decomposition of the graph of those rows, every node's
+    children are the blocks of its module and every prime node's quotient
+    is its operation, so ``reconstruct(t)`` has exactly those rows.  Each
+    of that verification's splits is then one ``decompose`` made, read
+    from the rows' memo.  A tree with no rows, or whose rows fail, is
+    checked on the rows pushed down from the masks of its children
+    (``mdec.Rows.of_tree``), in O(nodes + n) mask operations and with no
+    loop over edges; only a tree whose children do not partition each
+    node's module is reconstructed, and its rows built from the edges.
+    The node family is t's own nodes, once ``verify_binarized`` finds t to
+    be the binarized decomposition of that graph, which is unique (Gallai
+    1967): one ``Rows.split`` per inner node, of the mask read from the
+    node's module, against its children, and a prime node's quotient
+    against its operation, which must be the one of t's operations
+    (``cms.tree_prime_ops``) that matches it.  Then the strong modules are
+    t's nodes, the sequential suffixes its seq comb nodes, the members
+    holding a vertex its leaf-to-root path, and a prime node's
+    distinguished children those of its enumeration.  A tree that fails
+    the verification, such as a hand-built one, gets its family from
     ``binarize(decompose(reconstruct(t)))`` on the same rows, with the
     quotients matched against those operations, and a prime quotient that
     matches none raises NotWeaklyRigid; either way the report is the
@@ -312,13 +321,19 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     leaf only as far as the lemma needs, so the check runs in polynomial
     time.
     """
-    rows = Rows.of_tree(t) or reconstruct(t).rows
+    carried = rows = t.rows
+    if rows is None:
+        rows = Rows.of_tree(t) or reconstruct(t).rows
     ops = tree_prime_ops(t, sig)
     # a quotient matches the first isomorphic operation in ops, and a
     # signature holds one per isomorphism class already
     own = ops if sig is not None else [
         op for k, op in enumerate(ops) if match_op(ops[:k], op.graph) is None]
     verified = verify_binarized(t, rows, own)
+    if verified is None and carried is not None:
+        # not split from the rows it carries: the rows of reconstruct(t)
+        rows = Rows.of_tree(t) or reconstruct(t).rows
+        verified = verify_binarized(t, rows, own)
     if verified is not None:
         mask, parents, leaf_of = verified
     else:

@@ -224,7 +224,9 @@ class TestVerifyBinarized:
 
 
 def _same_rows(a, b):
-    return all(getattr(a, s) == getattr(b, s) for s in Rows.__slots__)
+    # the adjacency, not the split memo
+    return all(getattr(a, s) == getattr(b, s)
+               for s in ("verts", "bit", "out", "inn", "und", "co", "fwd", "bwd"))
 
 
 # terms over every kind of operation: seq, par, clique, W5 and P3
@@ -324,6 +326,31 @@ class TestRowsFromStructure:
             assert (a.out, a.inn) == (b.out, b.inn)
             assert a.split(15) == b.split(15)
             assert a.modules() == b.modules()
+
+
+class TestSplitMemo:
+    def test_cold_and_warm_splits_agree(self):
+        rng = random.Random(77)
+        for k in range(200):
+            if k % 2:
+                g = random_f_graph(rng, ALL_KINDS, max_depth=5, max_leaves=16)
+            else:
+                g = random_digraph(rng, rng.randint(2, 9), rng.choice((0.2, 0.5)))
+            t = decompose(g)
+            warm = g.rows
+            # the masks decompose split, and masks that are no module
+            masks = [warm.mask(n.module) for n in t.nodes() if not n.is_leaf]
+            masks += [rng.randrange(1, 1 << g.n) for _ in range(3)]
+            for m in masks:
+                found = warm.split(m)
+                assert found == Rows(g).split(m)
+                assert type(found[1]) is tuple and warm.split(m) is found
+
+    def test_trees_carry_the_rows_they_were_split_on(self):
+        g = random_digraph(random.Random(78), 8)
+        t = decompose(g)
+        assert t.rows is g.rows and binarize(t).rows is g.rows
+        assert MDecTree(t.root).rows is None
 
 
 class TestAdhocNames:

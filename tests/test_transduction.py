@@ -292,7 +292,9 @@ def _outcome(check, t, enc, sig):
 
 
 def _same_rows(a, b):
-    return all(getattr(a, s) == getattr(b, s) for s in Rows.__slots__)
+    # the adjacency, not the split memo
+    return all(getattr(a, s) == getattr(b, s)
+               for s in ("verts", "bit", "out", "inn", "und", "co", "fwd", "bwd"))
 
 
 class TestKappaReferee:
@@ -380,6 +382,78 @@ class TestKappaReferee:
             assert report.ok, str(report)
             assert took < 2, f"check_kappa_lemma took {took:.2f} s on {g.n} vertices"
         assert max(sizes) == 60
+
+
+class TestKappaCheckReusesTheDecomposition:
+    """A tree from ``decompose`` is checked against the rows it was split
+    from, reading the splits ``decompose`` made; every other tree takes
+    the rows of its reconstruction, with the same report."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Count the splits that miss the memo and the calls of
+        ``Rows.of_tree``."""
+        made = {"split": 0, "of_tree": 0}
+        split, of_tree = Rows._split, Rows.of_tree
+
+        def counted_split(rows, m):
+            made["split"] += 1
+            return split(rows, m)
+
+        def counted_of_tree(cls, t):
+            made["of_tree"] += 1
+            return of_tree(t)
+        monkeypatch.setattr(Rows, "_split", counted_split)
+        monkeypatch.setattr(Rows, "of_tree", classmethod(counted_of_tree))
+        return made
+
+    def test_no_split_and_no_rows_built_again(self, monkeypatch):
+        rng = random.Random(43)
+        cases = []
+        for k in range(60):
+            sig = (SIG, DUAL)[k % 2]
+            g = random_f_graph(rng, sig, max_depth=5, max_leaves=rng.randint(1, 14))
+            t = binarize(decompose(g, sig))
+            cases.append((t, compute_encoding(t, classify_nodes(t, sig)), sig))
+        made = self._count(monkeypatch)
+        for t, enc, sig in cases:
+            assert check_kappa_lemma(t, enc, sig).ok
+        assert made == {"split": 0, "of_tree": 0}
+        # the same tree without its rows pays both
+        t, enc, sig = max(cases, key=lambda case: len(case[0].nodes()))
+        assert check_kappa_lemma(MDecPrimeTree(t.root), enc, sig).ok
+        assert made["of_tree"] == 1 and made["split"] > 0
+
+    def test_reports_equal_those_of_a_tree_without_rows(self):
+        rng = random.Random(44)
+        fell_back = 0
+        for k in range(160):
+            sig = (SIG, DUAL)[k % 2]
+            g = random_f_graph(rng, sig, max_depth=5, max_leaves=rng.randint(1, 12))
+            t, cls, enc = encode_graph(g, sig)
+            assert t.rows is g.rows
+            if k % 3 == 0 and g.n > 1:
+                enc = _corrupt(rng, t, enc, k // 3 % 3 + 1)[0]
+            want = _outcome(check_kappa_lemma, MDecPrimeTree(t.root), enc, sig)
+            assert _outcome(check_kappa_lemma, t, enc, sig) == want
+            # rows of another graph: on the same ids, and an f-graph of any size
+            other = random_f_graph(rng, sig, max_depth=5, max_leaves=rng.randint(1, 12))
+            for rows in (random_digraph(rng, g.n, 0.5).rows, other.rows):
+                fell_back += verify_binarized(t, rows, SIG.prime_ops + DUAL.prime_ops) is None
+                foreign = MDecPrimeTree(t.root, rows=rows)
+                assert _outcome(check_kappa_lemma, foreign, enc, sig) == want
+        assert fell_back > 200
+
+    @pytest.mark.parametrize("case", sorted(_NOT_DECOMPOSITIONS))
+    def test_trees_that_are_not_the_decomposition(self, case):
+        # carrying the rows of their own graph, they fail verification and
+        # fall back to a second decomposition, as without rows
+        t, sig = _NOT_DECOMPOSITIONS[case]()
+        g = reconstruct(t)
+        enc = encode_graph(g, SIG)[2]
+        carried = MDecPrimeTree(t.root, rows=Rows(g))
+        assert _outcome(check_kappa_lemma, carried, enc, sig) == \
+            _outcome(check_kappa_lemma, t, enc, sig)
 
 
 def _all_pairs(enc):

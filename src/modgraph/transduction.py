@@ -321,16 +321,14 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     leaf only as far as the lemma needs, so the check runs in polynomial
     time.
     """
-    carried = rows = t.rows
-    if rows is None:
-        rows = Rows.of_tree(t) or reconstruct(t).rows
+    rows = t.rows or Rows.of_tree(t) or reconstruct(t).rows
     ops = tree_prime_ops(t, sig)
     # a quotient matches the first isomorphic operation in ops, and a
     # signature holds one per isomorphism class already
     own = ops if sig is not None else [
         op for k, op in enumerate(ops) if match_op(ops[:k], op.graph) is None]
     verified = verify_binarized(t, rows, own)
-    if verified is None and carried is not None:
+    if verified is None and rows is t.rows:
         # not split from the rows it carries: the rows of reconstruct(t)
         rows = Rows.of_tree(t) or reconstruct(t).rows
         verified = verify_binarized(t, rows, own)

@@ -20,8 +20,7 @@ from .signature import (CLIQUE_OP, PAR_OP, SEQ_OP, DistinguishedSet, OpKind,
                         validate_weakly_rigid_signature)
 from .mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, binarize,
                    brute_force_prime_modules, decompose, format_tree,
-                   maximal_prime_modules, quotient_graph, reconstruct,
-                   tree_to_term)
+                   reconstruct, tree_to_term)
 from .recognizer import (AlgebraReport, FiniteAlgebra, evaluate, evaluate_tree,
                          member, validate_algebra)
 from .cms import (CmsFormula, ModelChecker, RelationalSignature, Structure,

@@ -1554,8 +1554,7 @@ def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
 
 
 def _tree_relations(t: MDecTree, sig: Optional[Signature]):
-    nodes = t.nodes()
-    index = {node: i for i, node in enumerate(nodes)}
+    nodes, down = t.nodes(), t.child_positions()
     symbols = sig.alphabet.symbols if sig is not None else sorted(
         {n.symbol for n in nodes if n.is_leaf and n.symbol is not None})
     letters = frozenset(symbols)
@@ -1573,7 +1572,7 @@ def _tree_relations(t: MDecTree, sig: Optional[Signature]):
                                         "the signature's alphabet")
                 rels[label_pred(node.symbol)].add((i,))
             continue
-        kids = tuple(map(index.__getitem__, node.children))
+        kids = tuple(down[i])
         child.update((i, c) for c in kids)
         if node.kind is NodeKind.SEQ:
             rels["label_seq"].add((i,))

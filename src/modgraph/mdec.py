@@ -37,8 +37,8 @@ from enum import Enum
 from random import Random
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .errors import NotAModule, NotInSignature, TooSmall, UnknownOp, VertexNotInGraph
-from .graphs import LabeledGraph, Permutation, is_module
+from .errors import NotInSignature, TooSmall, UnknownOp, VertexNotInGraph
+from .graphs import LabeledGraph, Permutation
 from .signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature, SignatureOp, Term,
                         edge_pattern, match_op, prime_op)
 
@@ -76,10 +76,9 @@ class Rows:
     dict on the rows that lives as long as they do: the rows never change
     once built, so a remembered answer is the one a fresh split gives.
     The answer is a tuple of the kind and a tuple of the blocks, so that
-    no caller can change it.  A tree built by ``decompose`` carries the
-    rows it was split on (``MDecTree.rows``), and the kappa check
-    verifies the tree against them, reading each split ``decompose``
-    made.
+    no caller can change it.  A tree from ``decompose`` carries the rows
+    and its masks (``MDecTree.rows``, ``MDecTree.masks``), and the kappa
+    check verifies the tree against them, reading each split made.
     """
 
     __slots__ = ("verts", "bit", "out", "inn", "und", "co", "fwd", "bwd", "_splits")
@@ -108,14 +107,11 @@ class Rows:
         self._fill(verts, bit, list(out.values()), list(inn.values()))
 
     @classmethod
-    def _of(cls, verts: list[int], out: list[int], inn: list[int],
-            bit: Optional[dict[int, int]] = None) -> "Rows":
+    def _of(cls, verts: list[int], out: list[int], inn: list[int]) -> "Rows":
         """The rows with the given out- and in-rows, for the sorted ids
         verts, without a look at any edge."""
         rows = cls.__new__(cls)
-        if bit is None:
-            bit = {v: 1 << i for i, v in enumerate(verts)}
-        rows._fill(verts, bit, out, inn)
+        rows._fill(verts, {v: 1 << i for i, v in enumerate(verts)}, out, inn)
         return rows
 
     def _fill(self, verts: list[int], bit: dict[int, int],
@@ -138,42 +134,37 @@ class Rows:
 
         Each node adds to every vertex of its i-th child the children that
         its operation links child i to (and from); a vertex's row is what
-        its ancestors add.  This takes O(nodes + n) mask operations, after
-        one lookup per vertex of each child's module to read its mask, as
-        ``verify_binarized`` does.  None when t is not a tree of modules
-        as ``decompose`` builds them: a leaf with children or with more
-        than one vertex, an inner node whose children's modules do not
-        partition its own, or a prime node whose operation's arity is not
-        its child count.
+        its ancestors add: O(nodes + n) mask operations on the masks that
+        ``node_masks`` reads from the modules.  None when t is not a tree
+        of modules as ``decompose`` builds them: a leaf with children or
+        with more than one vertex, an inner node whose children's modules
+        do not partition its own, or a prime node whose operation's arity
+        is not its child count.
         """
-        root = t.root
-        verts = sorted(root.module)
+        verts = sorted(t.root.module)
         n = len(verts)
-        bit = {v: 1 << i for i, v in enumerate(verts)}
-        read = bit.__getitem__
+        # rows with the ids' bits and no links yet, to read the masks over
+        rows = cls._of(verts, [], [])
+        masks = node_masks(t, rows)
+        if masks is None:
+            return None
         out = [0] * n
         inn = out.copy()
-        # each entry: a node, its mask, and what its ancestors add
-        stack = [(root, (1 << n) - 1, 0, 0)]
-        while stack:
-            node, m, o, i = stack.pop()
-            kids = node.children
+        # what the ancestors of each node add, by preorder position
+        adds = [(0, 0)] * len(masks)
+        down = t.child_positions()
+        for p, node in enumerate(t.nodes()):
+            m, kids, (o, i) = masks[p], down[p], adds[p]
             if node.kind is NodeKind.LEAF:
                 if kids or not m or m & (m - 1):
                     return None
                 j = m.bit_length() - 1
                 out[j], inn[j] = o, i
                 continue
-            try:
-                km = [sum(map(read, c.module)) for c in kids]
-            except KeyError:
-                return None
-            seen = 0
-            for x in km:
-                if not x or x & seen:
-                    return None
-                seen |= x
-            if seen != m:
+            km = [masks[c] for c in kids]
+            # non-empty masks adding up to m partition it when the sum has
+            # no carries, that is when their bit counts add up to m's
+            if 0 in km or sum(km) != m or sum(map(int.bit_count, km)) != m.bit_count():
                 return None
             k = len(km)
             if node.kind is NodeKind.PAR:
@@ -192,9 +183,10 @@ class Rows:
                 for (a, b) in op.graph.edges:
                     add_out[a - 1] |= km[b - 1]
                     add_in[b - 1] |= km[a - 1]
-            stack.extend((c, x, o | ao, i | ai)
-                         for c, x, ao, ai in zip(kids, km, add_out, add_in))
-        return cls._of(verts, out, inn, bit)
+            for c, ao, ai in zip(kids, add_out, add_in):
+                adds[c] = (o | ao, i | ai)
+        rows._fill(verts, rows.bit, out, inn)
+        return rows
 
     def ids(self, m: int) -> frozenset[int]:
         verts = self.verts
@@ -403,6 +395,7 @@ def _modules_avoiding(m: int, v: int, out: list[int], inn: list[int]) -> list[in
     Partition refinement: each work item is a part with the vertices it
     may still be split by.  A part that none of them splits is a module;
     a split sends each piece back with the rest of the part as splitters.
+    The splitters of a part stop once its pieces are all singletons.
     """
     parts = []
     work = [(m & ~v, v)]
@@ -412,7 +405,8 @@ def _modules_avoiding(m: int, v: int, out: list[int], inn: list[int]) -> list[in
             parts.append(p)
             continue
         pieces = [p]
-        while splitters:
+        k = p.bit_count()
+        while splitters and len(pieces) < k:
             b = splitters & -splitters
             splitters ^= b
             i = b.bit_length() - 1
@@ -435,29 +429,6 @@ def _modules_avoiding(m: int, v: int, out: list[int], inn: list[int]) -> list[in
         else:
             work.extend((q, p & ~q) for q in pieces)
     return parts
-
-
-def quotient_graph(g: LabeledGraph, partition: Sequence[frozenset[int]]) -> LabeledGraph:
-    """Unlabeled graph on 1..k with block i as vertex i.
-
-    Every block must be a module; cross edges are then uniform, so a single
-    representative pair decides each quotient edge.
-    """
-    covered: set[int] = set()
-    for block in partition:
-        if not block or not is_module(g, block):
-            raise NotAModule(f"partition block {sorted(block)} is not a module")
-        if block & covered:
-            raise NotAModule("partition blocks overlap")
-        covered |= block
-    if covered != g.vertices:
-        raise NotAModule("partition does not cover the vertex set")
-    reps = [min(block) for block in partition]
-    es = g.edges
-    edges = [(i + 1, j + 1)
-             for i in range(len(partition)) for j in range(len(partition))
-             if i != j and (reps[i], reps[j]) in es]
-    return LabeledGraph.on_range(len(partition), edges)
 
 
 def _adhoc_name(q: LabeledGraph) -> str:
@@ -490,26 +461,6 @@ def _match_quotient(quotient: LabeledGraph, blocks: list[T],
     return prime_op(_adhoc_name(quotient), quotient, check_prime=False), blocks
 
 
-def maximal_prime_modules(g: LabeledGraph, sig: Optional[Signature] = None,
-                          ) -> tuple[NodeKind, list[frozenset[int]]]:
-    """Partition into maximal prime modules plus the node kind.
-
-    The seq case comes back in its unique chain order, par/clique in
-    smallest-vertex order, and a prime quotient in an enumeration matching
-    the signature operation when one is given and matches.
-    """
-    if g.n < 2:
-        raise TooSmall("decomposition step needs at least 2 vertices")
-    rows = g.rows
-    kind, blocks = rows.split((1 << g.n) - 1)
-    if kind is NodeKind.PRIME and sig is not None:
-        try:
-            _, blocks = _match_quotient(rows.quotient(blocks), blocks, sig.prime_ops)
-        except NotInSignature:
-            pass  # unmatched: keep the raw smallest-vertex block order
-    return kind, [rows.ids(b) for b in blocks]
-
-
 @dataclass(eq=False)
 class MDecNode:
     """Tree node: a module of the decomposed graph with its product label.
@@ -540,50 +491,65 @@ class MDecNode:
 class MDecTree:
     """Decomposition tree; leaves are the singletons of the vertex set.
 
-    A tree is immutable once built: its preorder node list, parent map and
-    leaf map are read off once, at construction.  Nothing enforces this;
-    a node's children re-assigned after construction are not seen by
-    ``nodes()`` or ``parents()``, nor by what other layers derive from
-    them.  Build a new tree instead.
+    A node's id is its preorder position in ``nodes()``, as in
+    ``cms.tree_structure``: ``parent_positions()``, ``child_positions()``
+    and ``masks`` are by position.  All of them and ``leaf_of``, each
+    vertex's leaf in preorder, come from one walk at construction: children
+    re-assigned later are not seen by the tree, so build a new one instead.
 
-    ``rows`` are the rows of the graph the tree was split from: ``decompose``
-    sets them and ``binarize`` passes them on, and a hand-built tree has
-    None.  They are a hint, not a claim: ``transduction.check_kappa_lemma``
-    first verifies the tree against them, and on a tree that fails, or
-    has none, it takes the rows of ``reconstruct(t)`` instead.
+    ``rows`` are the rows of the graph the tree was split from and
+    ``masks`` its modules' bitmasks over them: ``decompose`` records each
+    mask as it splits it and ``binarize`` ORs those of the comb nodes it
+    adds.  Any other tree has no masks, and a hand-built one no rows;
+    ``node_masks`` reads its masks from the modules.  Both are a hint,
+    not a claim: ``transduction.check_kappa_lemma`` verifies the tree
+    against them first, and on a tree that fails, or has none, it takes
+    the rows of ``reconstruct(t)`` instead.
     """
 
     root: MDecNode
-    leaf_of: dict[int, MDecNode] = field(default_factory=dict)
     rows: Optional[Rows] = field(default=None, repr=False)
 
     def __post_init__(self):
         nodes: list[MDecNode] = []
-        parents: dict[MDecNode, MDecNode] = {}
+        up: list[Optional[int]] = []
         leaves: dict[int, MDecNode] = {}
-        stack = [self.root]
+        # each entry: a node and its parent's position
+        stack: list[tuple[MDecNode, Optional[int]]] = [(self.root, None)]
         while stack:
-            node = stack.pop()
+            node, p = stack.pop()
+            i = len(nodes)
             nodes.append(node)
+            up.append(p)
             if node.kind is NodeKind.LEAF:
                 (v,) = node.module
                 leaves[v] = node
-            kids = node.children
-            for c in kids:
-                parents[c] = node
-            stack.extend(reversed(kids))
-        self._nodes = tuple(nodes)
-        self._parents = parents
-        if not self.leaf_of:
-            self.leaf_of.update(leaves)
+            stack.extend([(c, i) for c in reversed(node.children)])
+        self._nodes, self._up, self._down = tuple(nodes), up, None
+        self.leaf_of = leaves
+        self.masks: Optional[tuple[int, ...]] = None
 
     def nodes(self) -> tuple[MDecNode, ...]:
         """Every node in preorder, children left to right."""
         return self._nodes
 
+    def parent_positions(self) -> list[Optional[int]]:
+        """The position of every node's parent, None for the root."""
+        return self._up
+
+    def child_positions(self) -> list[list[int]]:
+        """The positions of every node's children, left to right."""
+        if self._down is None:
+            self._down = [[] for _ in self._up]
+            for i, p in enumerate(self._up[1:], 1):
+                self._down[p].append(i)
+        return self._down
+
     def parents(self) -> dict[MDecNode, MDecNode]:
         """The parent of every node but the root."""
-        return self._parents
+        nodes = self._nodes
+        return {nodes[c]: node for node, kids in zip(nodes, self.child_positions())
+                for c in kids}
 
 
 @dataclass(eq=False)
@@ -617,16 +583,19 @@ def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
 def _decompose(g: LabeledGraph, rows: Rows,
                ops: Optional[Sequence[SignatureOp]]) -> MDecTree:
     """``decompose`` on the rows of g, prime quotients matched against ops
-    (ad-hoc operations when ops is None); the tree carries the rows."""
+    (ad-hoc operations when ops is None); the tree carries the rows and
+    the modules' masks, in the preorder they are split in."""
     if g.n == 0:
         raise TooSmall("cannot decompose the empty graph")
     verts, labels = rows.verts, g.labels
     top: list[MDecNode] = [None]
     inner: list[tuple[MDecNode, list[MDecNode]]] = []
+    masks: list[int] = []
     # each entry: a module and the slot of its node in the parent's list
     stack: list[tuple[int, list[MDecNode], int]] = [((1 << g.n) - 1, top, 0)]
     while stack:
         m, slot, pos = stack.pop()
+        masks.append(m)
         if not m & (m - 1):
             v = verts[m.bit_length() - 1]
             slot[pos] = MDecNode(frozenset((v,)), NodeKind.LEAF,
@@ -646,7 +615,9 @@ def _decompose(g: LabeledGraph, rows: Rows,
     for node, kids in reversed(inner):
         node.children = tuple(kids)
         node.module = frozenset().union(*(c.module for c in kids))
-    return MDecTree(top[0], rows=rows)
+    t = MDecTree(top[0], rows=rows)
+    t.masks = tuple(masks)
+    return t
 
 
 def fold_tree(root: MDecNode, combine: Callable[[MDecNode, list[T]], T]) -> T:
@@ -671,69 +642,73 @@ def fold_tree(root: MDecNode, combine: Callable[[MDecNode, list[T]], T]) -> T:
     return values[root]
 
 
-def _binarize_node(node: MDecNode, kids: list[MDecNode]) -> MDecNode:
-    if node.kind is NodeKind.SEQ and len(kids) >= 3:
-        acc = MDecNode(kids[-2].module | kids[-1].module, NodeKind.SEQ,
-                       (kids[-2], kids[-1]))
-        for c in reversed(kids[1:-2]):
-            acc = MDecNode(c.module | acc.module, NodeKind.SEQ, (c, acc))
-        return MDecNode(node.module, NodeKind.SEQ, (kids[0], acc))
-    return MDecNode(node.module, node.kind, tuple(kids), node.symbol, node.op)
-
-
 def binarize(t: MDecTree) -> MDecPrimeTree:
     """Replace each seq node with >= 3 children by a right comb of seq nodes;
-    the result carries t's rows."""
-    return MDecPrimeTree(fold_tree(t.root, _binarize_node), rows=t.rows)
+    the result carries t's rows, and its masks when t has them."""
+    # the mask of every node of t and of the result (0 when t has none)
+    mask = dict(zip(t.nodes(), t.masks or itertools.repeat(0)))
+
+    def combine(node: MDecNode, kids: list[MDecNode]) -> MDecNode:
+        if node.kind is NodeKind.SEQ and len(kids) >= 3:
+            acc = kids[-1]
+            for c in reversed(kids[1:-1]):
+                comb = MDecNode(c.module | acc.module, NodeKind.SEQ, (c, acc))
+                mask[comb] = mask[c] | mask[acc]
+                acc = comb
+            made = MDecNode(node.module, NodeKind.SEQ, (kids[0], acc))
+        else:
+            made = MDecNode(node.module, node.kind, tuple(kids), node.symbol, node.op)
+        mask[made] = mask[node]
+        return made
+
+    b = MDecPrimeTree(fold_tree(t.root, combine), rows=t.rows)
+    if t.masks is not None:
+        b.masks = tuple(map(mask.__getitem__, b.nodes()))
+    return b
+
+
+def node_masks(t: MDecTree, rows: Rows) -> Optional[Sequence[int]]:
+    """The bitmask over rows of every node's module, in preorder: the
+    masks t carries when rows are its own, else each read from the node's
+    module once.  None when a module holds a vertex outside rows."""
+    if rows is t.rows and t.masks is not None:
+        return t.masks
+    read = rows.bit.__getitem__
+    try:
+        return [sum(map(read, node.module)) for node in t.nodes()]
+    except KeyError:
+        return None
 
 
 def verify_binarized(t: MDecTree, rows: Rows, ops: Sequence[SignatureOp],
-                     ) -> Optional[tuple[dict[MDecNode, int],
-                                         dict[MDecNode, MDecNode],
-                                         dict[int, MDecNode]]]:
+                     ) -> Optional[Sequence[int]]:
     """Whether t is ``binarize(_decompose(g, rows, ops))`` for the graph g of
     rows, up to leaf symbols, the order of par and clique children and the
     choice of admissible enumeration at prime nodes.
 
     ops must hold one operation per isomorphism class, as a signature does.
-    Each node's mask is read from its own module, and each inner node is
+    Each node's mask comes from ``node_masks``, and each inner node is
     checked against one ``split`` of that mask: par, clique and prime
     nodes must match in kind and in child masks as a set, and a prime
     node's quotient in t's child order must have exactly the edges of its
     operation, one of ops; a seq node must split as its first child plus a
     second child holding the rest of the chain, which is checked in turn
-    on the blocks already found.  Gives every node's mask, every node's
-    parent and every vertex's leaf when it is, None otherwise.
+    on the blocks already found.  Gives the masks when it is, else None.
     """
-    bit = rows.bit
-    read = bit.__getitem__
-    root = t.root
-    try:
-        full = sum(map(read, root.module))
-    except KeyError:
-        return None
-    if not full or full != (1 << len(bit)) - 1:
+    masks = node_masks(t, rows)
+    if masks is None or not masks[0] or masks[0] != (1 << len(rows.verts)) - 1:
         return None
     out = rows.out
-    mask = {root: full}
-    parents: dict[MDecNode, MDecNode] = {}
-    leaves: dict[int, MDecNode] = {}
-    # comb nodes: the chain blocks their seq parent's split already gave
-    rest: dict[MDecNode, list[int]] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        m, kind, kids = mask[node], node.kind, node.children
+    # comb nodes, by position: the chain blocks their seq parent's split gave
+    rest: dict[int, tuple[int, ...]] = {}
+    for p, (node, kids) in enumerate(zip(t.nodes(), t.child_positions())):
+        m, kind = masks[p], node.kind
         if not m & (m - 1):
             if kind is not NodeKind.LEAF or kids:
                 return None
-            leaves[rows.verts[m.bit_length() - 1]] = node
             continue
-        try:
-            km = [sum(map(read, c.module)) for c in kids]
-        except KeyError:
-            return None
-        chain = rest.pop(node, None)
+        km = [masks[c] for c in kids]
+        chain = rest.pop(p, None)
         split, blocks = (NodeKind.SEQ, chain) if chain else rows.split(m)
         if kind is not split:
             return None
@@ -753,11 +728,7 @@ def verify_binarized(t: MDecTree, rows: Rows, ops: Sequence[SignatureOp],
                     for j, s in enumerate(reps, 1)
                     if out[r] >> s & 1} != op.graph.edges:
                 return None
-        for c, cm in zip(kids, km):
-            mask[c] = cm
-            parents[c] = node
-        stack.extend(kids)
-    return mask, parents, leaves
+    return masks
 
 
 _KIND_TO_OP = {NodeKind.PAR: PAR_OP, NodeKind.SEQ: SEQ_OP, NodeKind.CLIQUE: CLIQUE_OP}

@@ -12,7 +12,6 @@ be checked against the other.
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
@@ -25,7 +24,7 @@ from .cms import (ELEMENT, And, Call, CmsFormula, Definition, Eq, Exists,
 from .errors import (NotInSignature, NotWeaklyRigid, NotWeaklyRigidSignature,
                      UnknownOp, UnknownPredicate, UnknownSymbol, VertexNotInGraph)
 from .graphs import LabeledGraph, is_internally_disconnected, is_module
-from .mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, Rows,
+from .mdec import (MDecNode, MDecPrimeTree, NodeKind, Rows,
                    _decompose, binarize, decompose, reach, reconstruct,
                    verify_binarized)
 from .signature import OpKind, Signature, SignatureOp, match_op
@@ -218,17 +217,6 @@ def _bits(m: int):
         m ^= b
 
 
-def _node_masks(t: MDecTree, rows: Rows) -> dict[MDecNode, int]:
-    """The bitmask of every node's module, children before parents."""
-    bit = rows.bit
-    mask: dict[MDecNode, int] = {}
-    for node in reversed(t.nodes()):
-        kids = node.children
-        mask[node] = (sum(mask[c] for c in kids) if kids
-                      else bit[next(iter(node.module))])
-    return mask
-
-
 def _sequential(rows: Rows, x: int) -> bool:
     """x splits as prefix + suffix linked forward only: the relation "pulls
     in" is not strongly connected on x."""
@@ -277,39 +265,47 @@ class KappaLemmaReport:
                          [f"  - {m}" for m in self.mismatches])
 
 
+def _distinguished_on_rows(rows: Rows, masks: Sequence[int], p: int, node: MDecNode,
+                   kids: Sequence[int]) -> tuple[int, ...]:
+    """The distinguished children of the connected node at position p:
+    the initial ones if it is sequential, else its enumeration's."""
+    m = masks[p]
+    if _sequential(rows, m):
+        return tuple(c for c in kids if _initial(rows, m, masks[c]))
+    if node.kind is not NodeKind.PRIME:
+        raise NotWeaklyRigid(f"connected node on {sorted(node.module)} "
+                             "matches no signature operation")
+    return tuple(kids[i - 1] for i in node.op.symmetry.distinguished)
+
+
 def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
                       sig: Optional[Signature] = None) -> KappaLemmaReport:
     """Cross-check the path-based kappa maps against their module-theoretic
     characterization on the graph ``reconstruct(t)``.
 
     That graph is not built.  A tree from ``decompose`` carries the rows
-    it was split from (``MDecTree.rows``), and the check first verifies t
-    against them: once ``mdec.verify_binarized`` finds t to be the
-    binarized decomposition of the graph of those rows, every node's
-    children are the blocks of its module and every prime node's quotient
-    is its operation, so ``reconstruct(t)`` has exactly those rows.  Each
-    of that verification's splits is then one ``decompose`` made, read
-    from the rows' memo.  A tree with no rows, or whose rows fail, is
-    checked on the rows pushed down from the masks of its children
-    (``mdec.Rows.of_tree``), in O(nodes + n) mask operations and with no
-    loop over edges; only a tree whose children do not partition each
-    node's module is reconstructed, and its rows built from the edges.
-    The node family is t's own nodes, once ``verify_binarized`` finds t to
-    be the binarized decomposition of that graph, which is unique (Gallai
-    1967): one ``Rows.split`` per inner node, of the mask read from the
-    node's module, against its children, and a prime node's quotient
+    it was split from and its nodes' masks over them (``MDecTree.rows``
+    and ``MDecTree.masks``), and the check first verifies t against them
+    with ``mdec.verify_binarized``: one ``Rows.split`` per inner node, read
+    from the rows' memo, against its children, and a prime node's quotient
     against its operation, which must be the one of t's operations
-    (``cms.tree_prime_ops``) that matches it.  Then the strong modules are
-    t's nodes, the sequential suffixes its seq comb nodes, the members
-    holding a vertex its leaf-to-root path, and a prime node's
-    distinguished children those of its enumeration.  A tree that fails
-    the verification, such as a hand-built one, gets its family from
-    ``binarize(decompose(reconstruct(t)))`` on the same rows, with the
-    quotients matched against those operations, and a prime quotient that
-    matches none raises NotWeaklyRigid; either way the report is the
-    same.  Whether a member is disconnected, degenerate or sequential, and
-    which children of a sequential one are initial, is decided on the
-    rows.
+    (``cms.tree_prime_ops``) that matches it.  Once t passes, it is the
+    binarized decomposition of the graph of those rows, which is unique
+    (Gallai 1967), so ``reconstruct(t)`` has exactly those rows, and the
+    strong modules are t's nodes, the sequential suffixes its seq comb
+    nodes, the members holding a vertex its leaf-to-root path, and a
+    prime node's distinguished children those of its enumeration.  A tree
+    with no rows, or whose rows fail, is verified on the rows pushed down
+    from its children (``mdec.Rows.of_tree``), its masks read from its
+    modules; only a tree whose children do not partition each node's
+    module is reconstructed, and its rows built from the edges.  A tree
+    that fails the verification, such as a hand-built one, gets its family
+    from ``binarize(decompose(reconstruct(t)))`` on the same rows, with
+    the quotients matched against those operations, and a prime quotient
+    that matches none raises NotWeaklyRigid; either way the report is the
+    same.  The walks run on preorder positions and masks.  Whether a
+    member is disconnected, degenerate or sequential, and which children
+    of a sequential one are initial, is decided on the rows.
 
     The family does not come from the graph alone: the split it is
     verified with is the decomposition algorithm that usually built t, so
@@ -327,72 +323,65 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     # signature holds one per isomorphism class already
     own = ops if sig is not None else [
         op for k, op in enumerate(ops) if match_op(ops[:k], op.graph) is None]
-    verified = verify_binarized(t, rows, own)
-    if verified is None and rows is t.rows:
+    masks = verify_binarized(t, rows, own)
+    if masks is None and rows is t.rows:
         # not split from the rows it carries: the rows of reconstruct(t)
         rows = Rows.of_tree(t) or reconstruct(t).rows
-        verified = verify_binarized(t, rows, own)
-    if verified is not None:
-        mask, parents, leaf_of = verified
-    else:
+        masks = verify_binarized(t, rows, own)
+    if masks is None:
         try:
-            b = binarize(_decompose(reconstruct(t), rows, ops))
+            t = binarize(_decompose(reconstruct(t), rows, ops))
         except NotInSignature as e:
             raise NotWeaklyRigid(str(e)) from None
-        mask, parents, leaf_of = _node_masks(b, rows), b.parents(), b.leaf_of
+        masks = t.masks
+    nodes, up, down = t.nodes(), t.parent_positions(), t.child_positions()
     # the relation whose components split a disconnected set
     sep = rows.und if enc.classification.mode is NodeKind.PAR else rows.co
-
-    @functools.cache
-    def disc(node: MDecNode) -> bool:
-        m = mask[node]
-        return reach(m & -m, m, sep) != m
-
-    @functools.cache
-    def degenerate(node: MDecNode) -> bool:
-        # discrete (par mode) or a clique (clique mode)
-        m = mask[node]
-        return not any(sep[i] & m & ~(1 << i) for i in _bits(m))
-
-    @functools.cache
-    def dist_children(node: MDecNode) -> tuple[MDecNode, ...]:
-        m, kids = mask[node], node.children
-        if _sequential(rows, m):
-            return tuple(y for y in kids if _initial(rows, m, mask[y]))
-        if node.kind is not NodeKind.PRIME:
-            raise NotWeaklyRigid(f"connected node on {sorted(node.module)} "
-                                 "matches no signature operation")
-        return tuple(kids[i - 1] for i in node.op.symmetry.distinguished)
+    # by position: whether a node is disconnected, and, as the walks reach
+    # them, whether a disconnected one is degenerate (discrete in par mode,
+    # a clique in clique mode) and a connected one's distinguished children
+    disc = [m & (m - 1) != 0 and reach(m & -m, m, sep) != m for m in masks]
+    degenerate: dict[int, bool] = {}
+    dist: dict[int, tuple[int, ...]] = {}
+    leaf_at = {m: p for p, m in enumerate(masks) if not m & (m - 1)}  # leaves by bit
 
     mismatches: list[KappaMismatch] = []
-    for v in rows.verts:
-        leaf = leaf_of[v]
+    for j, v in enumerate(rows.verts):
+        leaf = leaf_at[1 << j]
         # least disconnected node containing v, if degenerate; it is a
         # strong module, as comb nodes are sequential, so connected
         lemma1 = None
-        p = parents.get(leaf)
+        p = up[leaf]
         while p is not None:
-            if disc(p):
-                if degenerate(p):
+            if disc[p]:
+                d = degenerate.get(p)
+                if d is None:
+                    m = masks[p]
+                    d = degenerate[p] = not any(sep[i] & m & ~(1 << i) for i in _bits(m))
+                if d:
                     lemma1 = p
                 break
-            p = parents.get(p)
+            p = up[p]
         # first connected node reached from a distinguished child; smaller
         # connected nodes must all hold v in a non-distinguished child
         lemma2 = lemma3 = None
-        child, q = leaf, parents.get(leaf)
+        child, q = leaf, up[leaf]
         while q is not None:
-            if not disc(q) and child in dist_children(q):
-                lemma3 = q
-                up = parents.get(q)
-                if up is not None and disc(up):
-                    lemma2 = up
-                break
-            child, q = q, parents.get(q)
+            if not disc[q]:
+                ds = dist.get(q)
+                if ds is None:
+                    ds = dist[q] = _distinguished_on_rows(rows, masks, q, nodes[q], down[q])
+                if child in ds:
+                    lemma3 = q
+                    above = up[q]
+                    if above is not None and disc[above]:
+                        lemma2 = above
+                    break
+            child, q = q, up[q]
 
         for i, lemma in ((1, lemma1), (2, lemma2), (3, lemma3)):
             path = enc.kappa[i].get(v)
-            want = None if lemma is None else lemma.module
+            want = None if lemma is None else nodes[lemma].module
             got = None if path is None else path.module
             if want != got:
                 mismatches.append(KappaMismatch(i, v, want, got))
@@ -737,7 +726,7 @@ class PredicateLibrary:
         rows = g.rows
         d = _decompose(g, rows, None)
         t = binarize(d)
-        parents = t.parents()
+        nodes, masks = t.nodes(), t.masks
 
         f_nodes: set[frozenset[int]] = set()
         labels: dict[str, set[frozenset[int]]] = {
@@ -748,24 +737,22 @@ class PredicateLibrary:
             labels[f"label_{op.name}"] = set()
             children_tuples[op.name] = set()
 
-        has_par = self.sig.builtin(OpKind.PARALLEL) is not None
-        has_seq = self.sig.builtin(OpKind.SEQUENTIAL) is not None
-        has_clique = self.sig.builtin(OpKind.CLIQUE) is not None
-        kind_gate = {NodeKind.PAR: has_par, NodeKind.SEQ: has_seq,
-                     NodeKind.CLIQUE: has_clique}
+        builtin = self.sig.builtin
+        kind_gate = {NodeKind.PAR: builtin(OpKind.PARALLEL) is not None,
+                     NodeKind.SEQ: builtin(OpKind.SEQUENTIAL) is not None,
+                     NodeKind.CLIQUE: builtin(OpKind.CLIQUE) is not None}
         kind_label = {NodeKind.PAR: "label_par", NodeKind.SEQ: "label_seq",
                       NodeKind.CLIQUE: "label_clique"}
 
         # child pairs over the signature-labeled nodes only: a node's parent
-        # is the nearest of them above it in the tree
-        is_f: dict[MDecNode, bool] = {}
-        f_above: dict[MDecNode, Optional[MDecNode]] = {}
+        # is the nearest of them above it in the tree, by position
+        is_f: list[bool] = []
+        f_above: list[Optional[int]] = []
         child_pairs: set[tuple] = set()
-        seq_pairs: list[tuple[MDecNode, MDecNode]] = []
-        for node in t.nodes():  # parents first
-            p = parents.get(node)
+        first_pairs: set[tuple] = set()
+        for pos, (node, p) in enumerate(zip(nodes, t.parent_positions())):  # parents first
             above = None if p is None else p if is_f[p] else f_above[p]
-            f_above[node] = above
+            f_above.append(above)
             m = node.module
             if node.is_leaf:
                 f = True
@@ -784,16 +771,14 @@ class PredicateLibrary:
                     children_tuples[op.name].update(
                         (m,) + order for order in sym.enumerations(enum))
                     dist_by_node[m] = {enum[i - 1] for i in sym.distinguished}
-            is_f[node] = f
+            is_f.append(f)
             if f:
                 f_nodes.add(m)
                 if above is not None:
-                    child_pairs.add((above.module, m))
-                    if above.kind is NodeKind.SEQ:
-                        seq_pairs.append((above, node))
-        mask = _node_masks(t, rows)
-        first_pairs = {(x.module, y.module) for (x, y) in seq_pairs
-                       if _initial(rows, mask[x], mask[y])}
+                    x = nodes[above]
+                    child_pairs.add((x.module, m))
+                    if x.kind is NodeKind.SEQ and _initial(rows, masks[above], masks[pos]):
+                        first_pairs.add((x.module, m))
         dist_pairs = set(first_pairs)
         for (x, y) in child_pairs:
             if y in dist_by_node.get(x, ()):

@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from mdec_referee import co_components, referee_prime_modules
+from mdec_referee import co_components, quotient_graph, referee_prime_modules
 from modgraph.cms import tree_prime_ops
 from modgraph.errors import NotWeaklyRigid
 from modgraph.graphs import LabeledGraph, is_internally_disconnected
-from modgraph.mdec import MDecPrimeTree, NodeKind, quotient_graph, reconstruct
+from modgraph.mdec import MDecPrimeTree, NodeKind, reconstruct
 from modgraph.signature import Signature, match_op
 from modgraph.transduction import EncodingTables, KappaLemmaReport, KappaMismatch
 

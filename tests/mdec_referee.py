@@ -13,14 +13,54 @@ the referee of the NextClosure oracle ``mdec.all_modules``.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from modgraph.errors import TooSmall
+from modgraph.errors import NotAModule, NotInSignature, TooSmall
 from modgraph.graphs import (LabeledGraph, _check_subset, _components_of,
-                             undirected_components)
-from modgraph.mdec import (MDecNode, MDecTree, NodeKind, _match_quotient,
-                           quotient_graph)
+                             is_module, undirected_components)
+from modgraph.mdec import MDecNode, MDecTree, NodeKind, _match_quotient
 from modgraph.signature import Signature
+
+
+def quotient_graph(g: LabeledGraph, partition: Sequence[frozenset[int]]) -> LabeledGraph:
+    """Unlabeled graph on 1..k with block i as vertex i, the validating
+    quotient: every block must be a module; cross edges are then uniform,
+    so a single representative pair decides each quotient edge.
+    """
+    covered: set[int] = set()
+    for block in partition:
+        if not block or not is_module(g, block):
+            raise NotAModule(f"partition block {sorted(block)} is not a module")
+        if block & covered:
+            raise NotAModule("partition blocks overlap")
+        covered |= block
+    if covered != g.vertices:
+        raise NotAModule("partition does not cover the vertex set")
+    reps = [min(block) for block in partition]
+    es = g.edges
+    edges = [(i + 1, j + 1)
+             for i in range(len(partition)) for j in range(len(partition))
+             if i != j and (reps[i], reps[j]) in es]
+    return LabeledGraph.on_range(len(partition), edges)
+
+
+def maximal_prime_modules(g: LabeledGraph, sig: Optional[Signature] = None,
+                          ) -> tuple[NodeKind, list[frozenset[int]]]:
+    """The root's node kind and the modules of its children, from one
+    ``Rows.split`` of g's rows: the seq case in its chain order, par and
+    clique by smallest vertex, and a prime quotient in an enumeration
+    matching the signature's operation when one matches.
+    """
+    if g.n < 2:
+        raise TooSmall("decomposition step needs at least 2 vertices")
+    rows = g.rows
+    kind, blocks = rows.split((1 << g.n) - 1)
+    if kind is NodeKind.PRIME and sig is not None:
+        try:
+            _, blocks = _match_quotient(rows.quotient(blocks), blocks, sig.prime_ops)
+        except NotInSignature:
+            pass  # unmatched: keep the raw smallest-vertex block order
+    return kind, [rows.ids(b) for b in blocks]
 
 
 def co_components(g: LabeledGraph, x: Optional[Iterable[int]] = None) -> list[frozenset[int]]:

@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deep_term import LEVELS, alternating_term
-from mdec_referee import brute_force_modules, referee_decompose, referee_prime_modules
+from mdec_referee import (brute_force_modules, maximal_prime_modules, quotient_graph,
+                          referee_decompose, referee_prime_modules)
 from modgraph.errors import NotAModule, NotInSignature, TooSmall, UnknownOp
 from modgraph.generators import random_digraph, random_f_graph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
 from modgraph.cms import tree_prime_ops
-from modgraph.mdec import (MDecNode, MDecTree, NodeKind, Rows, _adhoc_name, all_modules,
-                           binarize, brute_force_prime_modules, decompose, fold_tree,
-                           format_tree, maximal_prime_modules, quotient_graph, reconstruct,
+from modgraph.mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, Rows, _adhoc_name,
+                           all_modules, binarize, brute_force_prime_modules, decompose,
+                           fold_tree, format_tree, node_masks, reconstruct,
                            shuffle_admissible, tree_prime_modules, tree_to_term,
                            verify_binarized)
 from modgraph.recognizer import evaluate_tree
@@ -213,9 +214,18 @@ class TestVerifyBinarized:
             if k % 3 == 0:
                 t = shuffle_admissible(t, rng)
             rows = Rows(g)
-            mask, parents, leaves = verify_binarized(t, rows, ops)
-            assert mask == {n: rows.mask(n.module) for n in t.nodes()}
-            assert parents == t.parents() and leaves == t.leaf_of
+            masks = verify_binarized(t, rows, ops)
+            nodes, up = t.nodes(), t.parent_positions()
+            assert list(masks) == [rows.mask(n.module) for n in nodes]
+            # the parents and leaves it gave before are the tree's own
+            assert t.parents() == {nodes[p]: nodes[q]
+                                   for p, q in enumerate(up) if q is not None}
+            assert all(masks[p] & ~masks[q] == 0 for p, q in enumerate(up) if q is not None)
+            assert list(t.leaf_of.items()) == [(rows.verts[m.bit_length() - 1], n)
+                                               for n, m in zip(nodes, masks) if n.is_leaf]
+            if t.masks is not None:
+                # on its own rows, the masks the tree carries
+                assert verify_binarized(t, t.rows, ops) is t.masks
 
     @pytest.mark.parametrize("case", sorted(_NOT_VERIFIED))
     def test_rejects(self, case):
@@ -351,6 +361,76 @@ class TestSplitMemo:
         t = decompose(g)
         assert t.rows is g.rows and binarize(t).rows is g.rows
         assert MDecTree(t.root).rows is None
+
+
+class TestCarriedMasks:
+    """``decompose`` records each node's mask as it splits it, ``binarize``
+    ORs those of its comb nodes, and no other tree carries masks."""
+
+    @staticmethod
+    def _graphs(seed, count):
+        rng = random.Random(seed)
+        for k in range(count):
+            if k % 3 == 0:
+                yield random_digraph(rng, rng.randint(1, 10), rng.choice((0.2, 0.5))), None
+            else:
+                sig = (SIG, scw5_signature())[k % 3 - 1]
+                yield random_f_graph(rng, sig, max_depth=5, max_leaves=14), sig
+
+    def test_decompose_and_binarize_carry_the_module_masks(self):
+        combs = 0
+        for g, sig in self._graphs(81, 240):
+            t = decompose(g, sig)
+            b = binarize(t)
+            combs += len(b.nodes()) - len(t.nodes())
+            rows = g.rows
+            for tree in (t, b):
+                assert tree.rows is rows
+                assert list(tree.masks) == [rows.mask(n.module) for n in tree.nodes()]
+                assert node_masks(tree, rows) is tree.masks
+                # other rows, even of the same graph, read the modules
+                assert node_masks(tree, Rows(g)) == list(tree.masks)
+        assert combs > 100
+
+    def test_other_trees_carry_none(self):
+        rng = random.Random(82)
+        for g, sig in self._graphs(83, 120):
+            t = decompose(g, sig)
+            rows = g.rows
+            rebuilt = [MDecTree(t.root), MDecPrimeTree(binarize(t).root, rows=rows),
+                       shuffle_admissible(t, rng), shuffle_admissible(binarize(t), rng)]
+            assert all(binarize(tree).masks is None for tree in rebuilt)
+            victims = [n for n in t.nodes()[1:] if n.children]
+            if victims:
+                # the in-place edit of a built tree that a test of the
+                # benchmark makes, splicing a node out: the tree rebuilt
+                # after it carries no masks
+                victim = rng.choice(victims)
+                parent = t.parents()[victim]
+                parent.children = tuple(c for k in parent.children
+                                        for c in (victim.children if k is victim else (k,)))
+                rebuilt.append(MDecTree(t.root, rows=rows))
+            for tree in rebuilt:
+                assert tree.masks is None
+                assert node_masks(tree, rows) == [rows.mask(n.module) for n in tree.nodes()]
+
+    def test_a_vertex_outside_the_rows_gives_none(self):
+        g = word_graph("abab")
+        t = decompose(g)
+        assert node_masks(t, word_graph("aba").rows) is None
+        assert node_masks(MDecTree(t.root), word_graph("aba").rows) is None
+        assert node_masks(t, word_graph("ababa").rows) == list(t.masks)
+
+    def test_index_form(self):
+        for g, sig in self._graphs(84, 60):
+            for t in (decompose(g, sig), binarize(decompose(g, sig))):
+                nodes, up, down = t.nodes(), t.parent_positions(), t.child_positions()
+                assert up[0] is None and nodes[0] is t.root
+                for p, node in enumerate(nodes):
+                    assert [nodes[c] for c in down[p]] == list(node.children)
+                    assert all(up[c] == p for c in down[p])
+                assert t.parents() == {c: n for n in nodes for c in n.children}
+                assert list(t.leaf_of.values()) == [n for n in nodes if n.is_leaf]
 
 
 class TestAdhocNames:

@@ -12,6 +12,7 @@ from deep_term import LEVELS, alternating_term
 from encoding_referee import (referee_build_repr, referee_compute_encoding,
                               referee_verify_isomorphism)
 from kappa_referee import _suffixes, referee_check_kappa_lemma
+from mdec_referee import maximal_prime_modules
 from modgraph import transduction
 from modgraph.cms import (ModelChecker, graph_structure, model_check, tree_prime_ops,
                           tree_relations)
@@ -20,7 +21,7 @@ from modgraph.errors import (ModgraphError, NotWeaklyRigid, NotWeaklyRigidSignat
 from modgraph.generators import random_digraph, random_f_graph, random_subset
 from modgraph.graphs import Alphabet, LabeledGraph, Permutation, is_module
 from modgraph.mdec import (MDecNode, MDecPrimeTree, NodeKind, Rows, binarize, decompose,
-                           maximal_prime_modules, reconstruct, verify_binarized)
+                           reconstruct, verify_binarized)
 from modgraph.samples import (cycle_graph, scw5_signature, spp3_signature,
                               spw5_signature, word_graph, word_term)
 from modgraph.signature import (CLIQUE_OP, SEQ_OP, Signature, Term,

@@ -266,7 +266,7 @@ class KappaLemmaReport:
 
 
 def _distinguished_on_rows(rows: Rows, masks: Sequence[int], p: int, node: MDecNode,
-                   kids: Sequence[int]) -> tuple[int, ...]:
+                           kids: Sequence[int]) -> tuple[int, ...]:
     """The distinguished children of the connected node at position p:
     the initial ones if it is sequential, else its enumeration's."""
     m = masks[p]

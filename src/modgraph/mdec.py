@@ -437,12 +437,20 @@ def _adhoc_name(q: LabeledGraph) -> str:
     Adler-32 of q's k-by-k adjacency matrix, row by row, one byte (0 or
     1) per entry.  Its size does not grow with the edges, and equal
     quotients get equal names in every process.  Distinct quotients of
-    one size share a name only if both checksums collide."""
+    one size share a name only if both checksums collide.
+
+    The matrix is read off q's rows, one row at a time: bit j of a row is
+    its (j+1)-th entry, so the row's binary digits, reversed, are the
+    entries in order."""
     k = q.n
-    matrix = bytearray(k * k)
-    for (u, v) in q.edges:
-        matrix[u * k + v - k - 1] = 1
+    digits = f"0{k}b"
+    matrix = "".join([format(row, digits)[::-1] for row in q.rows.out]
+                     ).encode().translate(_DIGIT_BYTES)
     return f"prime{k}_{zlib.crc32(matrix):08x}{zlib.adler32(matrix):08x}"
+
+
+# the digits "0" and "1" as the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _match_quotient(quotient: LabeledGraph, blocks: list[T],
@@ -467,6 +475,8 @@ class MDecNode:
 
     For prime nodes the child order is one admissible enumeration of the
     operation's arguments; any automorphism image of it is equally valid.
+    A node may belong to more than one tree (``binarize`` shares subtrees
+    with its input), so a built node is never edited: make a new one.
     """
 
     module: frozenset[int]
@@ -493,9 +503,13 @@ class MDecTree:
 
     A node's id is its preorder position in ``nodes()``, as in
     ``cms.tree_structure``: ``parent_positions()``, ``child_positions()``
-    and ``masks`` are by position.  All of them and ``leaf_of``, each
-    vertex's leaf in preorder, come from one walk at construction: children
-    re-assigned later are not seen by the tree, so build a new one instead.
+    and ``masks`` are by position.  ``decompose`` and ``binarize`` record
+    all of them and ``leaf_of``, each vertex's leaf in preorder, as they
+    build the nodes; any other tree gets them from one walk at
+    construction.  Children re-assigned later are not seen by the tree,
+    and a tree from ``binarize`` shares with its input every subtree that
+    holds no seq node of three or more children, so build new nodes
+    instead of editing built ones.
 
     ``rows`` are the rows of the graph the tree was split from and
     ``masks`` its modules' bitmasks over them: ``decompose`` records each
@@ -528,6 +542,17 @@ class MDecTree:
         self._nodes, self._up, self._down = tuple(nodes), up, None
         self.leaf_of = leaves
         self.masks: Optional[tuple[int, ...]] = None
+
+    @classmethod
+    def _made(cls, root: MDecNode, rows: Optional[Rows], nodes: tuple[MDecNode, ...],
+              up: list[Optional[int]], down: Optional[list[list[int]]],
+              leaves: dict[int, MDecNode], masks: Optional[tuple[int, ...]]) -> "MDecTree":
+        """The tree with the index form its builder recorded, without the
+        walk and the checks of ``__post_init__``."""
+        t = cls.__new__(cls)
+        t.root, t.rows = root, rows
+        t._nodes, t._up, t._down, t.leaf_of, t.masks = nodes, up, down, leaves, masks
+        return t
 
     def nodes(self) -> tuple[MDecNode, ...]:
         """Every node in preorder, children left to right."""
@@ -583,41 +608,55 @@ def decompose(g: LabeledGraph, sig: Optional[Signature] = None) -> MDecTree:
 def _decompose(g: LabeledGraph, rows: Rows,
                ops: Optional[Sequence[SignatureOp]]) -> MDecTree:
     """``decompose`` on the rows of g, prime quotients matched against ops
-    (ad-hoc operations when ops is None); the tree carries the rows and
-    the modules' masks, in the preorder they are split in."""
+    (ad-hoc operations when ops is None).  Modules are split in preorder,
+    and the tree's index form and masks are recorded as they are popped.
+
+    A prime split of ids 1..n into singletons has g itself, unlabeled, as
+    its quotient: the operation's graph shares g's edges and rows."""
     if g.n == 0:
         raise TooSmall("cannot decompose the empty graph")
     verts, labels = rows.verts, g.labels
-    top: list[MDecNode] = [None]
-    inner: list[tuple[MDecNode, list[MDecNode]]] = []
+    on_range = verts[-1] == g.n
+    nodes: list[MDecNode] = []
+    up: list[Optional[int]] = []
+    down: list[list[int]] = []
+    leaves: dict[int, MDecNode] = {}
     masks: list[int] = []
-    # each entry: a module and the slot of its node in the parent's list
-    stack: list[tuple[int, list[MDecNode], int]] = [((1 << g.n) - 1, top, 0)]
+    inner: list[int] = []
+    # each entry: a module and its parent's position
+    stack: list[tuple[int, Optional[int]]] = [((1 << g.n) - 1, None)]
     while stack:
-        m, slot, pos = stack.pop()
+        m, p = stack.pop()
+        i = len(nodes)
+        up.append(p)
+        down.append([])
         masks.append(m)
+        if p is not None:
+            down[p].append(i)
         if not m & (m - 1):
             v = verts[m.bit_length() - 1]
-            slot[pos] = MDecNode(frozenset((v,)), NodeKind.LEAF,
-                                 symbol=labels[v] if labels is not None else None)
+            nodes.append(MDecNode(frozenset((v,)), NodeKind.LEAF,
+                                  symbol=labels[v] if labels is not None else None))
+            leaves[v] = nodes[i]
             continue
         kind, blocks = rows.split(m)
         # modules of inner nodes are filled in bottom-up below
         if kind is NodeKind.PRIME:
-            op, blocks = _match_quotient(rows.quotient(blocks), blocks, ops)
-            node = MDecNode(None, kind, op=op)
+            if on_range and len(blocks) == g.n:
+                quotient = LabeledGraph._trusted(g.vertices, g.edges, None, rows)
+            else:
+                quotient = rows.quotient(blocks)
+            op, blocks = _match_quotient(quotient, blocks, ops)
+            nodes.append(MDecNode(None, kind, op=op))
         else:
-            node = MDecNode(None, kind)
-        slot[pos] = node
-        kids: list[MDecNode] = [None] * len(blocks)
-        inner.append((node, kids))
-        stack.extend((blocks[i], kids, i) for i in reversed(range(len(blocks))))
-    for node, kids in reversed(inner):
-        node.children = tuple(kids)
-        node.module = frozenset().union(*(c.module for c in kids))
-    t = MDecTree(top[0], rows=rows)
-    t.masks = tuple(masks)
-    return t
+            nodes.append(MDecNode(None, kind))
+        inner.append(i)
+        stack.extend([(b, i) for b in reversed(blocks)])
+    for i in reversed(inner):
+        node = nodes[i]
+        node.children = kids = tuple([nodes[c] for c in down[i]])
+        node.module = frozenset().union(*[c.module for c in kids])
+    return MDecTree._made(nodes[0], rows, tuple(nodes), up, down, leaves, tuple(masks))
 
 
 def fold_tree(root: MDecNode, combine: Callable[[MDecNode, list[T]], T]) -> T:
@@ -643,28 +682,76 @@ def fold_tree(root: MDecNode, combine: Callable[[MDecNode, list[T]], T]) -> T:
 
 
 def binarize(t: MDecTree) -> MDecPrimeTree:
-    """Replace each seq node with >= 3 children by a right comb of seq nodes;
-    the result carries t's rows, and its masks when t has them."""
-    # the mask of every node of t and of the result (0 when t has none)
-    mask = dict(zip(t.nodes(), t.masks or itertools.repeat(0)))
+    """Replace each seq node with >= 3 children by a right comb of seq nodes.
 
-    def combine(node: MDecNode, kids: list[MDecNode]) -> MDecNode:
-        if node.kind is NodeKind.SEQ and len(kids) >= 3:
-            acc = kids[-1]
-            for c in reversed(kids[1:-1]):
-                comb = MDecNode(c.module | acc.module, NodeKind.SEQ, (c, acc))
-                mask[comb] = mask[c] | mask[acc]
-                acc = comb
-            made = MDecNode(node.module, NodeKind.SEQ, (kids[0], acc))
+    One pass over t's positions in preorder: a comb node goes in ahead of
+    each middle child, holding it and the children after it, and its mask
+    is its parent's mask without its previous sibling's.  Every node whose
+    subtree holds no such seq node is t's own, so the result shares those
+    subtrees with t; the others are new.  The result carries t's rows, and
+    its masks when t has them.  A seq node with fewer than two children,
+    or a seq child in any place but the last, raises ValueError, as
+    ``MDecPrimeTree`` does.
+    """
+    nodes, up, down = t.nodes(), t.parent_positions(), t.child_positions()
+    seq = NodeKind.SEQ
+    # the seq nodes of >= 3 children and their ancestors, the nodes made anew
+    changed: set[int] = set()
+    for p, node in enumerate(nodes):
+        if node.kind is seq:
+            q = up[p]
+            if q is not None and nodes[q].kind is seq and down[q][-1] != p:
+                raise ValueError("first child of a seq node must not be seq")
+            k = len(down[p])
+            if k < 2:
+                raise ValueError("seq node in a binarized tree must have 2 children")
+            while k > 2 and p is not None and p not in changed:
+                changed.add(p)
+                p = up[p]
+    masks = t.masks
+    if not changed:
+        return MDecPrimeTree._made(t.root, t.rows, nodes, up, down, t.leaf_of, masks)
+    made: list[Optional[MDecNode]] = []  # t's node, or None for a comb node
+    made_up: list[Optional[int]] = []
+    made_masks: list[int] = []
+    # the children of every new node, by position in the result
+    kids_of: dict[int, list[int]] = {}
+    at = [0] * len(nodes)  # position in the result, by position in t
+    comb: dict[int, int] = {}  # wide node -> position of its latest comb
+    for p, node in enumerate(nodes):
+        q = up[p]
+        parent = None if q is None else at[q]
+        if q in comb and p != down[q][0]:
+            parent = comb[q]
+            if p != down[q][-1]:
+                i = comb[q] = len(made)
+                made.append(None)
+                made_up.append(parent)
+                if masks is not None:
+                    made_masks.append(made_masks[parent] ^ made_masks[kids_of[parent][0]])
+                kids_of[parent].append(i)
+                kids_of[i] = []
+                parent = i
+        i = at[p] = len(made)
+        made.append(node)
+        made_up.append(parent)
+        if masks is not None:
+            made_masks.append(masks[p])
+        if parent in kids_of:
+            kids_of[parent].append(i)
+        if p in changed:
+            kids_of[i] = []
+            if node.kind is seq and len(down[p]) > 2:
+                comb[p] = i
+    for i in reversed(kids_of):
+        kids = tuple([made[c] for c in kids_of[i]])
+        node = made[i]
+        if node is None:
+            made[i] = MDecNode(kids[0].module | kids[1].module, seq, kids)
         else:
-            made = MDecNode(node.module, node.kind, tuple(kids), node.symbol, node.op)
-        mask[made] = mask[node]
-        return made
-
-    b = MDecPrimeTree(fold_tree(t.root, combine), rows=t.rows)
-    if t.masks is not None:
-        b.masks = tuple(map(mask.__getitem__, b.nodes()))
-    return b
+            made[i] = MDecNode(node.module, node.kind, kids, node.symbol, node.op)
+    return MDecPrimeTree._made(made[0], t.rows, tuple(made), made_up, None, t.leaf_of,
+                               None if masks is None else tuple(made_masks))
 
 
 def node_masks(t: MDecTree, rows: Rows) -> Optional[Sequence[int]]:
@@ -736,7 +823,9 @@ _KIND_TO_OP = {NodeKind.PAR: PAR_OP, NodeKind.SEQ: SEQ_OP, NodeKind.CLIQUE: CLIQ
 
 def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
     """Rebuild the concrete graph: vertex set is exactly the union of leaves."""
-    edges: set[tuple[int, int]] = set()
+    # one product of two children's modules per edge of an operation; each
+    # vertex pair lies in exactly one
+    products = []
     labels: Optional[dict[int, str]] = {}
     names = None if sig is None else {op.name for op in sig.ops}
     for node in t.nodes():
@@ -754,9 +843,10 @@ def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
         else:
             op = _KIND_TO_OP[node.kind]
         mods = [c.module for c in node.children]
-        for (i, j) in edge_pattern(op, len(mods)):
-            edges.update(itertools.product(mods[i - 1], mods[j - 1]))
-    return LabeledGraph._trusted(t.root.module, frozenset(edges), labels)
+        products += [itertools.product(mods[i - 1], mods[j - 1])
+                     for (i, j) in edge_pattern(op, len(mods))]
+    return LabeledGraph._trusted(t.root.module,
+                                 frozenset(itertools.chain.from_iterable(products)), labels)
 
 
 def strong_modules(masks: list[int]) -> list[int]:

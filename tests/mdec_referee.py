@@ -8,17 +8,25 @@ smallest module instead of refining partitions.  The differential tests in
 
 ``brute_force_modules`` tests every one of the 2^n vertex subsets; it is
 the referee of the NextClosure oracle ``mdec.all_modules``.
+
+``referee_binarize`` folds a tree bottom up into new nodes, with the
+masks kept in a dict keyed by node, and ``referee_adhoc_name`` sets one
+matrix byte per quotient edge: the referees of ``mdec.binarize``, which
+makes one pass over positions and shares unchanged subtrees, and of
+``mdec._adhoc_name``, which reads the matrix off the quotient's rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import zlib
 from typing import Iterable, Optional, Sequence
 
 from modgraph.errors import NotAModule, NotInSignature, TooSmall
 from modgraph.graphs import (LabeledGraph, _check_subset, _components_of,
                              is_module, undirected_components)
-from modgraph.mdec import MDecNode, MDecTree, NodeKind, _match_quotient
+from modgraph.mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, _match_quotient,
+                           fold_tree)
 from modgraph.signature import Signature
 
 
@@ -231,3 +239,36 @@ def referee_prime_modules(g: LabeledGraph) -> set[frozenset[int]]:
         if all(not (x & y) or not (x & ~y) or not (y & ~x) for y in masks):
             primes.append(x)
     return {frozenset(verts[i] for i in range(n) if x >> i & 1) for x in primes}
+
+
+def referee_binarize(t: MDecTree) -> MDecPrimeTree:
+    """Every node of t rebuilt bottom up, each seq node with >= 3 children
+    as a right comb, the comb masks ORed from their children's."""
+    mask = dict(zip(t.nodes(), t.masks or itertools.repeat(0)))
+
+    def combine(node: MDecNode, kids: list[MDecNode]) -> MDecNode:
+        if node.kind is NodeKind.SEQ and len(kids) >= 3:
+            acc = kids[-1]
+            for c in reversed(kids[1:-1]):
+                comb = MDecNode(c.module | acc.module, NodeKind.SEQ, (c, acc))
+                mask[comb] = mask[c] | mask[acc]
+                acc = comb
+            made = MDecNode(node.module, NodeKind.SEQ, (kids[0], acc))
+        else:
+            made = MDecNode(node.module, node.kind, tuple(kids), node.symbol, node.op)
+        mask[made] = mask[node]
+        return made
+
+    b = MDecPrimeTree(fold_tree(t.root, combine), rows=t.rows)
+    if t.masks is not None:
+        b.masks = tuple(map(mask.__getitem__, b.nodes()))
+    return b
+
+
+def referee_adhoc_name(q: LabeledGraph) -> str:
+    """The ad-hoc name of a quotient on 1..k, its matrix set edge by edge."""
+    k = q.n
+    matrix = bytearray(k * k)
+    for (u, v) in q.edges:
+        matrix[u * k + v - k - 1] = 1
+    return f"prime{k}_{zlib.crc32(matrix):08x}{zlib.adler32(matrix):08x}"

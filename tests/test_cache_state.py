@@ -8,7 +8,9 @@ of them run through ``cli.main`` in this one process, forward, reversed
 and in a seeded shuffle, and each must print the same bytes and exit with
 the same code.  The inputs share values: one graph text in two files, a
 relabelled copy, two signatures that give the same operation graph
-different names, and one graph under both W5 signatures.
+different names, and one graph under both W5 signatures.  A 60-vertex
+prime digraph is decomposed without a signature twice: its root's
+quotient is the graph itself, sharing the graph's rows and split memo.
 """
 
 import contextlib
@@ -21,9 +23,11 @@ import sys
 from pathlib import Path
 
 from modgraph import cli
-from modgraph.formats import graph_to_text, parse_term, signature_to_text
+from modgraph.formats import algebra_to_text, graph_to_text, parse_term, signature_to_text
+from modgraph.generators import random_digraph
 from modgraph.graphs import LabeledGraph
-from modgraph.samples import scw5_signature, spw5_signature
+from modgraph.mdec import decompose
+from modgraph.samples import even_vertices_algebra, scw5_signature, spw5_signature, word_graph
 from modgraph.signature import eval_term
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,11 +43,16 @@ def _write(tmp_path):
     ids = dict(zip(sorted(g1.vertices), random.Random(5).sample(range(20, 60), g1.n)))
     g1r = LabeledGraph.build(ids.values(), [(ids[u], ids[v]) for u, v in g1.edges],
                              {ids[v]: s for v, s in g1.labels.items()})
+    prime = random_digraph(random.Random(60), 60, 0.3)
+    assert len(decompose(prime).root.children) == 60
     texts = {"spw5.sig": signature_to_text(spw5), "scw5.sig": signature_to_text(scw5),
              # W5's graph under another name
              "v5.sig": signature_to_text(spw5).replace("W5", "V5"),
              "g1.lg": graph_to_text(g1), "g1_again.lg": graph_to_text(g1),
              "g1r.lg": graph_to_text(g1r), "g2.lg": graph_to_text(g2),
+             "aba.lg": graph_to_text(word_graph("aba")),
+             "prime.lg": graph_to_text(prime), "prime_again.lg": graph_to_text(prime),
+             "even.alg": algebra_to_text(even_vertices_algebra(spw5)),
              "child.cms": "(exists x (exists y (and (first-child x y) (label_seq x))))\n",
              "even.cms": "(existsmod 2 x (= x x))\n",
              "three.cms": "(existsmod 3 x (= x x))\n"}
@@ -72,6 +81,14 @@ def _invocations(p):
         ["modelcheck", p["even.cms"], p["g1.lg"]],
         ["modelcheck", p["three.cms"], p["g2.lg"], "--signature", p["scw5.sig"]],
         ["eval-term", p["spw5.sig"], SPW5_TERM],
+        ["recognize", p["spw5.sig"], p["even.alg"], p["g1.lg"]],
+        ["recognize", p["spw5.sig"], p["even.alg"], p["aba.lg"]],
+        ["recognize", p["spw5.sig"], p["even.alg"], p["g2.lg"]],
+        ["oracle-modules", p["g1r.lg"]],
+        ["oracle-modules", p["prime.lg"]],
+        ["decompose", p["prime.lg"]],
+        ["decompose", p["prime_again.lg"], "--binarize"],
+        ["modelcheck", p["even.cms"], p["prime.lg"], "--as", "mdectree"],
     ]
 
 

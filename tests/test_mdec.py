@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from deep_term import LEVELS, alternating_term
 from mdec_referee import (brute_force_modules, maximal_prime_modules, quotient_graph,
-                          referee_decompose, referee_prime_modules)
+                          referee_adhoc_name, referee_binarize, referee_decompose,
+                          referee_prime_modules)
 from modgraph.errors import NotAModule, NotInSignature, TooSmall, UnknownOp
 from modgraph.generators import random_digraph, random_f_graph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
@@ -163,6 +164,118 @@ class TestBinarize:
         t = binarize(decompose(g, SIG))
         assert len(t.root.children) == 2
         assert all(not c.children for c in t.root.children)
+
+
+class TestBinarizeReferee:
+    """``binarize`` against the fold that rebuilds every node, and the
+    ad-hoc names against the matrix set edge by edge."""
+
+    @staticmethod
+    def _trees(seed, count):
+        rng = random.Random(seed)
+        for k in range(count):
+            if k % 3 == 0:
+                g = random_digraph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5)))
+                sig = None
+            else:
+                sig = TERM_SIGS[k % len(TERM_SIGS)]
+                g = random_f_graph(rng, sig, max_depth=6, max_leaves=20)
+            t = decompose(g, sig)
+            yield g, t
+            yield g, shuffle_admissible(t, rng)
+            yield g, MDecTree(t.root)
+
+    @staticmethod
+    def _wide_free(t):
+        """The nodes of t whose subtree holds no seq node of >= 3 children."""
+        found = set()
+
+        def combine(node, kids):
+            free = all(kids) and not (node.kind is NodeKind.SEQ and len(kids) >= 3)
+            if free:
+                found.add(node)
+            return free
+
+        fold_tree(t.root, combine)
+        return found
+
+    def test_same_trees_as_the_referee(self):
+        combs = 0
+        for _, t in self._trees(91, 300):
+            got, want = binarize(t), referee_binarize(t)
+            assert type(got) is MDecPrimeTree and got.rows is t.rows
+            assert format_tree(got) == format_tree(want)
+            assert got.masks == want.masks
+            assert got.child_positions() == want.child_positions()
+            assert got.parent_positions() == want.parent_positions()
+            assert list(got.leaf_of) == list(want.leaf_of)
+            assert [n.module for n in got.leaf_of.values()] == \
+                [n.module for n in want.leaf_of.values()]
+            combs += len(got.nodes()) - len(t.nodes())
+        assert combs > 300
+
+    def test_unchanged_subtrees_are_shared(self):
+        shared = 0
+        for _, t in self._trees(92, 150):
+            b = binarize(t)
+            free = self._wide_free(t)
+            assert set(b.nodes()) & set(t.nodes()) == free
+            assert all(n.children is b.nodes()[p].children
+                       for p, n in enumerate(b.nodes()) if n in free)
+            if t.root in free:
+                assert b.root is t.root and b.nodes() is t.nodes()
+            shared += len(free)
+        assert shared > 1000
+
+    @staticmethod
+    def _random_root(rng, verts):
+        """A tree of any kinds over verts, inner nodes of one to four
+        children, not necessarily a decomposition."""
+        if len(verts) == 1 and rng.random() < 0.7:
+            return _leaf(verts[0])
+        k = rng.randint(1, min(4, len(verts)))
+        cuts = sorted(rng.sample(range(1, len(verts)), k - 1))
+        parts = [verts[a:b] for a, b in zip([0] + cuts, cuts + [len(verts)])]
+        kind = rng.choice((NodeKind.SEQ, NodeKind.SEQ, NodeKind.PAR, NodeKind.CLIQUE))
+        return _node(kind, [TestBinarizeReferee._random_root(rng, p) for p in parts])
+
+    def test_bad_seq_trees_raise_the_referee_errors(self):
+        rng = random.Random(93)
+        errors = {}
+        for _ in range(600):
+            t = MDecTree(self._random_root(rng, list(range(1, rng.randint(2, 9)))))
+            try:
+                want = format_tree(referee_binarize(t))
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    binarize(t)
+                assert str(got.value) == str(e)
+                errors[str(e)] = errors.get(str(e), 0) + 1
+            else:
+                assert format_tree(binarize(t)) == want
+        assert len(errors) == 2 and min(errors.values()) > 50
+
+    def test_adhoc_names_as_the_referee(self):
+        rng = random.Random(94)
+        for k in range(200):
+            n = rng.randint(3, 14)
+            g = random_digraph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+            if k % 2:
+                ids = rng.sample(range(1, 60), n)
+                g = LabeledGraph.build(ids, [(ids[u - 1], ids[v - 1]) for u, v in g.edges])
+            rows = g.rows
+            t = decompose(g)
+            for p, node in enumerate(t.nodes()):
+                if node.kind is not NodeKind.PRIME:
+                    continue
+                q = node.op.graph
+                assert node.op.name == _adhoc_name(q) == referee_adhoc_name(q)
+                blocks = [rows.mask(c.module) for c in node.children]
+                assert q == rows.quotient(blocks)
+                # a prime split of ids 1..n into singletons is g itself
+                own = p == 0 and g.vertices == frozenset(range(1, n + 1)) and \
+                    len(blocks) == n
+                assert (q.edges is g.edges and q.rows is rows) == own
 
 
 def _leaf(v):
@@ -707,6 +820,17 @@ class TestScale:
         took = time.perf_counter() - start
         assert sorted(len(c.module) for c in t.root.children) == [1, 45, 48, 106, 190]
         assert reconstruct(t) == g
+        assert took < 2, f"decompose took {took:.2f} s"
+
+    def test_prime_digraph_of_2000_vertices_under_two_seconds(self):
+        g = random_digraph(random.Random(1), 2000, 0.3)
+        g.rows
+        start = time.perf_counter()
+        t = decompose(g)
+        took = time.perf_counter() - start
+        assert len(t.nodes()) == 2001
+        # the root's quotient is g itself, on g's edges
+        assert t.root.op.graph.edges is g.edges
         assert took < 2, f"decompose took {took:.2f} s"
 
     @pytest.mark.parametrize("ops", [("seq", "par"), ("clique", "par")])

@@ -513,8 +513,8 @@ class MDecTree:
 
     ``rows`` are the rows of the graph the tree was split from and
     ``masks`` its modules' bitmasks over them: ``decompose`` records each
-    mask as it splits it and ``binarize`` ORs those of the comb nodes it
-    adds.  Any other tree has no masks, and a hand-built one no rows;
+    mask as it splits it and ``binarize`` derives those of the comb nodes
+    it adds.  Any other tree has no masks, and a hand-built one no rows;
     ``node_masks`` reads its masks from the modules.  Both are a hint,
     not a claim: ``transduction.check_kappa_lemma`` verifies the tree
     against them first, and on a tree that fails, or has none, it takes
@@ -823,9 +823,7 @@ _KIND_TO_OP = {NodeKind.PAR: PAR_OP, NodeKind.SEQ: SEQ_OP, NodeKind.CLIQUE: CLIQ
 
 def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
     """Rebuild the concrete graph: vertex set is exactly the union of leaves."""
-    # one product of two children's modules per edge of an operation; each
-    # vertex pair lies in exactly one
-    products = []
+    edges: set[tuple[int, int]] = set()
     labels: Optional[dict[int, str]] = {}
     names = None if sig is None else {op.name for op in sig.ops}
     for node in t.nodes():
@@ -843,10 +841,9 @@ def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
         else:
             op = _KIND_TO_OP[node.kind]
         mods = [c.module for c in node.children]
-        products += [itertools.product(mods[i - 1], mods[j - 1])
-                     for (i, j) in edge_pattern(op, len(mods))]
-    return LabeledGraph._trusted(t.root.module,
-                                 frozenset(itertools.chain.from_iterable(products)), labels)
+        for (i, j) in edge_pattern(op, len(mods)):
+            edges.update(itertools.product(mods[i - 1], mods[j - 1]))
+    return LabeledGraph._trusted(t.root.module, frozenset(edges), labels)
 
 
 def strong_modules(masks: list[int]) -> list[int]:

@@ -228,14 +228,9 @@ def _sequential(rows: Rows, x: int) -> bool:
 
 def _initial(rows: Rows, x: int, y: int) -> bool:
     """y, a non-empty proper subset of x, is the least prefix of x: the
-    complement is a suffix, y not sequential.
-
-    Some i in y pulls in some w of the rest exactly when bwd[w] meets y,
-    so the test scans the smaller side."""
-    rest = x & ~y
-    scan, other, pulls = ((y, rest, rows.fwd) if y.bit_count() <= rest.bit_count()
-                          else (rest, y, rows.bwd))
-    if any(other & pulls[i] for i in _bits(scan)):
+    complement is a suffix, y not sequential."""
+    rest, fwd = x & ~y, rows.fwd
+    if any(rest & fwd[i] for i in _bits(y)):
         return False
     return not _sequential(rows, y)
 

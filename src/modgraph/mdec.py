@@ -713,7 +713,8 @@ def binarize(t: MDecTree) -> MDecPrimeTree:
         return MDecPrimeTree._made(t.root, t.rows, nodes, up, down, t.leaf_of, masks)
     made: list[Optional[MDecNode]] = []  # t's node, or None for a comb node
     made_up: list[Optional[int]] = []
-    made_masks: list[int] = []
+    made_masks: list[int] = []  # zeros when t has no masks
+    t_masks = masks if masks is not None else [0] * len(nodes)
     # the children of every new node, by position in the result
     kids_of: dict[int, list[int]] = {}
     at = [0] * len(nodes)  # position in the result, by position in t
@@ -727,16 +728,14 @@ def binarize(t: MDecTree) -> MDecPrimeTree:
                 i = comb[q] = len(made)
                 made.append(None)
                 made_up.append(parent)
-                if masks is not None:
-                    made_masks.append(made_masks[parent] ^ made_masks[kids_of[parent][0]])
+                made_masks.append(made_masks[parent] ^ made_masks[kids_of[parent][0]])
                 kids_of[parent].append(i)
                 kids_of[i] = []
                 parent = i
         i = at[p] = len(made)
         made.append(node)
         made_up.append(parent)
-        if masks is not None:
-            made_masks.append(masks[p])
+        made_masks.append(t_masks[p])
         if parent in kids_of:
             kids_of[parent].append(i)
         if p in changed:

@@ -431,6 +431,10 @@ def _modules_avoiding(m: int, v: int, out: list[int], inn: list[int]) -> list[in
     return parts
 
 
+# the digits "0" and "1" as the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _adhoc_name(q: LabeledGraph) -> str:
     """The name of the ad-hoc operation of a prime quotient q on 1..k:
     ``prime<k>_<h>``, where h is 16 hex digits, the CRC-32 and then the
@@ -447,10 +451,6 @@ def _adhoc_name(q: LabeledGraph) -> str:
     matrix = "".join([format(row, digits)[::-1] for row in q.rows.out]
                      ).encode().translate(_DIGIT_BYTES)
     return f"prime{k}_{zlib.crc32(matrix):08x}{zlib.adler32(matrix):08x}"
-
-
-# the digits "0" and "1" as the bytes 0 and 1
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _match_quotient(quotient: LabeledGraph, blocks: list[T],

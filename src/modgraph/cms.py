@@ -1527,10 +1527,6 @@ def tree_predicates(symbols: Iterable[str], prime_ops: Iterable[SignatureOp],
     return preds
 
 
-# tree -> signature -> tree_relations result, kept while the tree lives
-_TREE_RELATIONS: "weakref.WeakKeyDictionary[MDecTree, dict]" = weakref.WeakKeyDictionary()
-
-
 def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
                    ) -> tuple[RelationalSignature, Mapping[str, frozenset[tuple]],
                               tuple[MDecNode, ...]]:
@@ -1540,20 +1536,10 @@ def tree_relations(t: MDecTree, sig: Optional[Signature] = None,
     (node ``nodes[i]`` is element i) and the node list in preorder.  Prime
     predicates cover the signature's operations when one is given, else
     the operations appearing in the tree.  A leaf letter outside the
-    signature's alphabet raises UnknownSymbol.  The result is computed
-    once per tree and signature and shared by every caller, so the
-    relations are frozen.
+    signature's alphabet raises UnknownSymbol.  The result is computed on
+    each call; its relations are frozen, since ``tree_structure`` shares
+    them with the structure it builds.
     """
-    by_sig = _TREE_RELATIONS.get(t)
-    if by_sig is None:
-        by_sig = _TREE_RELATIONS[t] = {}
-    got = by_sig.get(sig)
-    if got is None:
-        got = by_sig[sig] = _tree_relations(t, sig)
-    return got
-
-
-def _tree_relations(t: MDecTree, sig: Optional[Signature]):
     nodes, down = t.nodes(), t.child_positions()
     symbols = sig.alphabet.symbols if sig is not None else sorted(
         {n.symbol for n in nodes if n.is_leaf and n.symbol is not None})

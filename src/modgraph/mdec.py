@@ -65,12 +65,11 @@ class Rows:
     builds them in one pass over the edges, each edge OR-ing one
     endpoint's bit into the other endpoint's row, the rows kept in lists
     indexed by id when the ids are 1..n and in dicts by id otherwise.
-    Graphs whose structure is known get rows built from it with no loop
-    over the edges: ``signature.eval_term`` from the ranges of a term's
-    subterms, ``Rows.of_tree`` from the children of a tree's nodes.  Both
-    rest on one fact: a vertex's out-row (and in-row) is the disjoint
-    union of one set of siblings per ancestor, the children its ancestor's
-    operation links the child holding the vertex to.
+    ``signature.eval_term`` builds the rows of the graph of a term from the
+    ranges of its subterms, with no loop over the edges: a vertex's
+    out-row (and in-row) is the disjoint union of one set of siblings per
+    ancestor, the children its ancestor's operation links the child
+    holding the vertex to.
 
     ``split`` remembers its answer for each mask it was asked about, in a
     dict on the rows that lives as long as they do: the rows never change
@@ -126,67 +125,6 @@ class Rows:
         self.fwd = list(map(operator.xor, co, out))
         self.bwd = list(map(operator.xor, co, inn))
         self._splits: dict[int, tuple[NodeKind, tuple[int, ...]]] = {}
-
-    @classmethod
-    def of_tree(cls, t: "MDecTree") -> Optional["Rows"]:
-        """The rows of ``reconstruct(t)``, pushed down from the masks of
-        t's children, with no graph built and no loop over edges.
-
-        Each node adds to every vertex of its i-th child the children that
-        its operation links child i to (and from); a vertex's row is what
-        its ancestors add: O(nodes + n) mask operations on the masks that
-        ``node_masks`` reads from the modules.  None when t is not a tree
-        of modules as ``decompose`` builds them: a leaf with children or
-        with more than one vertex, an inner node whose children's modules
-        do not partition its own, or a prime node whose operation's arity
-        is not its child count.
-        """
-        verts = sorted(t.root.module)
-        n = len(verts)
-        # rows with the ids' bits and no links yet, to read the masks over
-        rows = cls._of(verts, [], [])
-        masks = node_masks(t, rows)
-        if masks is None:
-            return None
-        out = [0] * n
-        inn = out.copy()
-        # what the ancestors of each node add, by preorder position
-        adds = [(0, 0)] * len(masks)
-        down = t.child_positions()
-        for p, node in enumerate(t.nodes()):
-            m, kids, (o, i) = masks[p], down[p], adds[p]
-            if node.kind is NodeKind.LEAF:
-                if kids or not m or m & (m - 1):
-                    return None
-                j = m.bit_length() - 1
-                out[j], inn[j] = o, i
-                continue
-            km = [masks[c] for c in kids]
-            # non-empty masks adding up to m partition it when the sum has
-            # no carries, that is when their bit counts add up to m's
-            if 0 in km or sum(km) != m or sum(map(int.bit_count, km)) != m.bit_count():
-                return None
-            k = len(km)
-            if node.kind is NodeKind.PAR:
-                add_out = add_in = [0] * k
-            elif node.kind is NodeKind.CLIQUE:
-                add_out = add_in = [m ^ x for x in km]
-            elif node.kind is NodeKind.SEQ:
-                # each child links to the children after it
-                add_in = list(itertools.accumulate(km[:-1], operator.or_, initial=0))
-                add_out = [m ^ x ^ y for x, y in zip(km, add_in)]
-            else:
-                op = node.op
-                if op is None or op.graph.n != k:
-                    return None
-                add_out, add_in = [0] * k, [0] * k
-                for (a, b) in op.graph.edges:
-                    add_out[a - 1] |= km[b - 1]
-                    add_in[b - 1] |= km[a - 1]
-            for c, ao, ai in zip(kids, add_out, add_in):
-                adds[c] = (o | ao, i | ai)
-        rows._fill(verts, rows.bit, out, inn)
-        return rows
 
     def ids(self, m: int) -> frozenset[int]:
         verts = self.verts

@@ -104,21 +104,20 @@ def _distinguished_children(node: MDecNode) -> tuple[MDecNode, ...]:
 
 @dataclass
 class EncodingTables:
-    """The leaf sets nu/mu and the leaf-to-node maps kappa, plus root paths.
+    """The leaf sets nu/mu and the leaf-to-node maps kappa.
 
     kappa[i] inverts mu[i] fiberwise: kappa[i][v] == y iff v in mu[i][y].
-    rho[v] is the node path from the leaf of v up to the root.  The tables
-    are keyed by the tree's ``MDecNode`` objects; a node's preorder index,
-    its element in ``cms.tree_relations`` and ``tree_structure``, is its
-    position in ``tree.nodes()``.  nu and mu hold nodes children first,
-    kappa and rho vertices in the order of ``tree.leaf_of``.
+    The tables are keyed by the tree's ``MDecNode`` objects; a node's
+    preorder index, its element in ``cms.tree_relations`` and
+    ``tree_structure``, is its position in ``tree.nodes()``.  nu and mu
+    hold nodes children first, kappa vertices in the order of
+    ``tree.leaf_of``.
     """
 
     classification: NodeClassification
     nu: dict[MDecNode, frozenset[int]]
     mu: tuple[dict[MDecNode, frozenset[int]], ...]
     kappa: tuple[dict[int, MDecNode], ...]
-    rho: dict[int, tuple[MDecNode, ...]]
 
     @property
     def tree(self) -> MDecPrimeTree:
@@ -135,10 +134,11 @@ class EncodingTables:
 
 
 def compute_encoding(t: MDecPrimeTree, cls: NodeClassification) -> EncodingTables:
-    """Fill nu/mu by their defining clauses, bottom up, and kappa and rho in
-    one pass down the tree: a subtree inherits its root path and the
-    kappa_3/kappa_2 images of its leaves from its parent, and a class-3
-    node overrides them below its distinguished children.
+    """Fill nu/mu by their defining clauses, bottom up, and kappa in one
+    pass down the tree: a subtree inherits the kappa_3/kappa_2 images of
+    its leaves from its parent, and a class-3 node overrides them below its
+    distinguished children.  A leaf's kappa_1 image is its parent when
+    that is of class 1.
 
     The fiber condition linking the two is checked before returning; a
     failure would mean the construction itself is broken.
@@ -164,24 +164,22 @@ def compute_encoding(t: MDecPrimeTree, cls: NodeClassification) -> EncodingTable
             nu[node] = _union_of(*[nu_of(c) for c in kids if c not in d])
             mu[3][node] = _union_of(*map(nu_of, d))
 
-    # node -> (its path up to the root, the kappa_3 and kappa_2 images of
-    # the leaves below it), parents first
-    down = {t.root: ((t.root,), None, None)}
+    # node -> (its parent, the kappa_3 and kappa_2 images of the leaves
+    # below it), parents first
+    down = {t.root: (None, None, None)}
     for node in t.nodes():
-        path, k3, k2 = down[node]
+        parent, k3, k2 = down[node]
         d = dist.get(node, ())
-        up = path[1] if len(path) > 1 and classes[path[1]] == 2 else None
+        up = parent if parent is not None and classes[parent] == 2 else None
         for c in node.children:
-            down[c] = ((c,) + path, node, up) if c in d else ((c,) + path, k3, k2)
+            down[c] = (node, node, up) if c in d else (node, k3, k2)
 
     kappa: tuple[dict[int, MDecNode], ...] = ({}, {}, {}, {})
-    rho: dict[int, tuple[MDecNode, ...]] = {}
     for v, leaf in t.leaf_of.items():
-        path, k3, k2 = down[leaf]
-        rho[v] = path
+        parent, k3, k2 = down[leaf]
         kappa[0][v] = leaf
-        if len(path) > 1 and classes[path[1]] == 1:
-            kappa[1][v] = path[1]
+        if parent is not None and classes[parent] == 1:
+            kappa[1][v] = parent
         if k3 is not None:
             kappa[3][v] = k3
             if k2 is not None:
@@ -196,7 +194,7 @@ def compute_encoding(t: MDecPrimeTree, cls: NodeClassification) -> EncodingTable
                 f"kappa_{i} fibers disagree with mu_{i}; encoding is broken")
     if not all(nu.values()):
         raise AssertionError("empty nu set")
-    return EncodingTables(cls, nu, mu, kappa, rho)
+    return EncodingTables(cls, nu, mu, kappa)
 
 
 def encode_graph(g: LabeledGraph, sig: Signature,
@@ -283,28 +281,27 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     """Cross-check the path-based kappa maps against their module-theoretic
     characterization on the graph ``reconstruct(t)``.
 
-    That graph is not built.  A tree from ``decompose`` carries the rows
-    it was split from and its nodes' masks over them (``MDecTree.rows``
-    and ``MDecTree.masks``), and the check first verifies t against them
-    with ``mdec.verify_binarized``: one ``Rows.split`` per inner node, read
-    from the rows' memo, against its children, and a prime node's quotient
-    against its operation, which must be the one of t's operations
-    (``cms.tree_prime_ops``) that matches it.  Once t passes, it is the
-    binarized decomposition of the graph of those rows, which is unique
-    (Gallai 1967), so ``reconstruct(t)`` has exactly those rows, and the
-    strong modules are t's nodes, the sequential suffixes its seq comb
-    nodes, the members holding a vertex its leaf-to-root path, and a
-    prime node's distinguished children those of its enumeration.  A tree
-    with no rows, or whose rows fail, is verified on the rows pushed down
-    from its children (``mdec.Rows.of_tree``), its masks read from its
-    modules; only a tree whose children do not partition each node's
-    module is reconstructed, and its rows built from the edges.  A tree
-    that fails the verification, such as a hand-built one, gets its family
-    from ``binarize(decompose(reconstruct(t)))`` on the same rows, with
-    the quotients matched against those operations, and a prime quotient
-    that matches none raises NotWeaklyRigid; either way the report is the
-    same.  The walks run on preorder positions and masks.  Whether a
-    member is disconnected, degenerate or sequential, and which children
+    The rows of that graph come from one of two places.  A tree from
+    ``decompose`` carries the rows it was split from and its nodes' masks
+    over them (``MDecTree.rows`` and ``MDecTree.masks``), and no graph is
+    built for it.  A tree with no rows, or whose carried rows fail the
+    verification below, takes the rows of ``reconstruct(t)``, built from
+    its edges, its masks read from its modules.  On those rows the check
+    verifies t with ``mdec.verify_binarized``: one ``Rows.split`` per inner
+    node, read from the rows' memo, against its children, and a prime
+    node's quotient against its operation, which must be the one of t's
+    operations (``cms.tree_prime_ops``) that matches it.  Once t passes,
+    it is the binarized decomposition of the graph of those rows, which is
+    unique (Gallai 1967), so ``reconstruct(t)`` has exactly those rows, and
+    the strong modules are t's nodes, the sequential suffixes its seq comb
+    nodes, the members holding a vertex its leaf-to-root path, and a prime
+    node's distinguished children those of its enumeration.  A tree that
+    fails on the rows of its reconstruction too, such as a hand-built one,
+    gets its family from ``binarize(decompose(reconstruct(t)))`` on those
+    rows, with the quotients matched against those operations, and a prime
+    quotient that matches none raises NotWeaklyRigid; either way the report
+    is the same.  The walks run on preorder positions and masks.  Whether
+    a member is disconnected, degenerate or sequential, and which children
     of a sequential one are initial, is decided on the rows.
 
     The family does not come from the graph alone: the split it is
@@ -317,7 +314,7 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     leaf only as far as the lemma needs, so the check runs in polynomial
     time.
     """
-    rows = t.rows or Rows.of_tree(t) or reconstruct(t).rows
+    rows = t.rows or reconstruct(t).rows
     ops = tree_prime_ops(t, sig)
     # a quotient matches the first isomorphic operation in ops, and a
     # signature holds one per isomorphism class already
@@ -326,7 +323,7 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     masks = verify_binarized(t, rows, own)
     if masks is None and rows is t.rows:
         # not split from the rows it carries: the rows of reconstruct(t)
-        rows = Rows.of_tree(t) or reconstruct(t).rows
+        rows = reconstruct(t).rows
         masks = verify_binarized(t, rows, own)
     if masks is None:
         try:

@@ -51,12 +51,10 @@ def referee_compute_encoding(t: MDecPrimeTree,
 
     parents = t.parents()
     kappa: tuple[dict[int, MDecNode], ...] = ({}, {}, {}, {})
-    rho: dict[int, tuple[MDecNode, ...]] = {}
     for v, leaf in t.leaf_of.items():
         path = [leaf]
         while path[-1] in parents:
             path.append(parents[path[-1]])
-        rho[v] = tuple(path)
         kappa[0][v] = leaf
         if len(path) > 1:
             parent = path[1]
@@ -81,7 +79,7 @@ def referee_compute_encoding(t: MDecPrimeTree,
     for node, s in nu.items():
         if not s:
             raise AssertionError("empty nu set")
-    return EncodingTables(cls, nu, mu, kappa, rho)
+    return EncodingTables(cls, nu, mu, kappa)
 
 
 def referee_build_repr(t: MDecPrimeTree, enc: EncodingTables,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -222,14 +223,18 @@ class TestVerbs:
         assert err.startswith("error:") and "'b'" in err
 
     def test_verify_transduction_on_a_deep_term(self, capsys, files, tmp_path):
-        # 1,100 alternating seq/par levels, deeper than the recursion limit
+        # 1,100 alternating seq/par levels, deeper than the recursion
+        # limit; the verb alone is timed, with its input written beforehand
         from modgraph.signature import eval_term
         assert LEVELS > sys.getrecursionlimit()
         path = tmp_path / "deep.lg"
         path.write_text(graph_to_text(eval_term(spw5_signature(), alternating_term())))
+        start = time.perf_counter()
         code, out, err = run(capsys, "verify-transduction", files["sig"], str(path))
+        took = time.perf_counter() - start
         assert code in (0, 1) and err == ""
         assert out.splitlines()[-1] == ("ISO" if code == 0 else "FAIL")
+        assert took < 4, f"verify-transduction took {took:.2f} s on the deep term"
 
 
 def test_import_does_not_load_hashlib():

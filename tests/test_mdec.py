@@ -358,8 +358,8 @@ ALL_KINDS = Signature(Alphabet(("a", "b")),
 
 
 class TestRowsFromStructure:
-    """Rows built from a term's ranges or a tree's child masks equal the
-    rows ``Rows(g)`` builds from the edges."""
+    """Rows built from a term's ranges equal the rows ``Rows(g)`` builds
+    from the edges, and a graph keeps the rows it built."""
 
     def test_eval_term_rows(self):
         rng = random.Random(70)
@@ -370,43 +370,9 @@ class TestRowsFromStructure:
                                            max_leaves=rng.randint(1, 24)))
             assert _same_rows(g.rows, Rows(g))
 
-    def test_tree_rows(self):
-        rng = random.Random(71)
-        for k in range(300):
-            if k % 2:
-                g = random_f_graph(rng, ALL_KINDS, max_depth=5, max_leaves=16)
-            else:
-                g = random_digraph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5)))
-            d = decompose(g)
-            b = binarize(d)
-            for t in (d, b, shuffle_admissible(d, rng), shuffle_admissible(b, rng)):
-                assert _same_rows(Rows.of_tree(t), Rows(g))
-
     def test_deep_term(self):
         g = eval_term(SIG, alternating_term())
-        edge_rows = Rows(g)
-        assert _same_rows(g.rows, edge_rows)
-        assert _same_rows(Rows.of_tree(binarize(decompose(g, SIG))), edge_rows)
-
-    def test_hand_built_trees(self):
-        # trees verify_binarized rejects: a tree of modules gets the rows of
-        # its reconstruction; one whose children do not partition a node
-        # gets None
-        built = set()
-        for case, (root, _) in _NOT_VERIFIED.items():
-            t = MDecTree(root)
-            rows = Rows.of_tree(t)
-            if rows is not None:
-                built.add(case)
-                assert _same_rows(rows, Rows(reconstruct(t)))
-        assert built == set(_NOT_VERIFIED) - {"children_are_not_the_blocks",
-                                              "seq_first_child"}
-        # children that miss a vertex of their node's module: reconstruct
-        # still links vertex 3 through that module, which no leaf reaches
-        gap = MDecNode(frozenset({2, 3}), NodeKind.PAR, (_leaf(2),))
-        t = MDecTree(MDecNode(frozenset({1, 2, 3}), NodeKind.SEQ, (_leaf(1), gap)))
-        assert Rows(reconstruct(t)).inn[2] == 1
-        assert Rows.of_tree(t) is None
+        assert _same_rows(g.rows, Rows(g))
 
     def test_unflattened_trees(self):
         # nesting the first two children of a par, clique or seq node in a
@@ -425,7 +391,6 @@ class TestRowsFromStructure:
 
             t = MDecTree(fold_tree(d.root, unflatten))
             assert reconstruct(t) == g
-            assert _same_rows(Rows.of_tree(t), Rows(g))
             rejected += verify_binarized(t, Rows(g), tree_prime_ops(t)) is None
         assert rejected > 50
 

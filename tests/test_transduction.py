@@ -131,22 +131,18 @@ class TestEncoding:
         assert set(enc.kappa[2]) == {1, 3}
         assert all(n is t.root for n in enc.kappa[2].values())
 
-    def test_rho_reaches_root(self):
-        t = tree_of(node("seq", leaf("a"), leaf("b"), leaf("a")))
-        enc = compute_encoding(t, classify_nodes(t, SIG))
-        for v, path in enc.rho.items():
-            assert path[0].module == frozenset({v})
-            assert path[-1] is t.root
-
     def test_deep_term_without_recursion(self):
         # 1,100 alternating seq/par levels, deeper than the recursion limit;
         # compute_encoding checks the kappa fibers against mu itself
         assert LEVELS > sys.getrecursionlimit()
         g = eval_term(SIG, alternating_term())
         t, cls, enc = encode_graph(g, SIG)
-        assert len(enc.rho) == g.n == LEVELS + 1
+        assert len(enc.kappa[0]) == g.n == LEVELS + 1
         assert all(enc.kappa[0][v].module == frozenset({v}) for v in g.vertices)
-        assert all(path[-1] is t.root for path in enc.rho.values())
+        # each image is a node above the vertex's leaf, and every node
+        # has its nu set
+        assert all(v in node.module for kappa in enc.kappa for v, node in kappa.items())
+        assert set(enc.nu) == set(t.nodes())
 
 
 class TestKappaLemma:
@@ -292,12 +288,6 @@ def _outcome(check, t, enc, sig):
         return type(e), str(e)
 
 
-def _same_rows(a, b):
-    # the adjacency, not the split memo
-    return all(getattr(a, s) == getattr(b, s)
-               for s in ("verts", "bit", "out", "inn", "und", "co", "fwd", "bwd"))
-
-
 class TestKappaReferee:
     """The bitmask check against the frozenset check it replaced."""
 
@@ -326,16 +316,14 @@ class TestKappaReferee:
         self.test_reports_equal_and_corruption_is_caught()
 
     def test_verified_trees_need_no_graph(self, monkeypatch):
-        # a tree that passes verification is checked on the rows pushed
-        # down from its child masks, which equal the graph's: neither
-        # reconstruct nor the edge-built Rows is called
+        # a tree that passes verification is checked on the rows it
+        # carries: neither reconstruct nor the edge-built Rows is called
         rng = random.Random(42)
         cases = []
         for k in range(60):
             sig = (SIG, DUAL)[k % 2]
             g = random_f_graph(rng, sig, max_depth=5, max_leaves=rng.randint(1, 14))
             t, cls, enc = encode_graph(g, sig)
-            assert _same_rows(Rows.of_tree(t), Rows(g))
             if k % 3 == 0 and g.n > 1:
                 enc = _corrupt(rng, t, enc, k // 3 % 3 + 1)[0]
             cases.append((t, enc, sig, referee_check_kappa_lemma(t, enc, sig)))
@@ -353,13 +341,6 @@ class TestKappaReferee:
         # decomposition: the check decomposes that graph, as the referee does
         t, sig = _NOT_DECOMPOSITIONS[case]()
         g = reconstruct(t)
-        # the rows pushed down from t's child masks are g's, except where
-        # t's children do not partition a node
-        rows = Rows.of_tree(t)
-        if case == "module_disagrees_with_children":
-            assert rows is None
-        else:
-            assert _same_rows(rows, Rows(g))
         if sig is not None:
             assert verify_binarized(t, Rows(g), tree_prime_ops(t, sig)) is None
         enc = encode_graph(g, SIG)[2]
@@ -393,19 +374,19 @@ class TestKappaCheckReusesTheDecomposition:
     @staticmethod
     def _count(monkeypatch):
         """Count the splits that miss the memo and the calls of
-        ``Rows.of_tree``."""
-        made = {"split": 0, "of_tree": 0}
-        split, of_tree = Rows._split, Rows.of_tree
+        ``reconstruct`` made by the kappa check."""
+        made = {"split": 0, "reconstruct": 0}
+        split, rebuild = Rows._split, transduction.reconstruct
 
         def counted_split(rows, m):
             made["split"] += 1
             return split(rows, m)
 
-        def counted_of_tree(cls, t):
-            made["of_tree"] += 1
-            return of_tree(t)
+        def counted_reconstruct(t, *args):
+            made["reconstruct"] += 1
+            return rebuild(t, *args)
         monkeypatch.setattr(Rows, "_split", counted_split)
-        monkeypatch.setattr(Rows, "of_tree", classmethod(counted_of_tree))
+        monkeypatch.setattr(transduction, "reconstruct", counted_reconstruct)
         return made
 
     def test_no_split_and_no_rows_built_again(self, monkeypatch):
@@ -419,11 +400,11 @@ class TestKappaCheckReusesTheDecomposition:
         made = self._count(monkeypatch)
         for t, enc, sig in cases:
             assert check_kappa_lemma(t, enc, sig).ok
-        assert made == {"split": 0, "of_tree": 0}
+        assert made == {"split": 0, "reconstruct": 0}
         # the same tree without its rows pays both
         t, enc, sig = max(cases, key=lambda case: len(case[0].nodes()))
         assert check_kappa_lemma(MDecPrimeTree(t.root), enc, sig).ok
-        assert made["of_tree"] == 1 and made["split"] > 0
+        assert made["reconstruct"] == 1 and made["split"] > 0
 
     def test_reports_equal_those_of_a_tree_without_rows(self):
         rng = random.Random(44)
@@ -542,7 +523,7 @@ class TestVerifyIsomorphism:
 
 def _tables(enc):
     """The encoding's tables as item lists, so that order counts too."""
-    return [list(d.items()) for d in (enc.nu, *enc.mu, *enc.kappa, enc.rho)]
+    return [list(d.items()) for d in (enc.nu, *enc.mu, *enc.kappa)]
 
 
 def _verdict(verify, rep, t, sig):

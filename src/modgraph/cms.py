@@ -1378,7 +1378,11 @@ class ModelChecker:
                 except (KeyError, TypeError):
                     raise UnboundVariable(f"value of {name!r} is outside the "
                                           "domain") from None
-        return self._run(code, args)
+        result = bool(code(*args))
+        meter = self._meter
+        if meter.work > meter.budget:
+            meter.exhausted()
+        return result
 
     def check_prepared(self, formula: CmsFormula, ienv: Mapping[str, int]) -> bool:
         """Like check, with the environment already in internal form
@@ -1399,10 +1403,9 @@ class ModelChecker:
                 got = self._tops[formula] = (self._compile(formula), args)
             self._last = (formula,) + got
         _, code, args = self._last
-        return self._run(code, args(ienv))
-
-    def _run(self, code: _Code, args: Sequence[int]) -> bool:
-        result = bool(code(*args))
+        # the unit and the budget test inline, as in check: this is the
+        # per-binding entry of formula-agreement
+        result = bool(code(*args(ienv)))
         meter = self._meter
         if meter.work > meter.budget:
             meter.exhausted()

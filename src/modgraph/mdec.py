@@ -759,7 +759,20 @@ _KIND_TO_OP = {NodeKind.PAR: PAR_OP, NodeKind.SEQ: SEQ_OP, NodeKind.CLIQUE: CLIQ
 
 
 def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
-    """Rebuild the concrete graph: vertex set is exactly the union of leaves."""
+    """Rebuild the concrete graph: vertex set is exactly the union of leaves.
+
+    A tree whose leaves do not hold exactly the root's module, which only
+    a hand-built tree can be, raises VertexNotInGraph naming a vertex that
+    no leaf holds (or a leaf's vertex outside the root's module).
+    """
+    verts = t.root.module
+    if t.leaf_of.keys() != verts:  # one C-level pass over the leaves' vertices
+        missing = verts - t.leaf_of.keys()
+        if missing:
+            raise VertexNotInGraph(f"vertex {min(missing)} of the root's module "
+                                   "is in no leaf")
+        raise VertexNotInGraph(f"leaf vertex {min(t.leaf_of.keys() - verts)} "
+                               "is not in the root's module")
     edges: set[tuple[int, int]] = set()
     labels: Optional[dict[int, str]] = {}
     names = None if sig is None else {op.name for op in sig.ops}
@@ -780,7 +793,7 @@ def reconstruct(t: MDecTree, sig: Optional[Signature] = None) -> LabeledGraph:
         mods = [c.module for c in node.children]
         for (i, j) in edge_pattern(op, len(mods)):
             edges.update(itertools.product(mods[i - 1], mods[j - 1]))
-    return LabeledGraph._trusted(t.root.module, frozenset(edges), labels)
+    return LabeledGraph._trusted(verts, frozenset(edges), labels)
 
 
 def strong_modules(masks: list[int]) -> list[int]:

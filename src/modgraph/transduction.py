@@ -461,6 +461,13 @@ def _partition_holds(g: LabeledGraph, X: frozenset[int], *blocks: frozenset[int]
             and X == frozenset().union(*blocks))
 
 
+def _partition2_holds(g: LabeledGraph, X: frozenset[int], A: frozenset[int],
+                      B: frozenset[int]) -> bool:
+    """``_partition_holds`` for two blocks, without varargs or a new empty
+    set per call: partition2 takes most of formula-agreement's bindings."""
+    return bool(A) and bool(B) and len(A) + len(B) == len(X) and X == A | B
+
+
 def _edge(a: str, b: str) -> CmsFormula:
     return Pred("edge", (a, b))
 
@@ -500,6 +507,8 @@ class PredicateLibrary:
         # per-graph tables, kept while the graph (or an equal one) lives
         self._ginfo: "weakref.WeakKeyDictionary[LabeledGraph, dict]" = \
             weakref.WeakKeyDictionary()
+        # the last graph looked up, as a weak reference, and its tables
+        self._last_info: tuple = (lambda: None, None)
         self.definitions: dict[str, Definition] = {}
         self._catalog: list[str] = []
         self._define_all()
@@ -714,9 +723,25 @@ class PredicateLibrary:
     # ------------------------------------------------ algorithmic versions
 
     def _graph_info(self, g: LabeledGraph) -> dict:
+        """The predicate tables of g.
+
+        The last graph asked for is kept in one slot, a weak reference
+        beside its tables, and a repeat lookup of that same object is
+        answered from the slot by identity, without hashing the graph.
+        The slot never keeps a graph alive: once the graph is freed the
+        reference is dead and matches nothing, and the tables stay until
+        the next lookup replaces them.  Every other lookup goes through
+        ``_ginfo``, keyed by the graph's value, where the tables live as
+        long as the graph or an equal one.  The tables are a function of
+        the graph's value, so no answer depends on which path served it.
+        """
+        ref, info = self._last_info
+        if ref() is g:
+            return info
         info = self._ginfo.get(g)
         if info is None:
             info = self._ginfo[g] = self._tables_of(g)
+        self._last_info = (weakref.ref(g), info)
         return info
 
     def _tables_of(self, g: LabeledGraph) -> dict:
@@ -829,6 +854,8 @@ class PredicateLibrary:
             sym = name[6:]
             return lambda g, X: (len(X) == 1 and g.labels is not None
                                  and g.labels[next(iter(X))] == sym)
+        if name == "partition2":
+            return _partition2_holds
         if name.startswith("partition"):
             return _partition_holds
         if name == "module":

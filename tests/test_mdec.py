@@ -16,7 +16,8 @@ from deep_term import LEVELS, alternating_term
 from mdec_referee import (brute_force_modules, maximal_prime_modules, quotient_graph,
                           referee_adhoc_name, referee_binarize, referee_decompose,
                           referee_prime_modules)
-from modgraph.errors import NotAModule, NotInSignature, TooSmall, UnknownOp
+from modgraph.errors import (NotAModule, NotInSignature, TooSmall, UnknownOp,
+                             VertexNotInGraph)
 from modgraph.generators import random_digraph, random_f_graph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
 from modgraph.cms import tree_prime_ops
@@ -30,6 +31,7 @@ from modgraph.samples import (even_vertices_algebra, p3_op, scw5_signature,
                               spp3_signature, spw5_signature, w5_op, word_graph)
 from modgraph.signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature, Term,
                                 eval_term, prime_op)
+from modgraph.transduction import check_kappa_lemma, encode_graph
 
 
 def leaf(s):
@@ -592,6 +594,27 @@ class TestReconstruct:
         t = decompose(g, SIG)
         assert reconstruct(t) == g
         assert reconstruct(binarize(t)) == g
+
+    @pytest.mark.parametrize("case, vertex", [("children_are_not_the_blocks", 3),
+                                              ("seq_first_child", 1)])
+    def test_leaves_missing_a_vertex_of_the_root(self, case, vertex):
+        # a hand-built tree whose leaves miss a vertex of the root's module:
+        # reconstruct names that vertex, and the kappa check and the
+        # encoding of its graph stop on it with a package error
+        root, g = _NOT_VERIFIED[case]
+        message = f"^vertex {vertex} of the root's module is in no leaf$"
+        for t in (MDecTree(root), MDecPrimeTree(root)):
+            with pytest.raises(VertexNotInGraph, match=message):
+                reconstruct(t)
+        enc = encode_graph(g, SIG)[2]
+        with pytest.raises(VertexNotInGraph, match=message):
+            check_kappa_lemma(MDecPrimeTree(root), enc, SIG)
+
+    def test_a_leaf_outside_the_root(self):
+        root = MDecNode(frozenset({1, 2}), NodeKind.PAR, (_leaf(1), _leaf(2), _leaf(5)))
+        with pytest.raises(VertexNotInGraph,
+                           match="^leaf vertex 5 is not in the root's module$"):
+            reconstruct(MDecTree(root))
 
 
 class TestOracle:

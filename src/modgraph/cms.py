@@ -1403,8 +1403,8 @@ class ModelChecker:
                 got = self._tops[formula] = (self._compile(formula), args)
             self._last = (formula,) + got
         _, code, args = self._last
-        # the unit and the budget test inline, as in check: this is the
-        # per-binding entry of formula-agreement
+        # the unit and the budget test inline, as in check: this runs once
+        # per binding of an exhaustive sweep
         result = bool(code(*args(ienv)))
         meter = self._meter
         if meter.work > meter.budget:

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cms import (ELEMENT, And, Call, CmsFormula, Definition, Eq, Exists,
+from .cms import (ELEMENT, SET, And, Call, CmsFormula, Definition, Eq, Exists,
                   ExistsSet, Forall, ForallSet, Implies, In, Not, Or, Pred,
                   RelationalSignature, conj, disj, graph_signature, label_pred,
                   tree_predicates, tree_prime_ops)
 from .errors import (NotInSignature, NotWeaklyRigid, NotWeaklyRigidSignature,
-                     UnknownOp, UnknownPredicate, UnknownSymbol, VertexNotInGraph)
+                     UnboundVariable, UnknownOp, UnknownPredicate, UnknownSymbol,
+                     VertexNotInGraph)
 from .graphs import LabeledGraph, is_internally_disconnected, is_module
 from .mdec import (MDecNode, MDecPrimeTree, NodeKind, Rows,
                    _decompose, binarize, decompose, reach, reconstruct,
@@ -468,6 +469,29 @@ def _partition2_holds(g: LabeledGraph, X: frozenset[int], A: frozenset[int],
     return bool(A) and bool(B) and len(A) + len(B) == len(X) and X == A | B
 
 
+def _bound_values(name: str, params: Sequence[str], kinds: Sequence[str],
+                  g: LabeledGraph, bindings: Mapping) -> list:
+    """The cold path of ``PredicateLibrary.holds``: the values of a binding
+    that a holder's quick test turned away, in spec order with every
+    ``set`` frozen, or the error the binding calls for."""
+    missing = next((var for var in params if var not in bindings), None)
+    if missing is not None:
+        raise UnknownPredicate(f"predicate {name!r} needs binding {missing!r}")
+    values = []
+    for var, kind in zip(params, kinds):
+        value = bindings[var]
+        set_valued = isinstance(value, (set, frozenset))
+        if kind == SET and not set_valued:
+            raise UnboundVariable(f"predicate {name!r}: variable {var!r} "
+                                  "needs a set value")
+        for v in value if set_valued else (value,):
+            if v not in g.vertices:
+                raise VertexNotInGraph(f"predicate {name!r}: vertex {v!r} "
+                                       f"of {var!r} is not in the graph")
+        values.append(frozenset(value) if isinstance(value, set) else value)
+    return values
+
+
 def _edge(a: str, b: str) -> CmsFormula:
     return Pred("edge", (a, b))
 
@@ -512,16 +536,9 @@ class PredicateLibrary:
         self.definitions: dict[str, Definition] = {}
         self._catalog: list[str] = []
         self._define_all()
-        # name -> (variable names, their values from a binding in spec
-        # order, whether every variable is a set, decision procedure)
-        self._deciders = {}
-        for name in self._catalog:
-            d = self.definitions[name]
-            names = d.params
-            values_of = (itemgetter(*names) if len(names) > 1
-                         else lambda b, v=names[0]: (b[v],))
-            self._deciders[name] = (names, values_of, ELEMENT not in d.kinds,
-                                    self._decider(name))
+        # name -> holder(g, bindings): the bound decision procedure
+        self._holders: dict[str, Callable[[LabeledGraph, Mapping], bool]] = {
+            name: self._holder(name) for name in self._catalog}
 
     def _define(self, name: str, params: str, body: CmsFormula,
                 public: bool = False):
@@ -710,12 +727,12 @@ class PredicateLibrary:
 
     def formula(self, name: str) -> CmsFormula:
         """The body of a catalogued predicate, over its parameters."""
-        if name not in self._deciders:
+        if name not in self._holders:
             raise UnknownPredicate(f"no predicate named {name!r}")
         return self.definitions[name].body
 
     def free_vars(self, name: str) -> tuple[tuple[str, str], ...]:
-        if name not in self._deciders:
+        if name not in self._holders:
             raise UnknownPredicate(f"no predicate named {name!r}")
         d = self.definitions[name]
         return tuple(zip(d.params, d.kinds))
@@ -815,35 +832,104 @@ class PredicateLibrary:
     def holds(self, name: str, g: LabeledGraph, bindings: Mapping) -> bool:
         """Direct decision procedure for a predicate; the fast oracle side.
 
-        A binding with a vertex outside the graph raises VertexNotInGraph.
+        bindings maps each variable of the predicate (``free_vars``) to its
+        value: a set variable to a ``set`` or ``frozenset`` of vertices of
+        g, an element variable to a vertex of g.  A name outside the
+        catalogue, or a binding without one of the variables, raises
+        UnknownPredicate.  A set variable bound to anything else, a list
+        say, raises UnboundVariable.  A vertex outside g raises
+        VertexNotInGraph, at the first such variable in spec order.
+
+        Each predicate has one holder, built with the library.  It reads
+        the values and calls the decider on them at once when every set
+        value is a frozenset inside g and every element a vertex of g.  Any
+        other binding takes the cold path, ``_bound_values``, which raises
+        as above or freezes each ``set``, and then calls the same decider.
         """
-        entry = self._deciders.get(name)
-        if entry is None:
-            raise UnknownPredicate(f"no predicate named {name!r}")
-        spec, values_of, sets_only, decide = entry
         try:
-            values = values_of(bindings)
+            hold = self._holders[name]
         except KeyError:
-            missing = next(var for var in spec if var not in bindings)
-            raise UnknownPredicate(
-                f"predicate {name!r} needs binding {missing!r}") from None
-        # every value's vertices in one union.  holds is about 43% of
-        # formula-agreement's traced layer time, so only a predicate with an
-        # element variable pays for wrapping each value, and mutable sets are
-        # found by hashing the values rather than by a scan of their types
-        used = (_union_of(*values) if sets_only else _union_of(
-            *(v if isinstance(v, (set, frozenset)) else (v,) for v in values)))
-        if not used <= g.vertices:
-            for var, value in zip(spec, values):
-                for v in value if isinstance(value, (set, frozenset)) else (value,):
-                    if v not in g.vertices:
-                        raise VertexNotInGraph(f"predicate {name!r}: vertex {v!r} "
-                                               f"of {var!r} is not in the graph")
-        try:
-            hash(values)
-        except TypeError:  # table lookups hash the values: freeze mutable sets
-            values = [frozenset(v) if isinstance(v, set) else v for v in values]
-        return decide(g, *values)
+            raise UnknownPredicate(f"no predicate named {name!r}") from None
+        return hold(g, bindings)
+
+    def _holder(self, name: str) -> Callable[[LabeledGraph, Mapping], bool]:
+        """The holder of one catalogued predicate (see ``holds``), unrolled
+        for the variable specs the catalogue uses most: one, two or three
+        set variables, and singleton's set and element."""
+        d = self.definitions[name]
+        params, kinds = d.params, d.kinds
+        decide = self._decider(name)
+
+        def cold(g, b):
+            return decide(g, *_bound_values(name, params, kinds, g, b))
+
+        if kinds == (SET,):
+            p, = params
+
+            def hold(g, b):
+                try:
+                    X = b[p]
+                except KeyError:
+                    return cold(g, b)
+                if X.__class__ is frozenset and X <= g.vertices:
+                    return decide(g, X)
+                return cold(g, b)
+        elif kinds == (SET, SET):
+            p, q = params
+
+            def hold(g, b):
+                try:
+                    X, Y = b[p], b[q]
+                except KeyError:
+                    return cold(g, b)
+                V = g.vertices
+                if (X.__class__ is frozenset and X <= V
+                        and Y.__class__ is frozenset and Y <= V):
+                    return decide(g, X, Y)
+                return cold(g, b)
+        elif kinds == (SET, SET, SET):
+            p, q, r = params
+
+            def hold(g, b):
+                try:
+                    X, Y, Z = b[p], b[q], b[r]
+                except KeyError:
+                    return cold(g, b)
+                V = g.vertices
+                if (X.__class__ is frozenset and X <= V
+                        and Y.__class__ is frozenset and Y <= V
+                        and Z.__class__ is frozenset and Z <= V):
+                    return decide(g, X, Y, Z)
+                return cold(g, b)
+        elif kinds == (SET, ELEMENT):
+            p, q = params
+
+            def hold(g, b):
+                try:
+                    X, x = b[p], b[q]
+                except KeyError:
+                    return cold(g, b)
+                V = g.vertices
+                if X.__class__ is frozenset and X <= V and x in V:
+                    return decide(g, X, x)
+                return cold(g, b)
+        else:
+            values_of = (itemgetter(*params) if len(params) > 1
+                         else lambda b, v=params[0]: (b[v],))
+            is_set = tuple(kind == SET for kind in kinds)
+
+            def hold(g, b):
+                try:
+                    values = values_of(b)
+                except KeyError:
+                    return cold(g, b)
+                V = g.vertices
+                for v, set_valued in zip(values, is_set):
+                    if not ((v.__class__ is frozenset and v <= V) if set_valued
+                            else v in V):
+                        return cold(g, b)
+                return decide(g, *values)
+        return hold
 
     def _decider(self, name: str) -> Callable[..., bool]:
         """The decision procedure of one predicate, given the graph and the

@@ -12,20 +12,22 @@ import pytest
 from deep_term import LEVELS, alternating_term
 from encoding_referee import (referee_build_repr, referee_compute_encoding,
                               referee_verify_isomorphism)
+from holds_referee import referee_holds
 from kappa_referee import _suffixes, referee_check_kappa_lemma
 from mdec_referee import maximal_prime_modules
 from modgraph import transduction
 from modgraph.cms import (ModelChecker, graph_structure, model_check, tree_prime_ops,
                           tree_relations)
 from modgraph.errors import (ModgraphError, NotWeaklyRigid, NotWeaklyRigidSignature,
-                             UnknownPredicate, UnknownSymbol, VertexNotInGraph)
+                             UnboundVariable, UnknownPredicate, UnknownSymbol,
+                             VertexNotInGraph)
 from modgraph.generators import random_digraph, random_f_graph, random_subset
 from modgraph.graphs import Alphabet, LabeledGraph, Permutation, is_module
 from modgraph.mdec import (MDecNode, MDecPrimeTree, NodeKind, Rows, binarize, decompose,
                            reconstruct, verify_binarized)
-from modgraph.samples import (cycle_graph, scw5_signature, spp3_signature,
-                              spw5_signature, word_graph, word_term)
-from modgraph.signature import (CLIQUE_OP, SEQ_OP, Signature, Term,
+from modgraph.samples import (cycle_graph, p3_op, scw5_signature, spp3_signature,
+                              spw5_signature, w5_op, word_graph, word_term)
+from modgraph.signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature, Term,
                                 eval_term, prime_op)
 from modgraph.transduction import (PredicateLibrary, ReprStructure, build_repr,
                                    check_kappa_lemma, classify_nodes,
@@ -35,6 +37,11 @@ from theta_referee import f_graph_shapes, graphs_with_a_prime_node, theta_disagr
 
 SIG = spw5_signature()
 DUAL = scw5_signature()
+# W5, P3 and the directed path on four vertices: partition3 to partition5
+# and every children_H predicate in one catalogue
+WIDE = Signature(Alphabet(("a", "b")), (
+    SEQ_OP, PAR_OP, w5_op(), p3_op(),
+    prime_op("P4", LabeledGraph.on_range(4, [(1, 2), (2, 3), (3, 4)]))))
 
 
 def leaf(s):
@@ -722,8 +729,8 @@ class TestPredicateLibrary:
         # _partition_holds is the referee here, and stays the decider of
         # three blocks and more (partition5 under W5)
         lib = PredicateLibrary(SIG)
-        assert lib._deciders["partition2"][3] is transduction._partition2_holds
-        assert lib._deciders["partition5"][3] is transduction._partition_holds
+        assert lib._decider("partition2") is transduction._partition2_holds
+        assert lib._decider("partition5") is transduction._partition_holds
         g = LabeledGraph.on_range(4, [])
         subsets = [frozenset(c) for k in range(5)
                    for c in itertools.combinations(range(1, 5), k)]
@@ -805,6 +812,19 @@ class TestPredicateLibrary:
         with pytest.raises(UnknownPredicate):
             lib.formula("frobnicate")
 
+    @pytest.mark.parametrize("name", ["subseteq", "nonempty"])
+    def test_definitions_outside_the_catalogue_are_unknown(self, name):
+        lib = PredicateLibrary(SIG)
+        g = word_graph("ab")
+        assert name in lib.definitions and name not in lib.names()
+        message = f"^no predicate named {name!r}$"
+        with pytest.raises(UnknownPredicate, match=message):
+            lib.holds(name, g, {"X": g.vertices, "A": g.vertices, "B": g.vertices})
+        with pytest.raises(UnknownPredicate, match=message):
+            lib.formula(name)
+        with pytest.raises(UnknownPredicate, match=message):
+            lib.free_vars(name)
+
     def test_holds_errors_name_the_predicate_and_the_binding(self):
         lib = PredicateLibrary(SIG)
         g = word_graph("ab")
@@ -855,6 +875,82 @@ class TestPredicateLibrary:
                     mutable = {var: set(v) if isinstance(v, frozenset) else v
                                for var, v in b.items()}
                     assert lib.holds(name, g, mutable) == lib.holds(name, g, b)
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except ModgraphError as e:
+            return type(e), str(e)
+
+    @staticmethod
+    def _referee_bindings(rng, lib, g):
+        """Seeded bindings of every catalogued predicate on g: frozensets,
+        sets and mixes of the two, a vertex outside g in one variable or in
+        all of them, a variable left out, and singleton's element bound to a
+        set."""
+        info = lib._graph_info(g)
+        tree_sets = [n.module for n in binarize(decompose(g)).nodes()]
+        verts = g.sorted_vertices()
+        out = []
+        for name in lib.names():
+            spec = lib.free_vars(name)
+            for i in range(10):
+                b = {var: (rng.choice(tree_sets) if rng.random() < 0.7
+                           else random_subset(rng, verts))
+                     if kind == "set" else rng.choice(verts) for var, kind in spec}
+                children = info["children"].get(name[len("children_"):])
+                if i == 0 and children:  # a binding that holds
+                    b = dict(zip((var for var, _ in spec), rng.choice(sorted(
+                        children, key=lambda c: [sorted(x) for x in c]))))
+                freeze = rng.choice((frozenset, set, lambda v: rng.choice((frozenset, set))(v)))
+                b = {var: freeze(v) if isinstance(v, frozenset) else v for var, v in b.items()}
+                out.append((name, b))
+                var, kind = rng.choice(spec)
+                out.append((name, {**b, var: 99 if kind == "element" else freeze(b[var] | {99})}))
+                out.append((name, {var: 98 if kind == "element" else freeze(b[var] | {98})
+                                   for var, kind in spec}))
+                out.append((name, {k: v for k, v in b.items() if k != var}))
+                if name == "singleton":
+                    out.append((name, {**b, "x": freeze(rng.choice(tree_sets))}))
+        return out
+
+    @pytest.mark.parametrize("sig", [SIG, DUAL, spp3_signature(), WIDE],
+                             ids=["spw5", "scw5", "spp3", "w5-p3-p4"])
+    def test_holds_answers_and_raises_as_the_referee(self, sig):
+        # the referee is the wrapper holds had before the holders: same
+        # answer, or same exception type and message, on every binding
+        rng = random.Random(2525)
+        lib = PredicateLibrary(sig)
+        graphs = [random_f_graph(rng, sig, max_depth=3, max_leaves=7) for _ in range(4)]
+        for op in sig.prime_ops:
+            kids = [leaf(rng.choice("ab")) for _ in range(op.graph.n)]
+            kids[0] = node("seq", leaf("b"), leaf("a"), leaf("a"))
+            graphs.append(eval_term(sig, node(op.name, *kids)))
+        seen = set()
+        for g in graphs:
+            for name, b in self._referee_bindings(rng, lib, g):
+                want = self._outcome(lambda: referee_holds(lib, name, g, b))
+                assert self._outcome(lambda: lib.holds(name, g, b)) == want, (name, b)
+                seen.add(want if isinstance(want, bool) else want[0])
+            for name in ("subseteq", "nonempty", "partition4", "frobnicate"):
+                b = {"X": g.vertices}
+                want = self._outcome(lambda: referee_holds(lib, name, g, b))
+                assert self._outcome(lambda: lib.holds(name, g, b)) == want, name
+        assert seen == {True, False, UnknownPredicate, VertexNotInGraph}
+
+    @pytest.mark.parametrize("name, bindings, var", [
+        ("partition2", {"X": [1, 2], "X1": [1], "X2": [2]}, "X"),
+        ("partition2", {"X": frozenset({1, 2}), "X1": {1}, "X2": (2,)}, "X2"),
+        ("node", {"X": [1]}, "X"),
+        ("module", {"X": [1]}, "X"),
+        ("children_W5", {"X": frozenset({1, 2}), **{f"X{i}": [i] for i in range(1, 6)}},
+         "X1")])
+    def test_set_variables_take_sets_only(self, name, bindings, var):
+        lib = PredicateLibrary(SIG)
+        with pytest.raises(UnboundVariable, match=re.escape(
+                f"predicate {name!r}: variable {var!r} needs a set value")):
+            lib.holds(name, word_graph("ab"), bindings)
 
     def test_agreement_sampled_p3(self):
         rng = random.Random(9)

@@ -903,11 +903,14 @@ class TestPredicateLibrary:
                 if i == 0 and children:  # a binding that holds
                     b = dict(zip((var for var, _ in spec), rng.choice(sorted(
                         children, key=lambda c: [sorted(x) for x in c]))))
-                freeze = rng.choice((frozenset, set, lambda v: rng.choice((frozenset, set))(v)))
-                b = {var: freeze(v) if isinstance(v, frozenset) else v for var, v in b.items()}
+                freeze = rng.choice((frozenset, set,
+                                     lambda v: rng.choice((frozenset, set))(v)))
+                b = {var: freeze(v) if isinstance(v, frozenset) else v
+                     for var, v in b.items()}
                 out.append((name, b))
                 var, kind = rng.choice(spec)
-                out.append((name, {**b, var: 99 if kind == "element" else freeze(b[var] | {99})}))
+                out.append((name, {**b, var: 99 if kind == "element"
+                                   else freeze(b[var] | {99})}))
                 out.append((name, {var: 98 if kind == "element" else freeze(b[var] | {98})
                                    for var, kind in spec}))
                 out.append((name, {k: v for k, v in b.items() if k != var}))

@@ -899,7 +899,8 @@ class TestPredicateLibrary:
                 b = {var: (rng.choice(tree_sets) if rng.random() < 0.7
                            else random_subset(rng, verts))
                      if kind == "set" else rng.choice(verts) for var, kind in spec}
-                children = info["children"].get(name[len("children_"):])
+                children = (info["children"].get(name.removeprefix("children_"))
+                            if name.startswith("children_") else None)
                 if i == 0 and children:  # a binding that holds
                     b = dict(zip((var for var, _ in spec), rng.choice(sorted(
                         children, key=lambda c: [sorted(x) for x in c]))))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cms import (ELEMENT, SET, And, Call, CmsFormula, Definition, Eq, Exists,
+from .cms import (SET, And, Call, CmsFormula, Definition, Eq, Exists,
                   ExistsSet, Forall, ForallSet, Implies, In, Not, Or, Pred,
                   RelationalSignature, conj, disj, graph_signature, label_pred,
                   tree_predicates, tree_prime_ops)

@@ -1,6 +1,7 @@
 """Counting monadic second-order logic over finite relational structures.
 
-Formulas are syntax trees compared by structure; a ``Definition`` names a
+Formulas are hash-consed syntax trees: a node built equal to a live node
+is that node, so equal formulas are one object.  A ``Definition`` names a
 formula over its parameters and a ``Call`` applies it to variables, and
 ``expand`` inlines every call into plain counting-MSO.  Model checking is
 brute-force Tarskian semantics (set quantifiers range over all subsets of
@@ -135,14 +136,40 @@ def _each(walks):
     return done
 
 
-class _Structural:
-    """Compared by structure, never by object identity: each node hashes
-    its fields once at construction (child hashes are cached in turn), so
-    hashing is O(1) and equal nodes built apart share every table keyed
-    on them.  Comparison walks both nodes with an explicit stack, so it
-    does not recurse however deep they are, and compares each pair of
-    nodes once, so shared subformulas and the bodies of called
-    definitions are walked once per comparison."""
+# node key -> weak reference to the live node of that structure
+_live: dict = {}
+
+
+class _Interning(type):
+    """Builds a node as its class does, then returns the live node of
+    equal structure if there is one, and registers the new node if not."""
+
+    def __call__(cls, *args, **kwargs):
+        node = super().__call__(*args, **kwargs)
+        key = node._key
+        ref = _live.get(key)
+        if ref is not None:
+            live = ref()
+            if live is not None:
+                return live
+
+        def forget(dead):
+            # a node collected late must not evict an equal one built since
+            if _live.get(key) is dead:
+                del _live[key]
+
+        _live[key] = weakref.ref(node, forget)
+        return node
+
+
+class _Structural(metaclass=_Interning):
+    """Hash-consed: a node built equal to a live node is that node, so
+    equality is identity and equal nodes built apart share every table
+    keyed on them.  The key is the type and the fields; the children in it
+    are interned already, so comparing two keys compares the children by
+    identity and the lookup does not walk the tree.  Each node hashes its
+    key once at construction (a child hashes by its stored hash), so
+    hashing is O(1) and never reads a node's id."""
 
     def __post_init__(self):
         fields = self.__dict__
@@ -152,46 +179,6 @@ class _Structural:
 
     def __hash__(self):
         return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, _Structural):
-            return NotImplemented
-        stack = [(self, other)]
-        # ids of the pairs pushed: both operands, and so every node
-        # reached from them, stay alive for the whole call
-        pushed = {(id(self), id(other))}
-
-        def push(u, v):
-            pair = (id(u), id(v))
-            if pair not in pushed:
-                pushed.add(pair)
-                stack.append((u, v))
-
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a._hash != b._hash:
-                return False
-            # keys start with the type, so keys of one type have one length
-            for x, y in zip(a._key, b._key):
-                if x is y:
-                    continue
-                if isinstance(x, _Structural):
-                    if not isinstance(y, _Structural):
-                        return False
-                    push(x, y)
-                elif isinstance(x, tuple) and isinstance(y, tuple):
-                    if len(x) != len(y):
-                        return False
-                    for u, v in zip(x, y):
-                        if isinstance(u, _Structural) and isinstance(v, _Structural):
-                            push(u, v)
-                        elif u != v:
-                            return False
-                elif x != y:
-                    return False
-        return True
 
     def __repr__(self):
         return _walk(_repr(self, set()))
@@ -1207,27 +1194,20 @@ def _factory(kind: str, source: str) -> Callable:
     return namespace["factory"]
 
 
-@functools.lru_cache(maxsize=4096)
-def _interned(node):
-    """The first node seen of node's structure, while the bounded cache
-    keeps it: equal nodes built apart, as a sentence parsed again, map to
-    one node, and so to one compiled unit and one memo table per checker."""
-    return node
+# the nodes whose units were compiled last, kept alive so that a sentence
+# parsed again while they live is the same node, with its unit
+_recent: collections.deque = collections.deque(maxlen=4096)
 
 
 def _unit(node):
-    """A node's factory, the interned nodes it refers to, its parameters
-    and its interned node, computed once per structure."""
+    """A node's factory, the nodes it refers to and its parameters,
+    computed once per node."""
     got = node.__dict__.get("_unit")
     if got is None:
-        canon = _interned(node)
-        got = canon.__dict__.get("_unit")
-        if got is None:
-            unit, nodes = _shape(canon)
-            got = (_factory(unit[0], _Codegen(unit).source()),
-                   tuple(map(_interned, nodes)), _params(canon), canon)
-            canon.__dict__["_unit"] = got
-        node.__dict__["_unit"] = got
+        unit, nodes = _shape(node)
+        got = node.__dict__["_unit"] = (
+            _factory(unit[0], _Codegen(unit).source()), tuple(nodes), _params(node))
+        _recent.append(node)
     return got
 
 
@@ -1278,24 +1258,26 @@ class ModelChecker:
     Each looping quantifier, each definition and each formula checked at
     the top is one unit: generated Python code, compiled once per formula
     shape (the same up to the renaming of variables) and bound per checker to
-    its domain size, relation rows and memo tables on first use.  Formulas
-    are looked up by structure, never by object identity.  Every
+    its domain size, relation rows and memo tables on first use.  Equal
+    formulas are one object, so a table keyed on a node follows its
+    structure.  Every
     quantifier memoizes its value on the values of its free variables, in
     one table per checker shared by all formulas that contain it: a dict
     from the argument values to the value.
 
     Cache policy.  Memo and definition tables grow with the distinct
     argument values seen, and they live exactly as long as the checker; to
-    free them, drop the checker.  Compiled units are looked up by formula
-    structure, through two bounded caches shared by every checker.  One
-    interns quantifiers, definitions and checked formulas: equal nodes
-    built apart map to the first one seen, which holds the unit, so a
-    sentence parsed again reuses the unit of the first, and a checker keys
-    its units and memo tables on interned nodes only.  The other maps a
-    unit's generated source to its compiled code, so formulas of one
-    canonical form share the code; the text compares without recursion,
-    however deep the form.  Relation rows are built once per
-    ``Structure``, stored on it as immutable values and shared by every
+    free them, drop the checker.  Three tables are shared by every checker.
+    The intern table maps a node's structure to the live node, weakly, so a
+    formula is held only by its users; a checker keys its units and memo
+    tables on nodes and holds them, so they stay interned while it lives.
+    A node's compiled unit is stored on the node, and the 4,096 nodes whose
+    units were compiled last are kept alive, so a sentence parsed again
+    after its checker is dropped is the same node and reuses the unit.  A
+    bounded cache maps a unit's generated source to its compiled code, so
+    formulas of one canonical form share the code; the text compares
+    without recursion, however deep the form.  Relation rows are built once
+    per ``Structure``, stored on it as immutable values and shared by every
     checker on it; they live as long as the structure.  Nothing else is
     shared.
 
@@ -1412,12 +1394,12 @@ class ModelChecker:
         return result
 
     def _compile(self, node) -> _Code:
-        factory, nodes, _, canon = _unit(node)
-        code = self._code.get(canon)
+        code = self._code.get(node)
         if code is None:
+            factory, nodes, _ = _unit(node)
             # units reach the checker through a weak reference, so they hold
             # no cycle back to it and a dropped checker is freed at once
-            code = self._code[canon] = factory(self, weakref.ref(self), canon, nodes)
+            code = self._code[node] = factory(self, weakref.ref(self), node, nodes)
         return code
 
     def _bind(self, nodes: Sequence, slots: Sequence[int]) -> list:

@@ -481,9 +481,9 @@ def _bound_values(name: str, params: Sequence[str], kinds: Sequence[str],
     for var, kind in zip(params, kinds):
         value = bindings[var]
         set_valued = isinstance(value, (set, frozenset))
-        if kind == SET and not set_valued:
-            raise UnboundVariable(f"predicate {name!r}: variable {var!r} "
-                                  "needs a set value")
+        if set_valued != (kind == SET):
+            raise UnboundVariable(f"predicate {name!r}: variable {var!r} needs a "
+                                  + ("set value" if kind == SET else "vertex value"))
         for v in value if set_valued else (value,):
             if v not in g.vertices:
                 raise VertexNotInGraph(f"predicate {name!r}: vertex {v!r} "
@@ -837,8 +837,10 @@ class PredicateLibrary:
         g, an element variable to a vertex of g.  A name outside the
         catalogue, or a binding without one of the variables, raises
         UnknownPredicate.  A set variable bound to anything else, a list
-        say, raises UnboundVariable.  A vertex outside g raises
-        VertexNotInGraph, at the first such variable in spec order.
+        say, raises UnboundVariable, and so does an element variable bound
+        to a set or frozenset that is not a vertex of g, as the model
+        checker does.  A vertex outside g raises VertexNotInGraph.  These
+        are raised at the first such variable in spec order.
 
         Each predicate has one holder, built with the library.  It reads
         the values and calls the decider on them at once when every set

@@ -28,7 +28,7 @@ class ClosureChecker:
 
     Each distinct formula node is compiled once per checker into a closure
     over one environment dict of variable values.  Formulas are looked up
-    by structure, never by object identity, so re-parsing a sentence
+    by structure, which for hash-consed nodes is identity, so re-parsing a sentence
     reuses its compiled entry and a transient formula can never inherit
     another formula's tables.  Every quantifier closure owns a memo table
     keyed by the values of its node's free variables; a subformula shared

@@ -8,7 +8,9 @@ do not hash and calls the predicate's decider.  Tests require the library's
 the same message, on every binding whose set values are sets or
 frozensets.  Set variables bound to other values are outside this
 comparison: the referee lets any iterable through, and ``holds`` rejects
-them.
+them.  An element variable bound to a set or frozenset raises
+UnboundVariable, in spec order with the vertex checks, as the model
+checker raises on the same binding.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from modgraph.cms import ELEMENT
-from modgraph.errors import UnknownPredicate, VertexNotInGraph
+from modgraph.errors import UnboundVariable, UnknownPredicate, VertexNotInGraph
 from modgraph.graphs import LabeledGraph
 from modgraph.transduction import PredicateLibrary
 
@@ -38,11 +40,17 @@ def referee_holds(lib: PredicateLibrary, name: str, g: LabeledGraph,
         missing = next(var for var in spec if var not in bindings)
         raise UnknownPredicate(
             f"predicate {name!r} needs binding {missing!r}") from None
+    misbound = any(kind == ELEMENT and isinstance(v, (set, frozenset))
+                   for kind, v in zip(d.kinds, values))
     used = (_union_of(*values) if ELEMENT not in d.kinds else _union_of(
         *(v if isinstance(v, (set, frozenset)) else (v,) for v in values)))
-    if not used <= g.vertices:
-        for var, value in zip(spec, values):
-            for v in value if isinstance(value, (set, frozenset)) else (value,):
+    if misbound or not used <= g.vertices:
+        for var, kind, value in zip(spec, d.kinds, values):
+            set_valued = isinstance(value, (set, frozenset))
+            if kind == ELEMENT and set_valued:
+                raise UnboundVariable(f"predicate {name!r}: variable {var!r} "
+                                      "needs a vertex value")
+            for v in value if set_valued else (value,):
                 if v not in g.vertices:
                     raise VertexNotInGraph(f"predicate {name!r}: vertex {v!r} "
                                            f"of {var!r} is not in the graph")

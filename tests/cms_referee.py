@@ -28,9 +28,9 @@ class ClosureChecker:
 
     Each distinct formula node is compiled once per checker into a closure
     over one environment dict of variable values.  Formulas are looked up
-    by structure, which for hash-consed nodes is identity, so re-parsing a sentence
-    reuses its compiled entry and a transient formula can never inherit
-    another formula's tables.  Every quantifier closure owns a memo table
+    by structure, which for hash-consed nodes is identity, so re-parsing a
+    sentence reuses its compiled entry and a transient formula can never
+    inherit another formula's tables.  Every quantifier closure owns a memo table
     keyed by the values of its node's free variables; a subformula shared
     between several formulas, such as the library predicates' common
     building blocks, is compiled once and shares one table.  A call

@@ -234,7 +234,8 @@ EDGE_SENTENCES = ("(exists x (exists y (edge x y)))",
 
 
 class TestFormulaIdentity:
-    """Checker tables follow formula structure, never object identity."""
+    """Checker tables follow formula structure: equal formulas are one
+    object, and a formula freed leaves no entry for another."""
 
     def test_transient_formulas_on_one_checker(self):
         # transient formulas are freed after each round, so their object ids
@@ -343,7 +344,7 @@ class TestFormulaIdentity:
         gc.collect()
         before = len(cms._live)
         # about 1,000 distinct formulas, in a cycle that only the collector frees
-        held = [Exists("x", Pred(f"p{k}", ("x",))) for k in range(500)]
+        held = [Exists("x", Pred(f"dropped{k}", ("x",))) for k in range(500)]
         held.append(held)
         assert len(cms._live) >= before + 1000
         del held

@@ -13,11 +13,9 @@ from .graphs import (Alphabet, AutomorphismGroup, LabeledGraph, Permutation,
                      automorphism_group, find_isomorphism,
                      is_internally_disconnected, is_module,
                      is_vertex_transitive)
-from .signature import (CLIQUE_OP, PAR_OP, SEQ_OP, DistinguishedSet, OpKind,
-                        Signature, SignatureOp, Term, compose, compose_graph,
-                        cp_equations, eval_term, is_prime, is_weakly_rigid_op,
-                        prime_op, select_distinguished,
-                        validate_weakly_rigid_signature)
+from .signature import (CLIQUE_OP, PAR_OP, SEQ_OP, OpKind, Signature,
+                        SignatureOp, Term, compose, compose_graph, eval_term,
+                        is_prime, prime_op, validate_weakly_rigid_signature)
 from .mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, binarize,
                    brute_force_prime_modules, decompose, format_tree,
                    reconstruct, tree_to_term)

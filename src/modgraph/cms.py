@@ -2,10 +2,11 @@
 
 Formulas are hash-consed syntax trees: a node built equal to a live node
 is that node, so equal formulas are one object.  A ``Definition`` names a
-formula over its parameters and a ``Call`` applies it to variables, and
-``expand`` inlines every call into plain counting-MSO.  Model checking is
-brute-force Tarskian semantics (set quantifiers range over all subsets of
-the domain) with a deterministic work budget, memoization of quantified
+formula over its parameters and a ``Call`` applies it to variables; a call
+abbreviates its definition's body, and the test suite inlines every call
+into plain counting-MSO as a referee.  Model checking is brute-force
+Tarskian semantics (set quantifiers range over all subsets of the
+domain) with a deterministic work budget, memoization of quantified
 subformulas and tabling of definitions on their argument values: a call
 costs one unit of work, and its body is evaluated once per table entry.
 An element quantifier whose body holds only atoms and connectives is
@@ -475,56 +476,6 @@ def _text(f):
         head = _KEYWORD[type(f)] + (f" {f.q}" if isinstance(f, ExistsMod) else "")
         return f"({head} {f.var} {(yield _text(f.body))})"
     raise TypeError(f"not a formula: {f!r}")
-
-
-def expand(f: CmsFormula) -> CmsFormula:
-    """f in plain counting-MSO: every call replaced by its definition's
-    body, with the parameters renamed to the arguments and every bound
-    variable of the body to a fresh name, so nothing is captured."""
-    taken: set[str] = set()
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        if isinstance(g, (In, Eq, Pred, Call)):
-            taken.update(name for name, _ in _uses(g))
-        else:
-            if isinstance(g, _Quantifier):
-                taken.add(g.var)
-            todo.extend(_children(g))
-    counter = itertools.count(1)
-
-    def fresh(kind: str) -> str:
-        names = (f"{'P' if kind == SET else 'p'}{k}" for k in counter)
-        return next(name for name in names if name not in taken)
-
-    def inline(g: CmsFormula, ren: dict[str, str], renaming: bool):
-        # ren maps free names to their names in the result; binders are
-        # renamed apart inside definition bodies and kept outside them
-        if isinstance(g, In):
-            return In(ren.get(g.elem, g.elem), ren.get(g.sett, g.sett))
-        if isinstance(g, Eq):
-            return Eq(ren.get(g.left, g.left), ren.get(g.right, g.right))
-        if isinstance(g, Pred):
-            return Pred(g.name, tuple(ren.get(a, a) for a in g.args))
-        if isinstance(g, Call):
-            d = g.defn
-            inner = {p: ren.get(a, a) for p, a in zip(d.params, g.args)}
-            return (yield inline(d.body, inner, True))
-        if isinstance(g, Not):
-            return Not((yield inline(g.body, ren, renaming)))
-        if isinstance(g, (And, Or)):
-            parts = yield _each(inline(p, ren, renaming) for p in g.parts)
-            return type(g)(tuple(parts))
-        if isinstance(g, Implies):
-            return Implies((yield inline(g.left, ren, renaming)),
-                           (yield inline(g.right, ren, renaming)))
-        var = fresh(g._kind) if renaming else g.var
-        body = yield inline(g.body, {**ren, g.var: var}, renaming)
-        if isinstance(g, ExistsMod):
-            return ExistsMod(g.q, var, body)
-        return type(g)(var, body)
-
-    return _walk(inline(f, {}, False))
 
 
 # ------------------------------------------------------------------ parser
@@ -1320,10 +1271,6 @@ class ModelChecker:
     @property
     def work(self) -> int:
         return self._meter.work
-
-    @property
-    def budget(self) -> int:
-        return self._meter.budget
 
     def to_mask(self, value: Iterable) -> int:
         mask = 0

@@ -39,10 +39,6 @@ class TooSmall(ModgraphError):
     """Decomposition step applied to a graph with fewer than 2 vertices."""
 
 
-class NotAModule(ModgraphError):
-    pass
-
-
 class NotInSignature(ModgraphError):
     """A prime quotient matched no operation of the signature.
 

@@ -244,15 +244,6 @@ class Permutation:
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
 
-    @staticmethod
-    def from_cycles(n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
-        image = list(range(1, n + 1))
-        for cyc in cycles:
-            cyc = list(cyc)
-            for i, v in enumerate(cyc):
-                image[v - 1] = cyc[(i + 1) % len(cyc)]
-        return Permutation(tuple(image))
-
     @property
     def n(self) -> int:
         return len(self.image)
@@ -399,10 +390,6 @@ class AutomorphismGroup:
     graph: LabeledGraph
     elements: frozenset[Permutation]
     orbits: tuple[frozenset[int], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
 
 def automorphism_group(h: LabeledGraph, respect_labels: bool = False,

@@ -16,7 +16,7 @@ method of Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16(2),
 operations on n-bit ints; the refinement costs at most O(|M|^3) and far
 less in practice: 400 vertices decompose in a fraction of a second.
 
-Beside it stands one exact module oracle, ``all_modules``.  The modules
+Beside it stands one exact module oracle, ``Rows.modules``.  The modules
 of a digraph, with the empty set, are closed under intersection, so
 Ganter's NextClosure lists them in lectic order with polynomial delay,
 the splitter closure serving as closure operator (B. Ganter, "Two basic
@@ -808,20 +808,9 @@ def strong_modules(masks: list[int]) -> list[int]:
             or not any(x & y and x & ~y and y & ~x for y in inner)]
 
 
-def all_modules(g: LabeledGraph) -> list[frozenset[int]]:
-    """Every non-empty module of g, in lectic order (bit i for the i-th
-    smallest id, ascending), each once.
-
-    Output-sensitive, not polynomial: a par node with k children alone
-    gives 2^k modules.
-    """
-    rows = g.rows
-    return [rows.ids(m) for m in rows.modules()]
-
-
 def brute_force_prime_modules(g: LabeledGraph) -> set[frozenset[int]]:
     """Prime (strong) modules by definition: proper modules overlapping
-    none, filtered from the family of ``all_modules``."""
+    none, filtered from the family of ``Rows.modules``."""
     rows = g.rows
     full = (1 << g.n) - 1
     return {rows.ids(x) for x in strong_modules(rows.modules()) if x != full}

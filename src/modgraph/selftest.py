@@ -31,8 +31,11 @@ class SelfTestConfig:
     max_term_depth: int = 5
 
     def __post_init__(self):
-        if self.count < 0 or self.max_vertices < 1 or self.max_term_depth < 1:
+        if self.count < 0 or self.max_term_depth < 1:
             raise ValueError("bounds must be positive")
+        # the mdec properties draw graphs of 2 to max_vertices vertices
+        if self.max_vertices < 2:
+            raise ValueError("max-vertices must be at least 2")
 
 
 Outcome = tuple[int, int, list[str]]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence, TypeVar
 
-from .errors import (ArityMismatch, NotWeaklyRigid, OverlappingOperands,
-                     TooSmall, UnknownOp, UnknownSymbol)
+from .errors import (ArityMismatch, OverlappingOperands, TooSmall, UnknownOp,
+                     UnknownSymbol)
 from .graphs import (Alphabet, LabeledGraph, Permutation, automorphism_group,
                      find_isomorphism, is_module)
 
@@ -60,7 +60,9 @@ class OpSymmetry:
     each is one argument-permutation equation of the operation.  ``orbits``
     partitions 1..n, sorted by smallest vertex.  ``distinguished`` is the
     orbit of vertex 1, or None when the group is transitive, that is when
-    the operation is not weakly rigid.
+    the operation is not weakly rigid.  Any invariant proper non-empty set
+    would do; one fixed rule keeps recognizers and transductions
+    reproducible.
     """
 
     automorphisms: tuple[Permutation, ...]
@@ -519,14 +521,6 @@ def eval_term(sig: Signature, t: Term) -> LabeledGraph:
     return LabeledGraph._trusted(frozenset(labels), frozenset(edges), labels, rows)
 
 
-def is_weakly_rigid_op(op: SignatureOp) -> bool:
-    """seq is weakly rigid; a prime op is iff its automorphisms are not transitive."""
-    if op.kind in (OpKind.PARALLEL, OpKind.CLIQUE):
-        raise ValueError("weak rigidity applies to seq and prime operations; "
-                         "par and clique are handled at signature level")
-    return op.symmetry.distinguished is not None
-
-
 @dataclass(frozen=True)
 class RigidityViolation:
     op_name: str
@@ -570,35 +564,3 @@ def validate_weakly_rigid_signature(sig: Signature) -> WeakRigidityReport:
                 op.name, "automorphisms act transitively on the vertices",
                 sym.orbits[0]))
     return WeakRigidityReport(sig, tuple(violations))
-
-
-@dataclass(frozen=True)
-class DistinguishedSet:
-    """Proper, non-empty, automorphism-invariant vertex set of an operation."""
-
-    op: SignatureOp
-    vertices: frozenset[int]
-
-
-def select_distinguished(op: SignatureOp) -> DistinguishedSet:
-    """Deterministic choice: the orbit of vertex 1, which is {1} for seq.
-
-    Any automorphism-invariant proper non-empty subset would do; a single
-    rule keeps recognizers and transductions reproducible.
-    """
-    if op.kind in (OpKind.PARALLEL, OpKind.CLIQUE):
-        raise NotWeaklyRigid(f"{op.name} has no distinguished vertices")
-    dist = op.symmetry.distinguished
-    if dist is None:
-        raise NotWeaklyRigid(f"operation {op.name} is not weakly rigid")
-    return DistinguishedSet(op, dist)
-
-
-def cp_equations(op: SignatureOp) -> list[Permutation]:
-    """Argument permutations under which composition by op is invariant.
-
-    One permutation per non-identity automorphism of the operation graph:
-    composing op with operands G_1..G_n equals composing it with
-    G_{sigma(1)}..G_{sigma(n)}.
-    """
-    return list(op.symmetry.automorphisms)

@@ -309,7 +309,7 @@ def check_kappa_lemma(t: MDecPrimeTree, enc: EncodingTables,
     verified with is the decomposition algorithm that usually built t, so
     a fault in it could show on both sides alike.
     ``tests/mdec_referee.py`` and the NextClosure oracle
-    ``mdec.all_modules`` referee that algorithm, and
+    ``Rows.modules`` referee that algorithm, and
     ``tests/kappa_referee.py``, which takes the family from 2^n subset
     enumeration, referees this report.  Each path is walked up from its
     leaf only as far as the lemma needs, so the check runs in polynomial
@@ -517,10 +517,10 @@ class PredicateLibrary:
     inside another is a ``cms.Call`` of its definition, so each body exists
     once and a checker tables each predicate on its arguments, one unit of
     work per call.  ``formula(name)`` is the body of a catalogued predicate
-    over its own parameters, and ``cms.expand`` turns any of these formulas
-    into plain counting-MSO.  The node/child predicates quantify over the
-    operations present in the signature, so they only see tree nodes
-    labeled by those operations.
+    over its own parameters; the test suite's ``expand`` referee turns any
+    of these formulas into plain counting-MSO.  The node/child predicates
+    quantify over the operations present in the signature, so they only
+    see tree nodes labeled by those operations.
     """
 
     def __init__(self, sig: Signature):

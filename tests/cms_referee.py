@@ -1,22 +1,26 @@
-"""The closure model checker, kept as the referee of ``cms.ModelChecker``.
+"""The closure model checker, kept as the referee of ``cms.ModelChecker``,
+and ``expand``, which inlines every call into plain counting-MSO.
 
 Each distinct formula node is compiled once per checker into a closure that
 charges one unit of work per entry, with a memo table per quantifier and
 one table per definition on the values of its calls' arguments.  This is
 the checker ``cms.ModelChecker`` replaced; the differential tests in
 ``test_cms_referee.py`` require the two to give the same answer and the
-same ``work`` after every check.
+same ``work`` after every check; ``test_definitions.py`` requires a
+formula and its expansion to give the same answers.
 """
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from modgraph.cms import (DEFAULT_BUDGET, SET, And, Call, CmsFormula, Eq, ExistsMod,
                           Forall, ForallSet, Implies, In, Not, Or, Pred,
-                          Structure, _free, _Meter, _Quantifier, variable_kinds)
+                          Structure, _children, _each, _free, _Meter, _Quantifier,
+                          _uses, _walk, variable_kinds)
 from modgraph.errors import ArityMismatch, UnboundVariable
 
 
@@ -265,3 +269,53 @@ class ClosureChecker:
             meter.work += 1
             return tuple_of(env) in rel
         return run
+
+
+def expand(f: CmsFormula) -> CmsFormula:
+    """f in plain counting-MSO: every call replaced by its definition's
+    body, with the parameters renamed to the arguments and every bound
+    variable of the body to a fresh name, so nothing is captured."""
+    taken: set[str] = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, (In, Eq, Pred, Call)):
+            taken.update(name for name, _ in _uses(g))
+        else:
+            if isinstance(g, _Quantifier):
+                taken.add(g.var)
+            todo.extend(_children(g))
+    counter = itertools.count(1)
+
+    def fresh(kind: str) -> str:
+        names = (f"{'P' if kind == SET else 'p'}{k}" for k in counter)
+        return next(name for name in names if name not in taken)
+
+    def inline(g: CmsFormula, ren: dict[str, str], renaming: bool):
+        # ren maps free names to their names in the result; binders are
+        # renamed apart inside definition bodies and kept outside them
+        if isinstance(g, In):
+            return In(ren.get(g.elem, g.elem), ren.get(g.sett, g.sett))
+        if isinstance(g, Eq):
+            return Eq(ren.get(g.left, g.left), ren.get(g.right, g.right))
+        if isinstance(g, Pred):
+            return Pred(g.name, tuple(ren.get(a, a) for a in g.args))
+        if isinstance(g, Call):
+            d = g.defn
+            inner = {p: ren.get(a, a) for p, a in zip(d.params, g.args)}
+            return (yield inline(d.body, inner, True))
+        if isinstance(g, Not):
+            return Not((yield inline(g.body, ren, renaming)))
+        if isinstance(g, (And, Or)):
+            parts = yield _each(inline(p, ren, renaming) for p in g.parts)
+            return type(g)(tuple(parts))
+        if isinstance(g, Implies):
+            return Implies((yield inline(g.left, ren, renaming)),
+                           (yield inline(g.right, ren, renaming)))
+        var = fresh(g._kind) if renaming else g.var
+        body = yield inline(g.body, {**ren, g.var: var}, renaming)
+        if isinstance(g, ExistsMod):
+            return ExistsMod(g.q, var, body)
+        return type(g)(var, body)
+
+    return _walk(inline(f, {}, False))

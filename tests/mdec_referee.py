@@ -7,7 +7,8 @@ smallest module instead of refining partitions.  The differential tests in
 ``test_mdec.py`` compare the two on inputs the 2^n oracle cannot reach.
 
 ``brute_force_modules`` tests every one of the 2^n vertex subsets; it is
-the referee of the NextClosure oracle ``mdec.all_modules``.
+the referee of the NextClosure oracle ``Rows.modules``, which ``modules``
+reads as vertex sets.
 
 ``referee_binarize`` folds a tree bottom up into new nodes, with the
 masks kept in a dict keyed by node, and ``referee_adhoc_name`` sets one
@@ -22,12 +23,16 @@ import itertools
 import zlib
 from typing import Iterable, Optional, Sequence
 
-from modgraph.errors import NotAModule, NotInSignature, TooSmall
+from modgraph.errors import ModgraphError, NotInSignature, TooSmall
 from modgraph.graphs import (LabeledGraph, _check_subset, _components_of,
                              is_module, undirected_components)
 from modgraph.mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, _match_quotient,
                            fold_tree)
 from modgraph.signature import Signature
+
+
+class NotAModule(ModgraphError):
+    """A partition block given to ``quotient_graph`` is not a module."""
 
 
 def quotient_graph(g: LabeledGraph, partition: Sequence[frozenset[int]]) -> LabeledGraph:
@@ -217,6 +222,11 @@ def brute_force_modules(g: LabeledGraph) -> list[frozenset[int]]:
         if ok:
             found.append(mask)
     return [frozenset(verts[i] for i in range(n) if mask >> i & 1) for mask in found]
+
+
+def modules(g: LabeledGraph) -> list[frozenset[int]]:
+    """Every non-empty module of g from ``Rows.modules``, in lectic order."""
+    return [g.rows.ids(m) for m in g.rows.modules()]
 
 
 def referee_prime_modules(g: LabeledGraph) -> set[frozenset[int]]:

@@ -21,7 +21,7 @@ from modgraph.samples import (cycle_graph, even_vertices_algebra,
                               parity_algebra, scw5_signature, sp_signature,
                               spp3_signature, spw5_signature, word_graph)
 from modgraph.selftest import SelfTestConfig, run_selftest
-from modgraph.signature import (eval_term, is_weakly_rigid_op, prime_op,
+from modgraph.signature import (eval_term, prime_op,
                                 validate_weakly_rigid_signature)
 from modgraph.transduction import (PredicateLibrary, build_repr,
                                    check_kappa_lemma, encode_graph,
@@ -93,7 +93,7 @@ def test_criterion_2_round_trip():
 def test_criterion_3_weak_rigidity_fixtures():
     for n in (3, 4, 5, 6):
         op = prime_op(f"C{n}", cycle_graph(n))
-        assert not is_weakly_rigid_op(op)
+        assert op.symmetry.distinguished is None
         aut = automorphism_group(cycle_graph(n), max_vertices=n)
         assert aut.orbits == (frozenset(range(1, n + 1)),)
 

@@ -264,6 +264,12 @@ class TestSelftestVerb:
         code, out, _ = run(capsys, "selftest", "--count", "0")
         assert code == 0 and "vacuously" in out
 
+    def test_max_vertices_below_two_exit_2(self, capsys):
+        code, out, err = run(capsys, "selftest", "--max-vertices", "1")
+        assert (code, out, err) == (2, "", "error: max-vertices must be at least 2\n")
+        code, out, _ = run(capsys, "selftest", "--max-vertices", "2", "--count", "3")
+        assert code == 0 and "RESULT: all properties passed" in out
+
     def test_fault_injection_is_caught(self, monkeypatch):
         # flip the comb direction: the harness must notice the broken shape
         def broken_binarize(t):

@@ -5,10 +5,11 @@ import weakref
 
 import pytest
 
+from cms_referee import expand
 from modgraph import cms
 from modgraph.cms import (And, Exists, ExistsMod, Forall, Implies, In,
                           ModelChecker, Not, Or, Pred, RelationalSignature,
-                          Structure, expand, graph_structure, model_check,
+                          Structure, graph_structure, model_check,
                           parse_formula, to_text, tree_predicates,
                           tree_prime_ops, tree_relations, tree_structure,
                           variable_kinds)

@@ -1,7 +1,8 @@
 """Defined predicates: the called forms against their expansions.
 
 The library and the transduction schema call named definitions, which the
-checker tables; ``cms.expand`` inlines every call into plain counting-MSO.
+checker tables; ``cms_referee.expand`` inlines every call into plain
+counting-MSO.
 Both forms must give the same answer on every binding, the expansion must
 print and parse back to itself, and the schema must stay small.
 """
@@ -12,11 +13,12 @@ import re
 
 import pytest
 
+from cms_referee import expand
 from modgraph import cms
 from modgraph.cms import (Call, Definition, Exists, In, ModelChecker,
                           Pred, RelationalSignature, Structure, _children,
-                          conj, expand, graph_structure, parse_formula,
-                          to_text, variable_kinds)
+                          conj, graph_structure, parse_formula, to_text,
+                          variable_kinds)
 from modgraph.errors import ArityMismatch, UnboundVariable
 from modgraph.samples import spw5_signature
 from modgraph.signature import Term, eval_term

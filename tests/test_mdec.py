@@ -13,16 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deep_term import LEVELS, alternating_term
-from mdec_referee import (brute_force_modules, maximal_prime_modules, quotient_graph,
-                          referee_adhoc_name, referee_binarize, referee_decompose,
-                          referee_prime_modules)
-from modgraph.errors import (NotAModule, NotInSignature, TooSmall, UnknownOp,
-                             VertexNotInGraph)
+from mdec_referee import (NotAModule, brute_force_modules, maximal_prime_modules,
+                          modules, quotient_graph, referee_adhoc_name,
+                          referee_binarize, referee_decompose, referee_prime_modules)
+from modgraph.errors import NotInSignature, TooSmall, UnknownOp, VertexNotInGraph
 from modgraph.generators import random_digraph, random_f_graph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph
 from modgraph.cms import tree_prime_ops
 from modgraph.mdec import (MDecNode, MDecPrimeTree, MDecTree, NodeKind, Rows, _adhoc_name,
-                           all_modules, binarize, brute_force_prime_modules, decompose,
+                           binarize, brute_force_prime_modules, decompose,
                            fold_tree, format_tree, node_masks, reconstruct,
                            shuffle_admissible, tree_prime_modules, tree_to_term,
                            verify_binarized)
@@ -627,7 +626,7 @@ class TestOracle:
 
     def test_modules_contain_trivial(self):
         g = word_graph("aba")
-        mods = set(all_modules(g))
+        mods = set(modules(g))
         assert g.vertices in mods
         assert all(frozenset({v}) in mods for v in g.vertices)
 
@@ -635,7 +634,7 @@ class TestOracle:
 def assert_same_modules(g):
     """NextClosure against the 2^n enumeration: the same modules, each
     once, in lectic order (ascending masks), and the same strong ones."""
-    got = all_modules(g)
+    got = modules(g)
     assert got == brute_force_modules(g)
     rows = Rows(g)
     masks = [rows.mask(m) for m in got]
@@ -644,7 +643,7 @@ def assert_same_modules(g):
 
 
 class TestModuleOracle:
-    """``all_modules`` against the subset-enumeration referee."""
+    """``Rows.modules`` against the subset-enumeration referee."""
 
     def test_every_digraph_on_at_most_four_vertices(self):
         for n in range(5):
@@ -673,7 +672,7 @@ class TestModuleOracle:
     def test_par_node_has_two_to_the_k_modules(self):
         # the documented limit: the enumeration is output-sensitive
         g = LabeledGraph.build(range(1, 13), [])
-        assert len(all_modules(g)) == 2 ** 12 - 1
+        assert len(modules(g)) == 2 ** 12 - 1
 
 
 class TestTreeOutput:

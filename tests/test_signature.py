@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from deep_term import LEVELS, alternating_term
 from modgraph import graphs, signature
 from modgraph.cms import tree_structure
-from modgraph.errors import ArityMismatch, NotWeaklyRigid, UnknownOp, UnknownSymbol
+from modgraph.errors import ArityMismatch, UnknownOp, UnknownSymbol
 from modgraph.formats import parse_term
 from modgraph.generators import random_digraph, random_term
 from modgraph.graphs import Alphabet, LabeledGraph, Permutation, apply_isomorphism
@@ -19,10 +19,8 @@ from modgraph.mdec import NodeKind, binarize, decompose, format_tree
 from modgraph.samples import (W5_GRAPH, cycle_graph, p3_op, scw5_signature,
                               sp_signature, spp3_signature, spw5_signature, w5_op)
 from modgraph.signature import (CLIQUE_OP, PAR_OP, SEQ_OP, Signature,
-                                Term, compose, cp_equations, eval_term,
-                                is_prime, is_weakly_rigid_op, match_op, prime_op,
-                                select_distinguished,
-                                validate_weakly_rigid_signature)
+                                Term, compose, eval_term, is_prime, match_op,
+                                prime_op, validate_weakly_rigid_signature)
 
 D3 = LabeledGraph.on_range(3, [(1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)])
 P4 = LabeledGraph.on_range(4, [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)])
@@ -223,19 +221,16 @@ class TestSizeLaw:
 
 
 class TestWeakRigidity:
+    # an operation is weakly rigid iff it has a distinguished set
     def test_seq_weakly_rigid(self):
-        assert is_weakly_rigid_op(SEQ_OP)
+        assert SEQ_OP.symmetry.distinguished is not None
 
     def test_cycles_not_weakly_rigid(self):
         for n in (3, 4, 5, 6):
-            assert not is_weakly_rigid_op(prime_op(f"C{n}", cycle_graph(n)))
+            assert prime_op(f"C{n}", cycle_graph(n)).symmetry.distinguished is None
 
     def test_w5_weakly_rigid(self):
-        assert is_weakly_rigid_op(w5_op())
-
-    def test_commutative_ops_rejected(self):
-        with pytest.raises(ValueError):
-            is_weakly_rigid_op(PAR_OP)
+        assert w5_op().symmetry.distinguished is not None
 
     def test_sp_signature_accepted(self):
         assert validate_weakly_rigid_signature(sp_signature()).accepted
@@ -258,30 +253,28 @@ class TestWeakRigidity:
 
 class TestDistinguished:
     def test_seq_origin(self):
-        assert select_distinguished(SEQ_OP).vertices == frozenset({1})
+        assert SEQ_OP.symmetry.distinguished == frozenset({1})
 
     def test_w5_orbit_of_one(self):
-        assert select_distinguished(w5_op()).vertices == frozenset({1, 5})
-
-    def test_cycle_raises(self):
-        with pytest.raises(NotWeaklyRigid):
-            select_distinguished(prime_op("C4", cycle_graph(4)))
+        assert w5_op().symmetry.distinguished == frozenset({1, 5})
 
     def test_invariant_under_automorphisms(self):
-        dist = select_distinguished(w5_op()).vertices
-        for sigma in cp_equations(w5_op()):
+        sym = w5_op().symmetry
+        dist = sym.distinguished
+        for sigma in sym.automorphisms:
             assert frozenset(sigma(i) for i in dist) == dist
 
 
 class TestCpEquations:
+    # one argument-permutation equation per non-identity automorphism
     def test_w5(self):
-        assert [str(p) for p in cp_equations(w5_op())] == ["(1 5)(2 4)"]
+        assert [str(p) for p in w5_op().symmetry.automorphisms] == ["(1 5)(2 4)"]
 
     def test_seq_trivial(self):
-        assert cp_equations(SEQ_OP) == []
+        assert SEQ_OP.symmetry.automorphisms == ()
 
     def test_c3_rotations(self):
-        perms = cp_equations(prime_op("C3", cycle_graph(3)))
+        perms = prime_op("C3", cycle_graph(3)).symmetry.automorphisms
         assert {str(p) for p in perms} == {"(1 2 3)", "(1 3 2)"}
 
 
@@ -330,9 +323,10 @@ class TestSymmetryRecord:
         tree = binarize(decompose(eval_term(sig, t), sig))
         for _ in range(3):
             for op in sig.prime_ops:
-                cp_equations(op)
-                select_distinguished(op)
-                is_weakly_rigid_op(op)
+                sym = op.symmetry
+                assert sym.distinguished is not None
+                assert (len(sym.enumerations(range(op.arity)))
+                        == len(sym.automorphisms) + 1)
             assert validate_weakly_rigid_signature(sig).accepted
             tree_structure(tree, sig)
         assert searches["aut"] == 2
